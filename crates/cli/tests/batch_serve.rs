@@ -238,6 +238,42 @@ fn serve_warmth_never_changes_response_bytes() {
 }
 
 #[test]
+fn deeply_nested_frame_is_answered_and_the_stream_continues() {
+    // One frame of 200 000 `[` used to overflow the JSON parser's
+    // stack and abort the server with every connection on it. It must
+    // get a positioned error answer like any malformed frame, and the
+    // next frame on the stream must still be answered.
+    let input = format!(
+        "{}\n{{\"id\": 2, \"command\": \"run\", \"scenario\": {{\"design\": {{\"preset\": \"epyc-7452\"}}}}}}\n",
+        "[".repeat(200_000)
+    );
+    let session = ScenarioSession::serial();
+    let mut stdout = Vec::new();
+    let mut stderr = Vec::new();
+    let summary = serve(&session, input.as_bytes(), &mut stdout, &mut stderr, 1).expect("serves");
+    let frames: Vec<JsonValue> = String::from_utf8(stdout)
+        .expect("utf8")
+        .lines()
+        .map(|l| JsonValue::parse(l).expect("frame parses"))
+        .collect();
+    assert_eq!(frames.len(), 2);
+    assert_eq!(frames[0].get("ok"), Some(&JsonValue::Bool(false)));
+    let message = frames[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(JsonValue::as_str)
+        .expect("error message");
+    let column = tdc_registry::json::MAX_DEPTH + 1;
+    assert!(
+        message.contains(&format!("line 1, column {column}")),
+        "{message}"
+    );
+    assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(2.0));
+    assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!((summary.frames, summary.errors), (2, 1));
+}
+
+#[test]
 fn serve_orders_responses_under_concurrency() {
     let mut input = String::new();
     for id in 1..=6 {

@@ -7,7 +7,9 @@ use crate::embodied::{compute_embodied, EmbodiedBreakdown};
 use crate::error::ModelError;
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline;
+use crate::sweep::cache::ContextTags;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use tdc_power::PowerModel;
 use tdc_units::{Co2Mass, Ratio, TimeSpan};
 
@@ -68,6 +70,10 @@ pub struct ComparisonReport {
 pub struct CarbonModel {
     ctx: ModelContext,
     power_model: Box<dyn PowerModel + Send + Sync>,
+    /// The sweep cache's context-only stage tags, hashed on first use:
+    /// neither input can change afterwards except through
+    /// [`with_power_model`](Self::with_power_model), which resets it.
+    tags: OnceLock<ContextTags>,
 }
 
 impl core::fmt::Debug for CarbonModel {
@@ -95,13 +101,18 @@ impl CarbonModel {
     #[must_use]
     pub fn new(ctx: ModelContext) -> Self {
         let power_model = ctx.power_model().instantiate();
-        Self { ctx, power_model }
+        Self {
+            ctx,
+            power_model,
+            tags: OnceLock::new(),
+        }
     }
 
     /// Swaps in a different operational power plug-in.
     #[must_use]
     pub fn with_power_model(mut self, model: Box<dyn PowerModel + Send + Sync>) -> Self {
         self.power_model = model;
+        self.tags = OnceLock::new();
         self
     }
 
@@ -115,6 +126,12 @@ impl CarbonModel {
     /// pipeline's operational stage).
     pub(crate) fn power_model(&self) -> &(dyn PowerModel + Send + Sync) {
         &*self.power_model
+    }
+
+    /// The sweep cache's context-only stage tags for this model.
+    pub(crate) fn context_tags(&self) -> &ContextTags {
+        self.tags
+            .get_or_init(|| ContextTags::new(&self.ctx, &*self.power_model))
     }
 
     /// Evaluates the embodied model (Eq. 3) for `design`.

@@ -39,8 +39,8 @@ pub struct Workload {
     /// region's constant grid). `Arc`: the profile can hold millions
     /// of compacted samples and every sweep point shares it. Its
     /// compact `Debug`/`PartialEq` (content fingerprint) keep the
-    /// derived impls here cheap — stage tags and batch tag memos key
-    /// on them.
+    /// derived impls here cheap — the operational stage tag hashes
+    /// this type's `Debug` rendering on every sweep call.
     trace: Option<Arc<TraceProfile>>,
 }
 

@@ -190,10 +190,13 @@ impl ScenarioSession {
             } => {
                 let model = CarbonModel::new(context.clone());
                 let tally = PipelineTally::default();
+                let key = EvalCache::key_for(design);
                 let response = match workload {
                     Some(workload) => {
                         let tags = EvalCache::stage_tags(&model, Some(workload));
-                        match cache.lifecycle_or_eval(&tags, &model, design, workload, &tally)? {
+                        match cache
+                            .lifecycle_or_eval(&tags, &model, design, key, workload, &tally)?
+                        {
                             (Some(report), _) => EvalResponse::Lifecycle(report),
                             // Oversized: a sweep would drop the point,
                             // but `run` must surface exactly the error
@@ -205,7 +208,7 @@ impl ScenarioSession {
                     }
                     None => {
                         let tags = EvalCache::stage_tags(&model, None);
-                        match cache.embodied_or_eval(&tags, &model, design, &tally)? {
+                        match cache.embodied_or_eval(&tags, &model, design, key, &tally)? {
                             Some(breakdown) => EvalResponse::Embodied((*breakdown).clone()),
                             None => EvalResponse::Embodied(model.embodied(design)?),
                         }

@@ -3,14 +3,14 @@
 //! kernels instead of per-point struct plumbing.
 //!
 //! The staged per-point path ([`SweepExecutor::execute`]) rediscovers
-//! every reusable artifact through five keyed [`EvalCache`] lookups
-//! per point — hashing the canonical design key, taking a mutex, and
-//! probing a map, per stage, per point, even when nothing changed. The
-//! batch path instead keeps the plan's artifacts in *stage columns*:
-//! one slot vector per pipeline stage, aligned with the plan's point
-//! indices, tagged with the stage's input-slice fingerprint. A
-//! re-execution compares five tags (computed once per call, not per
-//! point) and then **delta-evaluates**: stages whose context slice is
+//! every reusable artifact through keyed [`EvalCache`] lookups per
+//! point — taking a shard lock and probing a map, per stage, per point,
+//! even when nothing changed. The batch path instead keeps the plan's
+//! artifacts in *stage columns*: one slot vector per pipeline stage,
+//! aligned with the plan's point indices, tagged with the stage's
+//! input-slice fingerprint. A re-execution compares five tags
+//! (computed once per call, not per point) and then
+//! **delta-evaluates**: stages whose context slice is
 //! structurally unchanged are answered by indexed column loads — no
 //! key building, no hashing, no locks — and only the stages whose tag
 //! changed walk their points again.
@@ -29,10 +29,14 @@
 //! configuration and complete — skips the point loop entirely: it
 //! ranks the pre-computed life-cycle totals with **zero heap
 //! allocations per point** (enforced by
-//! `crates/core/tests/batch_alloc.rs`). Cold or partially warm calls
-//! shard the point range into contiguous chunks stolen by scoped
-//! workers ([`chunk_size`] indices per steal), so parallel fills pay
-//! synchronization once per chunk instead of once per point.
+//! `crates/core/tests/batch_alloc.rs`). A fill that must compute
+//! embodied artifacts for at least the executor's parallel threshold
+//! of points shards the point range into contiguous chunks stolen by
+//! scoped workers ([`chunk_size`] indices per steal), so parallel fills
+//! pay synchronization once per chunk instead of once per point. A
+//! fill that only re-prices (every embodied slot resident) runs on the
+//! calling thread: the operational stage alone is too little work per
+//! point to pay for spawning workers.
 //!
 //! Output is byte-identical to the per-point path for any worker
 //! count: totals are computed by the same floating-point expression
@@ -51,7 +55,6 @@ use crate::error::ModelError;
 use crate::model::{CarbonModel, LifecycleReport};
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline::{self, PhysicalProfile, PowerProfile};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// One ranked point of a batch evaluation: the plan index and the
@@ -98,89 +101,23 @@ impl BatchRanking {
     }
 }
 
-/// The executor-resident batch state: stage columns of the most
-/// recently batch-executed plan plus the memoized stage tags of the
-/// most recent configuration, behind one lock (batch calls on a shared
-/// executor serialize; the per-point path is untouched).
+/// The executor-resident batch state: the stage columns of the most
+/// recently batch-executed plan, behind one lock (batch calls on a
+/// shared executor serialize; the per-point path is untouched).
 #[derive(Debug, Default)]
 pub(crate) struct BatchEngine {
-    state: Mutex<EngineState>,
+    plan: Mutex<Option<PlanState>>,
 }
-
-#[derive(Debug, Default)]
-struct EngineState {
-    /// Most recently used first; capped at [`TAG_MEMO_LIMIT`].
-    tags: Vec<TagEntry>,
-    plan: Option<PlanState>,
-}
-
-/// Configurations the tag memo keeps. Interactive re-ranking loops
-/// alternate over a handful of (grid, lifetime) configurations; one
-/// slot would thrash while unbounded growth would leak on
-/// registry-scale axis sweeps.
-const TAG_MEMO_LIMIT: usize = 16;
-
-/// Memoized [`EvalCache::stage_tags`] of one configuration.
-/// `stage_tags` renders and hashes every context fingerprint on each
-/// call (tens of microseconds) — far too slow for a warm batch call —
-/// so the engine compares the configuration *structurally* and reuses
-/// the tags when nothing changed. Equality of (context, power-model
-/// fingerprint, workload) implies equality of every string
-/// `stage_tags` would build, so the memo can never desynchronize the
-/// tags from the keyed cache. Trace-backed workloads keep this cheap:
-/// a `TraceProfile` compares by content fingerprint (O(1)), never by
-/// walking its segment columns — and the same fingerprint is what the
-/// operational tag renders, so a changed trace re-tags exactly like a
-/// changed utilization scalar while an unchanged trace stays warm.
-#[derive(Debug)]
-struct TagEntry {
-    context: crate::ModelContext,
-    power_fp: String,
-    workload: Workload,
-    tags: StageTags,
-}
-
-impl EngineState {
-    fn resolve_tags(&mut self, model: &CarbonModel, workload: &Workload) -> StageTags {
-        let power_fp = model.power_model().fingerprint();
-        // Workload first: it's the cheapest discriminator (lifetime /
-        // utilization axes differ in the first fields), while context
-        // equality walks the whole technology database.
-        if let Some(i) = self.tags.iter().position(|e| {
-            e.workload == *workload && e.power_fp == power_fp && e.context == *model.context()
-        }) {
-            if i != 0 {
-                let entry = self.tags.remove(i);
-                self.tags.insert(0, entry);
-            }
-            return self.tags[0].tags;
-        }
-        let tags = EvalCache::stage_tags(model, Some(workload));
-        self.tags.insert(
-            0,
-            TagEntry {
-                context: model.context().clone(),
-                power_fp,
-                workload: workload.clone(),
-                tags,
-            },
-        );
-        self.tags.truncate(TAG_MEMO_LIMIT);
-        tags
-    }
-}
-
-/// (point count, two independently-salted design-sequence hashes):
-/// identifies the design sequence of a plan. Labels are deliberately
-/// excluded — artifacts depend only on designs, and materialization
-/// reads labels from the plan being executed.
-type PlanFingerprint = (usize, u64, u64);
 
 /// Structure-of-arrays form of one plan: per-stage slot columns
 /// aligned with point indices.
 #[derive(Debug)]
 struct PlanState {
-    fingerprint: PlanFingerprint,
+    /// The plan's key column ([`SweepPlan::keys`]): identifies the
+    /// resident plan by its design sequence (labels are deliberately
+    /// excluded — artifacts depend only on designs, and materialization
+    /// reads labels from the plan being executed).
+    keys: Arc<[u128]>,
     phys: StageColumns<Arc<PhysicalProfile>>,
     emb: StageColumns<EmbodiedOutcome>,
     power: StageColumns<Arc<PowerProfile>>,
@@ -189,9 +126,9 @@ struct PlanState {
 }
 
 impl PlanState {
-    fn new(fingerprint: PlanFingerprint) -> Self {
+    fn new(keys: Arc<[u128]>) -> Self {
         Self {
-            fingerprint,
+            keys,
             phys: StageColumns::default(),
             emb: StageColumns::default(),
             power: StageColumns::default(),
@@ -269,119 +206,12 @@ fn columns_limit(cap: usize, len: usize) -> usize {
     (cap / len.max(1)).max(1)
 }
 
-/// A fast multiply-rotate 64-bit hasher for plan fingerprints. The
-/// fingerprint is recomputed on *every* batch call (it is how a call
-/// recognizes its resident plan), so std's SipHash would put tens of
-/// microseconds on the warm fast path; this folds a design sequence in
-/// a few nanoseconds per field. Not collision-resistant on its own —
-/// which is why a fingerprint carries two of these with independent
-/// seeds and multipliers, plus the point count.
-struct FpHasher {
-    state: u64,
-    mult: u64,
-}
-
-impl FpHasher {
-    fn new(seed: u64, mult: u64) -> Self {
-        Self { state: seed, mult }
-    }
-}
-
-impl Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-        self.write_u64(bytes.len() as u64);
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(self.mult);
-    }
-}
-
-/// Hashes the `Option<f64>` fields of a die by raw bit pattern
-/// (mirrors [`EvalCache::key_for`]'s injective encoding, without the
-/// string).
-fn hash_bits<H: Hasher>(h: &mut H, value: Option<f64>) {
-    match value {
-        None => h.write_u8(0),
-        Some(v) => {
-            h.write_u8(1);
-            h.write_u64(v.to_bits());
-        }
-    }
-}
-
-/// Hashes the canonical form of a design — the same fields
-/// [`EvalCache::key_for`] encodes — without allocating.
-fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
-    match design {
-        ChipDesign::Monolithic2d { .. } => h.write_u8(1),
-        ChipDesign::Stack3d {
-            tech,
-            orientation,
-            flow,
-            ..
-        } => {
-            h.write_u8(2);
-            tech.hash(h);
-            orientation.hash(h);
-            flow.hash(h);
-        }
-        ChipDesign::Assembly25d { tech, .. } => {
-            h.write_u8(3);
-            tech.hash(h);
-        }
-    }
-    for die in design.dies() {
-        die.name().hash(h);
-        die.node().hash(h);
-        hash_bits(h, die.gate_count());
-        hash_bits(h, die.area_override().map(|a| a.mm2()));
-        hash_bits(h, die.beol_override().map(f64::from));
-        hash_bits(h, die.efficiency().map(|e| e.tops_per_watt()));
-        hash_bits(h, die.compute_share());
-        match die.rent() {
-            None => h.write_u8(0),
-            Some(r) => {
-                h.write_u8(1);
-                hash_bits(h, Some(r.exponent()));
-                hash_bits(h, Some(r.terminals_per_gate()));
-                hash_bits(h, Some(r.fanout()));
-                hash_bits(h, Some(r.external_exponent()));
-            }
-        }
-    }
-}
-
-/// Fingerprints a plan's design sequence: point count plus two
-/// differently-salted 64-bit hashes (a 2⁻¹²⁸-grade identity, computed
-/// without allocating).
-pub(crate) fn compute_plan_fingerprint(plan: &SweepPlan) -> PlanFingerprint {
-    let mut h1 = FpHasher::new(0x243f_6a88_85a3_08d3, 0x9e37_79b9_7f4a_7c15);
-    let mut h2 = FpHasher::new(0x1319_8a2e_0370_7344, 0xc2b2_ae3d_27d4_eb4f);
-    for design in plan.designs() {
-        hash_design(design, &mut h1);
-        hash_design(design, &mut h2);
-    }
-    (plan.len(), h1.finish(), h2.finish())
-}
-
 /// Everything a fill worker reads, shared immutably across threads.
 struct FillCtx<'a> {
     cache: &'a EvalCache,
     tags: &'a StageTags,
+    /// The plan's key column: point `i`'s store key is `keys[i]`.
+    keys: &'a [u128],
     model: &'a CarbonModel,
     workload: &'a Workload,
     /// The (epoch, client) this fill runs under.
@@ -490,13 +320,14 @@ fn resolve_phys(
     p
 }
 
-/// Fills one point's missing slots (column → cache → compute per
+/// Fills point `index`'s missing slots (column → cache → compute per
 /// artifact head) and writes its life-cycle total. Returns the
 /// every-stage-hit flag and whether the point ranked (false =
 /// oversized drop).
 #[allow(clippy::too_many_arguments)]
 fn eval_slots(
     ctx: &FillCtx<'_>,
+    index: usize,
     design: &ChipDesign,
     phys_slot: &mut Option<Arc<PhysicalProfile>>,
     emb_slot: &mut Option<EmbodiedOutcome>,
@@ -506,35 +337,29 @@ fn eval_slots(
     out: &mut FillOut,
 ) -> Result<(bool, bool), ModelError> {
     let (cache, tags, stamp) = (ctx.cache, ctx.tags, ctx.stamp);
+    let key = ctx.keys[index];
+    let point = PointLookup {
+        tags,
+        model: ctx.model,
+        design,
+        design_key: key,
+        stamp,
+        tally: ctx.tally,
+    };
     let mut all_hit = true;
-    // The canonical key is built lazily: a point whose head slots are
-    // all warm never allocates it.
-    let mut key: Option<String> = None;
     let mut phys_local: Option<Arc<PhysicalProfile>> = None;
 
     // ---- Embodied head (physical → yield → embodied) ----
     if emb_slot.is_some() {
         count_col_hit(&mut out.col.embodied, ctx.emb_col, stamp);
     } else {
-        if key.is_none() {
-            key = Some(EvalCache::key_for(design));
-        }
-        let k = key.as_deref().expect("key computed above");
         let outcome = match cache
             .embodied
-            .lookup(tags.embodied, k, stamp, &ctx.tally.embodied)
+            .lookup(tags.embodied, key, stamp, &ctx.tally.embodied)
         {
             Some(o) => o,
             None => {
                 all_hit = false;
-                let point = PointLookup {
-                    tags,
-                    model: ctx.model,
-                    design,
-                    design_key: k,
-                    stamp,
-                    tally: ctx.tally,
-                };
                 let phys = resolve_phys(ctx, &point, &mut phys_local, phys_slot, out);
                 let yld = cache.yield_or_eval(&point, &phys)?;
                 match pipeline::embodied_breakdown(ctx.model.context(), design, &phys, &yld) {
@@ -542,13 +367,13 @@ fn eval_slots(
                         let o = EmbodiedOutcome::Report(Arc::new(b));
                         cache
                             .embodied
-                            .insert(tags.embodied, k, stamp, o.clone(), ctx.cap);
+                            .insert(tags.embodied, key, stamp, o.clone(), ctx.cap);
                         o
                     }
                     Err(ModelError::DieExceedsWafer { .. }) => {
                         cache.embodied.insert(
                             tags.embodied,
-                            k,
+                            key,
                             stamp,
                             EmbodiedOutcome::Oversized,
                             ctx.cap,
@@ -574,26 +399,14 @@ fn eval_slots(
     if op_slot.is_some() {
         count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
     } else {
-        if key.is_none() {
-            key = Some(EvalCache::key_for(design));
-        }
-        let k = key.as_deref().expect("key computed above");
         let report =
             match cache
                 .operational
-                .lookup(tags.operational, k, stamp, &ctx.tally.operational)
+                .lookup(tags.operational, key, stamp, &ctx.tally.operational)
             {
                 Some(r) => r,
                 None => {
                     all_hit = false;
-                    let point = PointLookup {
-                        tags,
-                        model: ctx.model,
-                        design,
-                        design_key: k,
-                        stamp,
-                        tally: ctx.tally,
-                    };
                     let phys = resolve_phys(ctx, &point, &mut phys_local, phys_slot, out);
                     let power = match power_slot.as_ref() {
                         Some(p) => {
@@ -617,7 +430,7 @@ fn eval_slots(
                     )?);
                     cache
                         .operational
-                        .insert(tags.operational, k, stamp, Arc::clone(&r), ctx.cap);
+                        .insert(tags.operational, key, stamp, Arc::clone(&r), ctx.cap);
                     r
                 }
             };
@@ -644,7 +457,7 @@ fn fill_point(
     out: &mut FillOut,
 ) {
     match eval_slots(
-        ctx, design, phys_slot, emb_slot, power_slot, op_slot, total_slot, out,
+        ctx, index, design, phys_slot, emb_slot, power_slot, op_slot, total_slot, out,
     ) {
         Ok((all_hit, ranked)) => {
             if all_hit {
@@ -777,22 +590,22 @@ pub(crate) fn run(
     let stamp = cache.current_stamp();
     let cap = cache.artifact_cap();
     let n = plan.len();
-    let fingerprint = plan.fingerprint();
+    let keys = plan.keys();
     let limit = columns_limit(cap, n);
+    let tags = EvalCache::stage_tags(model, Some(workload));
 
     let mut guard = exec
         .engine()
-        .state
+        .plan
         .lock()
         .expect("batch engine lock poisoned");
-    let tags = guard.resolve_tags(model, workload);
-    if !matches!(guard.plan.as_ref(), Some(s) if s.fingerprint == fingerprint) {
+    if guard.as_ref().is_none_or(|s| *s.keys != **keys) {
         // A different plan owns the columns: drop them and start
         // fresh. The keyed cache still answers warm artifacts, so a
         // plan switch costs no more than the per-point path.
-        guard.plan = Some(PlanState::new(fingerprint));
+        *guard = Some(PlanState::new(Arc::clone(keys)));
     }
-    let state = guard.plan.as_mut().expect("batch state present");
+    let state = guard.as_mut().expect("batch state present");
 
     let totals_tag = tags.embodied ^ tags.operational.rotate_left(17);
     let mut emb_col = state.emb.take(tags.embodied, n);
@@ -835,8 +648,13 @@ pub(crate) fn run(
         Ok(())
     } else {
         // ---- Fill: compute exactly the missing slots (delta-eval),
-        // consulting the keyed cache at every column miss.
-        let workers = exec.resolve_workers(n);
+        // consulting the keyed cache at every column miss. Only points
+        // without an embodied artifact count toward the parallel
+        // threshold: re-pricing a resident plan runs the operational
+        // stage alone, too little work per point for spawned workers
+        // to pay for themselves.
+        let pending = emb_col.slots.iter().filter(|s| s.is_none()).count();
+        let workers = exec.resolve_workers(pending);
         stats.workers = workers;
         let mut phys_col = state.phys.take(tags.physical, n);
         let mut power_col = state.power.take(tags.power, n);
@@ -844,6 +662,7 @@ pub(crate) fn run(
         let ctx = FillCtx {
             cache,
             tags: &tags,
+            keys,
             model,
             workload,
             stamp,
@@ -971,7 +790,7 @@ pub(crate) fn run(
 
 /// Ignored-by-default profiling harness: breaks a warm batch call
 /// down into its constant-overhead components (stage-tag derivation,
-/// plan fingerprinting, the ranking loop itself). Run with
+/// plan key hashing, the ranking loop itself). Run with
 /// `cargo test --release -p tdc-core profile_warm -- --ignored --nocapture`
 /// when chasing per-call overhead — the warm loop is fast enough that
 /// any per-call hashing or formatting dominates it.
@@ -1006,9 +825,11 @@ mod profile_tests {
         eprintln!("stage_tags: {:?}/call", t.elapsed() / n);
         let t = std::time::Instant::now();
         for _ in 0..n {
-            std::hint::black_box(compute_plan_fingerprint(&plan));
+            for design in plan.designs() {
+                std::hint::black_box(EvalCache::key_for(design));
+            }
         }
-        eprintln!("plan_fingerprint: {:?}/call", t.elapsed() / n);
+        eprintln!("plan keys: {:?}/call", t.elapsed() / n);
         let t = std::time::Instant::now();
         for _ in 0..n {
             executor

@@ -23,11 +23,14 @@
 //! | [`PowerProfile`] | geometry |
 //! | [`OperationalReport`](crate::OperationalReport) | geometry + use grid + bandwidth + power plug-in + workload |
 //!
-//! The design half of every key is the *canonical form of the design*
-//! — every die's [`DieSpec`](crate::DieSpec) (name, process node, gate
-//! count / area / overrides) plus the integration technology,
-//! orientation, and bonding flow — so any two points that would
-//! produce the same artifact are computed once.
+//! The design half of every key is a 128-bit hash of the *canonical
+//! form of the design* ([`EvalCache::key_for`]) — every die's
+//! [`DieSpec`](crate::DieSpec) (name, process node, gate count / area /
+//! overrides) plus the integration technology, orientation, and bonding
+//! flow — so any two points that would produce the same artifact are
+//! computed once. A [`SweepPlan`](crate::sweep::SweepPlan) computes its
+//! points' keys once and carries them, so executing a plan never
+//! re-hashes its designs.
 //!
 //! # Shards and eviction
 //!
@@ -62,16 +65,20 @@
 //! ([`StageCounters::cross_hits`]) and sharing *between clients* of a
 //! multi-client server ([`StageCounters::client_hits`]).
 
+use crate::context::ModelContext;
 use crate::design::ChipDesign;
 use crate::error::ModelError;
 use crate::model::{CarbonModel, LifecycleReport};
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline::{self, PhysicalProfile, PowerProfile, YieldProfile};
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use tdc_obs::metrics::Counter;
+use tdc_power::PowerModel;
 
 /// What a finished embodied evaluation left behind. Only the two
 /// *non-fatal* outcomes are cached.
@@ -378,15 +385,11 @@ struct Entry<T> {
     last_used: AtomicU64,
 }
 
-/// One shard of a stage's store: artifacts keyed (configuration tag →
-/// canonical design key) plus an entry count maintained under the
-/// write lock. The two-level map lets a warm lookup borrow the design
-/// key (`&str`) — no per-lookup allocation — and groups one
-/// configuration's entries together.
+/// One shard of a stage's store: artifacts keyed by (configuration
+/// tag, design key).
 #[derive(Debug)]
 struct Shard<T> {
-    entries: HashMap<u64, HashMap<String, Entry<T>>>,
-    count: usize,
+    entries: HashMap<(u64, u128), Entry<T>>,
     /// Entries this shard has evicted since construction (maintained
     /// under the write lock; feeds [`EvalCache::shard_stats`]).
     evictions: u64,
@@ -397,7 +400,6 @@ impl<T> Default for Shard<T> {
     fn default() -> Self {
         Self {
             entries: HashMap::new(),
-            count: 0,
             evictions: 0,
         }
     }
@@ -422,29 +424,24 @@ fn per_shard_cap(cap: usize) -> usize {
 
 /// Evicts the least-recently-used quarter (at least one entry) of a
 /// full shard, returning how many entries were dropped. Access-clock
-/// stamps are unique, so the quantile threshold evicts an exact count.
+/// stamps are unique, so the quantile threshold evicts an exact count,
+/// and selecting it takes linear time under the write lock.
 fn evict_lru<T>(shard: &mut Shard<T>) -> usize {
     let mut stamps: Vec<u64> = shard
         .entries
         .values()
-        .flat_map(|m| m.values().map(|e| e.last_used.load(Ordering::Relaxed)))
+        .map(|e| e.last_used.load(Ordering::Relaxed))
         .collect();
     if stamps.is_empty() {
         return 0;
     }
-    stamps.sort_unstable();
     let drop_n = (stamps.len() / 4).max(1);
-    let threshold = stamps[drop_n - 1];
-    let mut evicted = 0usize;
-    shard.entries.retain(|_, m| {
-        m.retain(|_, e| {
-            let keep = e.last_used.load(Ordering::Relaxed) > threshold;
-            evicted += usize::from(!keep);
-            keep
-        });
-        !m.is_empty()
-    });
-    shard.count -= evicted;
+    let threshold = *stamps.select_nth_unstable(drop_n - 1).1;
+    let before = shard.entries.len();
+    shard
+        .entries
+        .retain(|_, e| e.last_used.load(Ordering::Relaxed) > threshold);
+    let evicted = before - shard.entries.len();
     shard.evictions += evicted as u64;
     evicted
 }
@@ -490,11 +487,11 @@ impl<T: Clone> StageCell<T> {
     /// on an artifact inserted before `stamp.epoch` additionally
     /// counts as a cross-epoch hit; one inserted by a different client
     /// as a cross-client hit. Hits bump the entry's LRU stamp.
-    pub(crate) fn lookup(&self, tag: u64, key: &str, stamp: Stamp, tally: &TallyPair) -> Option<T> {
+    pub(crate) fn lookup(&self, tag: u64, key: u128, stamp: Stamp, tally: &TallyPair) -> Option<T> {
         let shard = self.shards[shard_of(tag)]
             .read()
             .expect("cache shard poisoned");
-        match shard.entries.get(&tag).and_then(|m| m.get(key)) {
+        match shard.entries.get(&(tag, key)) {
             Some(entry) => {
                 entry.last_used.store(
                     self.clock.fetch_add(1, Ordering::Relaxed) + 1,
@@ -522,13 +519,13 @@ impl<T: Clone> StageCell<T> {
 
     /// Inserts under the shard's write lock, evicting the shard's LRU
     /// quarter first when it is at its share of `cap`.
-    pub(crate) fn insert(&self, tag: u64, key: &str, stamp: Stamp, value: T, cap: usize) {
+    pub(crate) fn insert(&self, tag: u64, key: u128, stamp: Stamp, value: T, cap: usize) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shards[shard_of(tag)]
             .write()
             .expect("cache shard poisoned");
-        let exists = shard.entries.get(&tag).is_some_and(|m| m.contains_key(key));
-        if !exists && shard.count >= per_shard_cap(cap) {
+        let exists = shard.entries.contains_key(&(tag, key));
+        if !exists && shard.entries.len() >= per_shard_cap(cap) {
             let evicted = evict_lru(&mut shard);
             self.evictions.add(evicted as u64);
         }
@@ -538,15 +535,7 @@ impl<T: Clone> StageCell<T> {
             client: stamp.client,
             last_used: AtomicU64::new(now),
         };
-        if shard
-            .entries
-            .entry(tag)
-            .or_default()
-            .insert(key.to_owned(), entry)
-            .is_none()
-        {
-            shard.count += 1;
-        }
+        shard.entries.insert((tag, key), entry);
     }
 
     fn counters(&self) -> StageCounters {
@@ -565,7 +554,7 @@ impl<T: Clone> StageCell<T> {
     fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").count)
+            .map(|s| s.read().expect("cache shard poisoned").entries.len())
             .sum()
     }
 
@@ -574,16 +563,14 @@ impl<T: Clone> StageCell<T> {
     fn fold_shard_stats(&self, out: &mut [ShardStats; SHARD_COUNT]) {
         for (shard, slot) in self.shards.iter().zip(out.iter_mut()) {
             let shard = shard.read().expect("cache shard poisoned");
-            slot.entries += shard.count;
+            slot.entries += shard.entries.len();
             slot.evictions += shard.evictions;
         }
     }
 
     fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.write().expect("cache shard poisoned");
-            shard.entries.clear();
-            shard.count = 0;
+            shard.write().expect("cache shard poisoned").entries.clear();
         }
     }
 }
@@ -603,9 +590,192 @@ pub(crate) struct StageTags {
 }
 
 fn hash_str(s: &str) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let mut hasher = DefaultHasher::new();
     s.hash(&mut hasher);
     hasher.finish()
+}
+
+/// The context-only part of a model's [`StageTags`], derived once per
+/// [`CarbonModel`] (see [`CarbonModel::context_tags`]): every tag but
+/// the operational one, which also hashes the workload, plus that
+/// tag's hasher already fed with its context prefix. Resolving a
+/// call's tags therefore renders the workload and nothing else.
+#[derive(Debug)]
+pub(crate) struct ContextTags {
+    physical: u64,
+    yields: u64,
+    embodied: u64,
+    power: u64,
+    operational: DefaultHasher,
+}
+
+impl ContextTags {
+    /// Hashes, for each stage, the union of the context slices that
+    /// stage and its upstream stages read — nothing more, which is
+    /// exactly what lets downstream-only changes keep upstream tags
+    /// (and therefore artifacts) stable.
+    pub(crate) fn new(ctx: &ModelContext, power_model: &dyn PowerModel) -> Self {
+        let geometry = ctx.fingerprint_geometry();
+        let yields = format!("{geometry}\u{1f}{}", ctx.fingerprint_yield());
+        let embodied = format!("{yields}\u{1f}{}", ctx.fingerprint_fab());
+        let mut operational = DefaultHasher::new();
+        operational.write(
+            format!(
+                "op\u{1f}{geometry}\u{1f}{}\u{1f}{}\u{1f}",
+                ctx.fingerprint_use(),
+                power_model.fingerprint(),
+            )
+            .as_bytes(),
+        );
+        Self {
+            physical: hash_str(&format!("phys\u{1f}{geometry}")),
+            yields: hash_str(&format!("yield\u{1f}{yields}")),
+            embodied: hash_str(&format!("emb\u{1f}{embodied}")),
+            power: hash_str(&format!("power\u{1f}{geometry}")),
+            operational,
+        }
+    }
+
+    /// The tags of one evaluation. `workload` is `None` for
+    /// embodied-only evaluations — the operational stage is never
+    /// consulted there, and the embodied chain's tags do not depend on
+    /// the workload, so embodied-only and lifecycle requests share
+    /// every upstream artifact.
+    fn resolve(&self, workload: Option<&Workload>) -> StageTags {
+        let operational = match workload {
+            Some(workload) => {
+                // SipHash reads its input as one byte stream, so
+                // streaming the rendering after the primed prefix and
+                // ending with `str::hash`'s 0xff terminator gives
+                // exactly `hash_str` of the whole tag string.
+                let mut hasher = self.operational.clone();
+                let _ = write!(HashWriter(&mut hasher), "{workload:?}");
+                hasher.write_u8(0xff);
+                hasher.finish()
+            }
+            // Embodied-only: a sentinel no real workload tag can equal
+            // (real tags always embed the use-grid fingerprint).
+            None => hash_str("op\u{1f}\u{1f}embodied-only"),
+        };
+        StageTags {
+            physical: self.physical,
+            yields: self.yields,
+            embodied: self.embodied,
+            power: self.power,
+            operational,
+        }
+    }
+}
+
+/// Feeds formatted text straight into a hasher, so a rendering is
+/// hashed without being collected into a `String`.
+struct HashWriter<'a>(&'a mut DefaultHasher);
+
+impl std::fmt::Write for HashWriter<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The two SipHash passes behind a design key, fed in blocks: the
+/// canonical encoding is dozens of small fields, each `write` to a
+/// SipHasher costs a call, and SipHash reads its input as one byte
+/// stream, so buffering changes the cost but never the hash.
+struct KeyStream {
+    lanes: [DefaultHasher; 2],
+    buf: [u8; 256],
+    len: usize,
+}
+
+impl KeyStream {
+    /// The hash of everything written so far under lane `i`'s key.
+    fn lane(&self, i: usize) -> u64 {
+        let mut lane = self.lanes[i].clone();
+        lane.write(&self.buf[..self.len]);
+        lane.finish()
+    }
+}
+
+impl Hasher for KeyStream {
+    fn finish(&self) -> u64 {
+        self.lane(0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            for lane in &mut self.lanes {
+                lane.write(&self.buf[..self.len]);
+            }
+            self.len = 0;
+        }
+        if bytes.len() > self.buf.len() {
+            for lane in &mut self.lanes {
+                lane.write(bytes);
+            }
+        } else {
+            self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+            self.len += bytes.len();
+        }
+    }
+}
+
+/// Hashes an optional numeric field by presence and raw bit pattern,
+/// so distinct values (`+0.0` and `-0.0` included) feed distinct bytes.
+fn hash_bits<H: Hasher>(h: &mut H, value: Option<f64>) {
+    match value {
+        None => h.write_u8(0),
+        Some(v) => {
+            h.write_u8(1);
+            h.write_u64(v.to_bits());
+        }
+    }
+}
+
+/// Feeds the canonical form of a design into `h`: its shape and
+/// integration choices, its die count, and every die spec. Each field
+/// is written with a self-delimiting encoding (strings end in a byte
+/// UTF-8 never uses, options carry a presence byte), so distinct
+/// designs always feed distinct byte streams.
+fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
+    match design {
+        ChipDesign::Monolithic2d { .. } => h.write_u8(1),
+        ChipDesign::Stack3d {
+            tech,
+            orientation,
+            flow,
+            ..
+        } => {
+            h.write_u8(2);
+            tech.hash(h);
+            orientation.hash(h);
+            flow.hash(h);
+        }
+        ChipDesign::Assembly25d { tech, .. } => {
+            h.write_u8(3);
+            tech.hash(h);
+        }
+    }
+    h.write_usize(design.dies().len());
+    for die in design.dies() {
+        die.name().hash(h);
+        die.node().hash(h);
+        hash_bits(h, die.gate_count());
+        hash_bits(h, die.area_override().map(|a| a.mm2()));
+        hash_bits(h, die.beol_override().map(f64::from));
+        hash_bits(h, die.efficiency().map(|e| e.tops_per_watt()));
+        hash_bits(h, die.compute_share());
+        match die.rent() {
+            None => h.write_u8(0),
+            Some(r) => {
+                h.write_u8(1);
+                hash_bits(h, Some(r.exponent()));
+                hash_bits(h, Some(r.terminals_per_gate()));
+                hash_bits(h, Some(r.fanout()));
+                hash_bits(h, Some(r.external_exponent()));
+            }
+        }
+    }
 }
 
 /// A thread-safe, sharded, per-stage artifact store for pipeline
@@ -711,93 +881,34 @@ impl EvalCache {
         }
     }
 
-    /// The canonical key of a design: every die spec (name, node, and
-    /// the raw bit pattern of each numeric field, so distinct values
-    /// get distinct keys) plus the integration technology, orientation,
-    /// and flow. Compact by construction — building a key costs a
-    /// fraction of a stage evaluation, so a cache hit is a real win.
+    /// The key of a design in every stage store: a 128-bit hash of its
+    /// canonical form — every die spec (name, node, and the raw bit
+    /// pattern of each numeric field, so distinct values get distinct
+    /// keys), the die count, and the integration technology,
+    /// orientation, and flow. Its halves are two passes of std's
+    /// SipHash over that encoding, under two keys drawn at random once
+    /// per process: keys are stable for the life of every store they
+    /// index, while a serve client cannot craft two designs whose keys
+    /// collide.
     #[must_use]
-    pub fn key_for(design: &ChipDesign) -> String {
-        use std::fmt::Write as _;
-        fn bits(out: &mut String, value: Option<f64>) {
-            match value {
-                // `~` cannot collide with a hex digit.
-                None => out.push('~'),
-                Some(v) => {
-                    let _ = write!(out, "{:x}", v.to_bits());
-                }
-            }
-            out.push(',');
-        }
-        let mut key = String::with_capacity(64 * design.dies().len());
-        match design {
-            ChipDesign::Monolithic2d { .. } => key.push_str("2d|"),
-            ChipDesign::Stack3d {
-                tech,
-                orientation,
-                flow,
-                ..
-            } => {
-                let _ = write!(key, "3d:{tech:?}:{orientation:?}:{flow:?}|");
-            }
-            ChipDesign::Assembly25d { tech, .. } => {
-                let _ = write!(key, "25d:{tech:?}|");
-            }
-        }
-        for die in design.dies() {
-            // Length-prefixing the name makes the encoding injective
-            // even for names that contain the separator characters.
-            let _ = write!(key, "{}:{}{:?};", die.name().len(), die.name(), die.node());
-            bits(&mut key, die.gate_count());
-            bits(&mut key, die.area_override().map(|a| a.mm2()));
-            bits(&mut key, die.beol_override().map(f64::from));
-            bits(&mut key, die.efficiency().map(|e| e.tops_per_watt()));
-            bits(&mut key, die.compute_share());
-            match die.rent() {
-                None => key.push('~'),
-                Some(r) => {
-                    bits(&mut key, Some(r.exponent()));
-                    bits(&mut key, Some(r.terminals_per_gate()));
-                    bits(&mut key, Some(r.fanout()));
-                    bits(&mut key, Some(r.external_exponent()));
-                }
-            }
-            key.push('|');
-        }
-        key
+    pub fn key_for(design: &ChipDesign) -> u128 {
+        static SEEDS: OnceLock<[RandomState; 2]> = OnceLock::new();
+        let [first, second] = SEEDS.get_or_init(|| [RandomState::new(), RandomState::new()]);
+        let mut stream = KeyStream {
+            lanes: [first.build_hasher(), second.build_hasher()],
+            buf: [0; 256],
+            len: 0,
+        };
+        hash_design(design, &mut stream);
+        (u128::from(stream.lane(0)) << 64) | u128::from(stream.lane(1))
     }
 
-    /// Computes the per-stage namespace tags for a (model, workload)
-    /// configuration. Each tag hashes the union of the context slices
-    /// that stage and its upstream stages read — nothing more, which is
-    /// exactly what lets downstream-only changes keep upstream tags
-    /// (and therefore artifacts) stable. `workload` is `None` for
-    /// embodied-only evaluations — the operational stage is never
-    /// consulted there, and the embodied chain's tags do not depend on
-    /// the workload, so embodied-only and lifecycle requests share
-    /// every upstream artifact.
+    /// The per-stage namespace tags for a (model, workload)
+    /// configuration (see [`ContextTags`]); `workload` is `None` for
+    /// embodied-only evaluations. Only the workload is rendered per
+    /// call — the context's fingerprints are hashed once per model.
     pub(crate) fn stage_tags(model: &CarbonModel, workload: Option<&Workload>) -> StageTags {
-        let ctx = model.context();
-        let geometry = ctx.fingerprint_geometry();
-        let yields = format!("{geometry}\u{1f}{}", ctx.fingerprint_yield());
-        let embodied = format!("{yields}\u{1f}{}", ctx.fingerprint_fab());
-        let operational = match workload {
-            Some(workload) => format!(
-                "{geometry}\u{1f}{}\u{1f}{}\u{1f}{workload:?}",
-                ctx.fingerprint_use(),
-                model.power_model().fingerprint(),
-            ),
-            // Embodied-only: a sentinel no real workload tag can equal
-            // (real tags always embed the use-grid fingerprint).
-            None => "\u{1f}embodied-only".to_owned(),
-        };
-        StageTags {
-            physical: hash_str(&format!("phys\u{1f}{geometry}")),
-            yields: hash_str(&format!("yield\u{1f}{yields}")),
-            embodied: hash_str(&format!("emb\u{1f}{embodied}")),
-            power: hash_str(&format!("power\u{1f}{geometry}")),
-            operational: hash_str(&format!("op\u{1f}{operational}")),
-        }
+        model.context_tags().resolve(workload)
     }
 
     /// Current counters and size.
@@ -1011,23 +1122,24 @@ impl EvalCache {
         }
     }
 
-    /// Evaluates only the embodied chain of `design` under `model`
-    /// (the `tdc run` without-a-workload path), answering every stage
-    /// from the store when possible. Returns `Ok(None)` for designs
-    /// whose dies outgrow the wafer.
+    /// Evaluates only the embodied chain of `design` (whose
+    /// [`key_for`](Self::key_for) is `design_key`) under `model` (the
+    /// `tdc run` without-a-workload path), answering every stage from
+    /// the store when possible. Returns `Ok(None)` for designs whose
+    /// dies outgrow the wafer.
     pub(crate) fn embodied_or_eval(
         &self,
         tags: &StageTags,
         model: &CarbonModel,
         design: &ChipDesign,
+        design_key: u128,
         tally: &PipelineTally,
     ) -> Result<Option<Arc<crate::embodied::EmbodiedBreakdown>>, ModelError> {
-        let design_key = Self::key_for(design);
         let point = PointLookup {
             tags,
             model,
             design,
-            design_key: &design_key,
+            design_key,
             stamp: self.current_stamp(),
             tally,
         };
@@ -1036,27 +1148,28 @@ impl EvalCache {
         self.embodied_half(&point, &mut phys_local, &mut all_hit)
     }
 
-    /// Evaluates `design` under (`model`, `workload`) through the
-    /// staged pipeline, answering every stage from the store when
-    /// possible. `tags` is the value
-    /// [`stage_tags`](EvalCache::stage_tags) returned for this
-    /// configuration. Returns `Ok(None)` for designs whose dies outgrow
-    /// the wafer (dropped, and remembered as dropped), and the report
-    /// plus a did-every-stage-hit flag otherwise.
+    /// Evaluates `design` (whose [`key_for`](Self::key_for) is
+    /// `design_key`) under (`model`, `workload`) through the staged
+    /// pipeline, answering every stage from the store when possible.
+    /// `tags` is the value [`stage_tags`](EvalCache::stage_tags)
+    /// returned for this configuration. Returns `Ok(None)` for designs
+    /// whose dies outgrow the wafer (dropped, and remembered as
+    /// dropped), and the report plus a did-every-stage-hit flag
+    /// otherwise.
     pub(crate) fn lifecycle_or_eval(
         &self,
         tags: &StageTags,
         model: &CarbonModel,
         design: &ChipDesign,
+        design_key: u128,
         workload: &Workload,
         tally: &PipelineTally,
     ) -> Result<(Option<LifecycleReport>, bool), ModelError> {
-        let design_key = Self::key_for(design);
         let point = PointLookup {
             tags,
             model,
             design,
-            design_key: &design_key,
+            design_key,
             stamp: self.current_stamp(),
             tally,
         };
@@ -1072,7 +1185,7 @@ impl EvalCache {
         // ---- Operational artifact (physical → power → operational) ----
         let operational = match self.operational.lookup(
             tags.operational,
-            &design_key,
+            design_key,
             point.stamp,
             &tally.operational,
         ) {
@@ -1095,7 +1208,7 @@ impl EvalCache {
                 let arc = Arc::new(r);
                 self.operational.insert(
                     tags.operational,
-                    &design_key,
+                    design_key,
                     point.stamp,
                     Arc::clone(&arc),
                     self.artifact_cap,
@@ -1120,7 +1233,7 @@ pub(crate) struct PointLookup<'a> {
     pub(crate) tags: &'a StageTags,
     pub(crate) model: &'a CarbonModel,
     pub(crate) design: &'a ChipDesign,
-    pub(crate) design_key: &'a str,
+    pub(crate) design_key: u128,
     pub(crate) stamp: Stamp,
     pub(crate) tally: &'a PipelineTally,
 }
@@ -1169,18 +1282,28 @@ mod tests {
         client: 0,
     };
 
+    /// `lifecycle_or_eval` under the design's own key.
+    fn life(
+        cache: &EvalCache,
+        tags: &StageTags,
+        m: &CarbonModel,
+        d: &ChipDesign,
+        w: &Workload,
+        tally: &PipelineTally,
+    ) -> (Option<LifecycleReport>, bool) {
+        cache
+            .lifecycle_or_eval(tags, m, d, EvalCache::key_for(d), w, tally)
+            .unwrap()
+    }
+
     #[test]
     fn second_lookup_hits_every_stage() {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
         let tags = EvalCache::stage_tags(&m, Some(&w));
-        let (first, hit1) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-            .unwrap();
-        let (second, hit2) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-            .unwrap();
+        let (first, hit1) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
+        let (second, hit2) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
         assert!(!hit1);
         assert!(hit2);
         assert_eq!(first, second);
@@ -1207,9 +1330,7 @@ mod tests {
         let w = workload();
         let base = model();
         let tags = EvalCache::stage_tags(&base, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &base, &d, &w, &PipelineTally::default())
-            .unwrap();
+        life(&cache, &tags, &base, &d, &w, &PipelineTally::default());
 
         let moved = CarbonModel::new(
             ModelContext::builder()
@@ -1219,9 +1340,14 @@ mod tests {
         let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
         assert_eq!(tags.embodied, moved_tags.embodied);
         assert_ne!(tags.operational, moved_tags.operational);
-        let (report, hit) = cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &w, &PipelineTally::default())
-            .unwrap();
+        let (report, hit) = life(
+            &cache,
+            &moved_tags,
+            &moved,
+            &d,
+            &w,
+            &PipelineTally::default(),
+        );
         assert!(!hit, "the operational stage must recompute");
         let stats = cache.stats();
         assert_eq!(
@@ -1248,9 +1374,7 @@ mod tests {
         let w = workload();
         let base = model();
         let tags = EvalCache::stage_tags(&base, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &base, &d, &w, &PipelineTally::default())
-            .unwrap();
+        life(&cache, &tags, &base, &d, &w, &PipelineTally::default());
 
         let moved = CarbonModel::new(
             ModelContext::builder()
@@ -1260,9 +1384,14 @@ mod tests {
         let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
         assert_eq!(tags.operational, moved_tags.operational);
         assert_ne!(tags.embodied, moved_tags.embodied);
-        let (report, _) = cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &w, &PipelineTally::default())
-            .unwrap();
+        let (report, _) = life(
+            &cache,
+            &moved_tags,
+            &moved,
+            &d,
+            &w,
+            &PipelineTally::default(),
+        );
         let stats = cache.stats();
         assert_eq!(
             stats.stages.operational,
@@ -1271,36 +1400,6 @@ mod tests {
         );
         assert_eq!(stats.stages.embodied, sc(0, 2));
         assert_eq!(report.unwrap(), moved.lifecycle(&d, &w).unwrap());
-    }
-
-    #[test]
-    fn distinct_designs_get_distinct_keys() {
-        assert_ne!(
-            EvalCache::key_for(&mono(5.0e9)),
-            EvalCache::key_for(&mono(5.0e9 + 1.0))
-        );
-        assert_eq!(
-            EvalCache::key_for(&mono(5.0e9)),
-            EvalCache::key_for(&mono(5.0e9))
-        );
-    }
-
-    #[test]
-    fn hostile_die_names_cannot_collide() {
-        // A name embedding the field/die separators must not make two
-        // structurally different designs encode identically — names
-        // are length-prefixed.
-        let named = |name: &str| {
-            ChipDesign::monolithic_2d(
-                DieSpec::builder(name, ProcessNode::N7)
-                    .gate_count(1.0e9)
-                    .build()
-                    .unwrap(),
-            )
-        };
-        let plain = named("d0");
-        let hostile = named("d0N7;~,~,~,~,~,~|");
-        assert_ne!(EvalCache::key_for(&plain), EvalCache::key_for(&hostile));
     }
 
     #[test]
@@ -1314,12 +1413,8 @@ mod tests {
                 .unwrap(),
         );
         let tags = EvalCache::stage_tags(&m, Some(&w));
-        let (r1, hit1) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-            .unwrap();
-        let (r2, hit2) = cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-            .unwrap();
+        let (r1, hit1) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
+        let (r2, hit2) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
         assert!(r1.is_none() && r2.is_none());
         assert!(!hit1);
         assert!(hit2);
@@ -1335,9 +1430,7 @@ mod tests {
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
         let tags = EvalCache::stage_tags(&m, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-            .unwrap();
+        life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
         let longer = Workload::fixed(
             "app",
             Throughput::from_tops(50.0),
@@ -1346,11 +1439,42 @@ mod tests {
         let longer_tags = EvalCache::stage_tags(&m, Some(&longer));
         assert_eq!(tags.embodied, longer_tags.embodied);
         assert_ne!(tags.operational, longer_tags.operational);
-        let (_, hit) = cache
-            .lifecycle_or_eval(&longer_tags, &m, &d, &longer, &PipelineTally::default())
-            .unwrap();
+        let (_, hit) = life(
+            &cache,
+            &longer_tags,
+            &m,
+            &d,
+            &longer,
+            &PipelineTally::default(),
+        );
         assert!(!hit, "a different workload must re-price operations");
         assert_eq!(cache.stats().stages.embodied.hits, 1);
+    }
+
+    #[test]
+    fn memoized_tags_hash_the_whole_tag_strings() {
+        // The model memo streams the workload after a primed prefix;
+        // the result must equal hashing each whole tag string, so the
+        // stores (and their shard routing) keep the same namespaces.
+        let m = model();
+        let ctx = m.context();
+        let geometry = ctx.fingerprint_geometry();
+        for w in [workload(), workload().with_average_utilization(0.25)] {
+            let tags = EvalCache::stage_tags(&m, Some(&w));
+            assert_eq!(tags.physical, hash_str(&format!("phys\u{1f}{geometry}")));
+            assert_eq!(
+                tags.operational,
+                hash_str(&format!(
+                    "op\u{1f}{geometry}\u{1f}{}\u{1f}{}\u{1f}{w:?}",
+                    ctx.fingerprint_use(),
+                    m.power_model().fingerprint(),
+                ))
+            );
+        }
+        assert_eq!(
+            EvalCache::stage_tags(&m, None).operational,
+            hash_str("op\u{1f}\u{1f}embodied-only")
+        );
     }
 
     #[test]
@@ -1358,9 +1482,14 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let tags = EvalCache::stage_tags(&m, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
-            .unwrap();
+        life(
+            &cache,
+            &tags,
+            &m,
+            &mono(5.0e9),
+            &w,
+            &PipelineTally::default(),
+        );
         assert_eq!(cache.stats().entries, 5);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
@@ -1377,24 +1506,16 @@ mod tests {
         const CAP: usize = 4 * SHARD_COUNT;
         let tally = TallyPair::default();
         for i in 0..4u8 {
-            cell.insert(7, &format!("k{i}"), S0, i, CAP);
+            cell.insert(7, u128::from(i), S0, i, CAP);
         }
         assert_eq!(cell.len(), 4);
-        // Touch k0: k1 becomes the LRU entry.
-        assert_eq!(cell.lookup(7, "k0", S0, &tally), Some(0));
-        cell.insert(7, "k4", S0, 4, CAP);
+        // Touch key 0: key 1 becomes the LRU entry.
+        assert_eq!(cell.lookup(7, 0, S0, &tally), Some(0));
+        cell.insert(7, 4, S0, 4, CAP);
         assert_eq!(cell.len(), 4, "one in, one out");
-        assert_eq!(cell.lookup(7, "k1", S0, &tally), None, "LRU entry evicted");
-        assert_eq!(
-            cell.lookup(7, "k0", S0, &tally),
-            Some(0),
-            "touched entry kept"
-        );
-        assert_eq!(
-            cell.lookup(7, "k4", S0, &tally),
-            Some(4),
-            "new entry stored"
-        );
+        assert_eq!(cell.lookup(7, 1, S0, &tally), None, "LRU entry evicted");
+        assert_eq!(cell.lookup(7, 0, S0, &tally), Some(0), "touched entry kept");
+        assert_eq!(cell.lookup(7, 4, S0, &tally), Some(4), "new entry stored");
         assert_eq!(cell.evictions(), 1);
     }
 
@@ -1405,14 +1526,14 @@ mod tests {
         let cell: StageCell<u8> = StageCell::default();
         const CAP: usize = SHARD_COUNT; // one entry per shard
         let tally = TallyPair::default();
-        cell.insert(3, "a", S0, 1, CAP);
-        assert_eq!(cell.lookup(3, "a", S0, &tally), Some(1));
-        assert_eq!(cell.lookup(3, "missing", S0, &tally), None);
+        cell.insert(3, 0xa, S0, 1, CAP);
+        assert_eq!(cell.lookup(3, 0xa, S0, &tally), Some(1));
+        assert_eq!(cell.lookup(3, 0xdead, S0, &tally), None);
         let before = cell.counters();
         assert_eq!(before, sc(1, 1));
         // Same tag → same shard → every insert beyond the first evicts.
         for i in 0..8u8 {
-            cell.insert(3, &format!("spill{i}"), S0, i, CAP);
+            cell.insert(3, 0x100 + u128::from(i), S0, i, CAP);
         }
         assert!(cell.evictions() > 0, "the shard must have overflowed");
         assert_eq!(
@@ -1421,7 +1542,7 @@ mod tests {
             "inserts and evictions never touch the hit/miss counters"
         );
         // And the store keeps answering: the most recent entry is warm.
-        assert_eq!(cell.lookup(3, "spill7", S0, &tally), Some(7));
+        assert_eq!(cell.lookup(3, 0x107, S0, &tally), Some(7));
         assert_eq!(cell.counters().hits, before.hits + 1);
     }
 
@@ -1433,14 +1554,24 @@ mod tests {
         let cache = EvalCache::with_artifact_cap(1);
         let (m, w) = (model(), workload());
         let tags = EvalCache::stage_tags(&m, Some(&w));
-        cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
-            .unwrap();
+        life(
+            &cache,
+            &tags,
+            &m,
+            &mono(5.0e9),
+            &w,
+            &PipelineTally::default(),
+        );
         let before = cache.stats();
         assert_eq!(before.stages.misses(), 5);
-        cache
-            .lifecycle_or_eval(&tags, &m, &mono(6.0e9), &w, &PipelineTally::default())
-            .unwrap();
+        life(
+            &cache,
+            &tags,
+            &m,
+            &mono(6.0e9),
+            &w,
+            &PipelineTally::default(),
+        );
         let after = cache.stats();
         assert_eq!(
             after.stages.misses(),
@@ -1461,12 +1592,8 @@ mod tests {
         let tags = EvalCache::stage_tags(&m, Some(&w));
         for gates in [5.0e9, 6.0e9, 5.0e9, 7.0e9, 6.0e9] {
             let d = mono(gates);
-            let (a, _) = roomy
-                .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-                .unwrap();
-            let (b, _) = tight
-                .lifecycle_or_eval(&tags, &m, &d, &w, &PipelineTally::default())
-                .unwrap();
+            let (a, _) = life(&roomy, &tags, &m, &d, &w, &PipelineTally::default());
+            let (b, _) = life(&tight, &tags, &m, &d, &w, &PipelineTally::default());
             assert_eq!(a, b);
         }
     }
@@ -1494,15 +1621,15 @@ mod tests {
                             .wrapping_add(1_442_695_040_888_963_407);
                         let tag = seed >> 60; // 16 tags spread over shards
                         let k = (seed >> 32) & 31; // 32 keys per tag
-                        let key = format!("k{k}");
+                        let key = u128::from(k);
                         let stamp = Stamp {
                             epoch: i / 500,
                             client: t,
                         };
                         lookups += 1;
-                        match cell.lookup(tag, &key, stamp, &tally) {
+                        match cell.lookup(tag, key, stamp, &tally) {
                             Some(v) => assert_eq!(v, tag ^ k, "value belongs to another key"),
-                            None => cell.insert(tag, &key, stamp, tag ^ k, CAP),
+                            None => cell.insert(tag, key, stamp, tag ^ k, CAP),
                         }
                     }
                     let snap = tally.snapshot();
@@ -1545,12 +1672,12 @@ mod tests {
         // Request 1: cold.
         cache.advance_epoch();
         let t1 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t1).unwrap();
+        life(&cache, &tags, &m, &d, &w, &t1);
         assert_eq!(t1.snapshot().cross_hits(), 0);
         // Request 2: both artifact heads come from request 1.
         cache.advance_epoch();
         let t2 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t2).unwrap();
+        life(&cache, &tags, &m, &d, &w, &t2);
         let s2 = t2.snapshot();
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.cross_hits(), 2, "warmth came from the earlier epoch");
@@ -1563,9 +1690,7 @@ mod tests {
                 .build(),
         );
         let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
-        cache
-            .lifecycle_or_eval(&moved_tags, &moved, &d, &w, &t3)
-            .unwrap();
+        life(&cache, &moved_tags, &moved, &d, &w, &t3);
         let s3 = t3.snapshot();
         // Embodied head: cross hit (inserted in request 1). The
         // physical/power artifacts under the recomputed operational
@@ -1588,12 +1713,12 @@ mod tests {
         // Client 1 computes everything.
         cache.begin_request(1);
         let t1 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t1).unwrap();
+        life(&cache, &tags, &m, &d, &w, &t1);
         assert_eq!(t1.snapshot().client_hits(), 0);
         // Client 2 answers both heads from client 1's artifacts.
         cache.begin_request(2);
         let t2 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t2).unwrap();
+        life(&cache, &tags, &m, &d, &w, &t2);
         let s2 = t2.snapshot();
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.client_hits(), 2, "warmth came from another client");
@@ -1603,7 +1728,7 @@ mod tests {
         // cross-client ones — it computed these artifacts itself.
         cache.begin_request(1);
         let t3 = PipelineTally::default();
-        cache.lifecycle_or_eval(&tags, &m, &d, &w, &t3).unwrap();
+        life(&cache, &tags, &m, &d, &w, &t3);
         let s3 = t3.snapshot();
         assert_eq!(s3.client_hits(), 0);
         assert_eq!(s3.cross_hits(), 2);
@@ -1619,16 +1744,16 @@ mod tests {
         cache.advance_epoch();
         let only_tags = EvalCache::stage_tags(&m, None);
         let t1 = PipelineTally::default();
-        let b = cache.embodied_or_eval(&only_tags, &m, &d, &t1).unwrap();
+        let b = cache
+            .embodied_or_eval(&only_tags, &m, &d, EvalCache::key_for(&d), &t1)
+            .unwrap();
         assert!(b.is_some());
         assert_eq!(t1.snapshot().embodied.misses, 1);
         // ...and a later lifecycle request answers embodied from it.
         cache.advance_epoch();
         let life_tags = EvalCache::stage_tags(&m, Some(&w));
         let t2 = PipelineTally::default();
-        let (report, _) = cache
-            .lifecycle_or_eval(&life_tags, &m, &d, &w, &t2)
-            .unwrap();
+        let (report, _) = life(&cache, &life_tags, &m, &d, &w, &t2);
         let fresh = m.lifecycle(&d, &w).unwrap();
         assert_eq!(report.unwrap(), fresh);
         let s2 = t2.snapshot();
@@ -1653,13 +1778,23 @@ mod tests {
         let (m, w) = (model(), workload());
         let tags = EvalCache::stage_tags(&m, Some(&w));
         let before = cache.stats().stages;
-        cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
-            .unwrap();
+        life(
+            &cache,
+            &tags,
+            &m,
+            &mono(5.0e9),
+            &w,
+            &PipelineTally::default(),
+        );
         let mid = cache.stats().stages;
-        cache
-            .lifecycle_or_eval(&tags, &m, &mono(5.0e9), &w, &PipelineTally::default())
-            .unwrap();
+        life(
+            &cache,
+            &tags,
+            &m,
+            &mono(5.0e9),
+            &w,
+            &PipelineTally::default(),
+        );
         let after = cache.stats().stages;
         let cold = mid.since(&before);
         let warm = after.since(&mid);

@@ -255,12 +255,15 @@ impl SweepExecutor {
         // calls share this executor concurrently.
         let tally = PipelineTally::default();
         let points = plan.points();
+        let keys = plan.keys();
         let workers = self.resolve_workers(points.len());
 
         let mut slots: Vec<Option<(PointOutcome, bool)>> = Vec::new();
         if workers <= 1 {
-            for point in points {
-                slots.push(Some(self.eval_point(&tags, model, point, workload, &tally)));
+            for (point, &key) in points.iter().zip(keys.iter()) {
+                slots.push(Some(
+                    self.eval_point(&tags, model, point, key, workload, &tally),
+                ));
             }
         } else {
             slots.resize_with(points.len(), || None);
@@ -293,7 +296,9 @@ impl SweepExecutor {
                                 {
                                     local.push((
                                         i,
-                                        self.eval_point(tags, model, point, workload, tally),
+                                        self.eval_point(
+                                            tags, model, point, keys[i], workload, tally,
+                                        ),
                                     ));
                                 }
                             }
@@ -407,19 +412,20 @@ impl SweepExecutor {
         batch::run(self, model, plan, workload, out, None)
     }
 
-    /// Evaluates one point via the per-stage cache; the bool is the
-    /// every-stage-hit flag.
+    /// Evaluates one point (whose store key is `key`) via the
+    /// per-stage cache; the bool is the every-stage-hit flag.
     fn eval_point(
         &self,
         tags: &StageTags,
         model: &CarbonModel,
         point: &SweepPoint,
+        key: u128,
         workload: &Workload,
         tally: &PipelineTally,
     ) -> (PointOutcome, bool) {
         match self
             .cache
-            .lifecycle_or_eval(tags, model, point.design(), workload, tally)
+            .lifecycle_or_eval(tags, model, point.design(), key, workload, tally)
         {
             Ok((Some(report), hit)) => (
                 PointOutcome::Entry(Box::new(SweepEntry {

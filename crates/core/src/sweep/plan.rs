@@ -7,9 +7,10 @@
 //! report results in index order no matter how many workers evaluated
 //! them.
 
+use super::EvalCache;
 use crate::design::ChipDesign;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tdc_integration::IntegrationTechnology;
 use tdc_technode::ProcessNode;
 
@@ -89,17 +90,18 @@ impl SweepPoint {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPlan {
     points: Vec<SweepPoint>,
-    /// Design-sequence fingerprint, computed lazily on the first batch
-    /// execution and carried with the plan from then on — the batch
-    /// fast path identifies its resident plan on *every* call, so
-    /// re-hashing per call would tax the warm loop. Clones share the
-    /// computed value; deserialized plans recompute on first use.
+    /// Every point's [`EvalCache::key_for`], in index order, computed on
+    /// the first execution and carried with the plan from then on: the
+    /// executors read a point's store key from here instead of hashing
+    /// its design again, and the batch engine identifies its resident
+    /// plan by the whole column on every call. Clones share the column;
+    /// deserialized plans recompute it on first use.
     #[serde(skip)]
-    fingerprint: OnceLock<(usize, u64, u64)>,
+    keys: OnceLock<Arc<[u128]>>,
 }
 
 // Manual impl (can't be derived next to `OnceLock`): plans are equal
-// iff their point lists are — the cached fingerprint is pure memo.
+// iff their point lists are — the key column is pure memo.
 impl PartialEq for SweepPlan {
     fn eq(&self, other: &Self) -> bool {
         self.points == other.points
@@ -120,16 +122,14 @@ impl SweepPlan {
         }
         Self {
             points,
-            fingerprint: OnceLock::new(),
+            keys: OnceLock::new(),
         }
     }
 
-    /// The plan's design-sequence fingerprint (memoized; see the field
-    /// doc).
-    pub(crate) fn fingerprint(&self) -> (usize, u64, u64) {
-        *self
-            .fingerprint
-            .get_or_init(|| super::batch::compute_plan_fingerprint(self))
+    /// The plan's key column (memoized; see the field doc).
+    pub(crate) fn keys(&self) -> &Arc<[u128]> {
+        self.keys
+            .get_or_init(|| self.designs().map(EvalCache::key_for).collect())
     }
 
     /// The enumerated points, in evaluation-index order.
@@ -138,10 +138,10 @@ impl SweepPlan {
         &self.points
     }
 
-    /// The designs of every point, in index order. This sequence is
-    /// exactly what the batch executor fingerprints a plan by: labels
-    /// and axis metadata are presentation, the designs are what the
-    /// pipeline evaluates.
+    /// The designs of every point, in index order. Their keys are what
+    /// the batch executor identifies a plan by: labels and axis
+    /// metadata are presentation, the designs are what the pipeline
+    /// evaluates.
     pub fn designs(&self) -> impl Iterator<Item = &ChipDesign> + '_ {
         self.points.iter().map(SweepPoint::design)
     }

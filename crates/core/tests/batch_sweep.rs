@@ -2,8 +2,8 @@
 //! (`sweep::batch`): byte-identity against the staged per-point path
 //! (cold, warm, any worker count, tiny artifact caps, plan switches,
 //! oversized drops), delta-eval accounting when only downstream axes
-//! change, and a property test over randomized plans, worker counts,
-//! and configuration sequences.
+//! change, which fills go parallel, and a property test over randomized
+//! plans, worker counts, and configuration sequences.
 
 use proptest::prelude::*;
 use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor, SweepPlan};
@@ -182,6 +182,40 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
         assert_eq!(fresh.entries(), result.entries(), "{region:?}");
         assert_ne!(reference.entries(), result.entries(), "{region:?}");
     }
+}
+
+#[test]
+fn only_fills_missing_embodied_artifacts_go_parallel() {
+    // The worker rule: points whose embodied slot is still empty are
+    // what counts against the 256-point parallel threshold, so a
+    // re-pricing of a resident plan runs on the calling thread.
+    let tiers = vec![2, 3, 4, 6];
+    let plan = DesignSweep::new(17.0e9)
+        .tier_counts(tiers.clone())
+        .plan()
+        .unwrap();
+    assert!(plan.len() >= 256, "{} points", plan.len());
+    let w = workload(254.0);
+    let executor = SweepExecutor::new(2);
+    let cold = executor
+        .execute_batched(&region_model(REGIONS[0]), &plan, &w)
+        .unwrap();
+    assert_eq!(cold.stats().workers, 2, "cold fill");
+
+    let m = region_model(REGIONS[1]);
+    let repriced = executor.execute_batched(&m, &plan, &w).unwrap();
+    assert_eq!(repriced.stats().workers, 1, "re-pricing");
+    assert_eq!(repriced.stats().stages.embodied.misses, 0);
+    let fresh = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    assert_eq!(fresh.entries(), repriced.entries());
+
+    // A different plan leaves every embodied slot empty again.
+    let other = DesignSweep::new(12.0e9).tier_counts(tiers).plan().unwrap();
+    assert!(other.len() >= 256, "{} points", other.len());
+    let switched = executor.execute_batched(&m, &other, &w).unwrap();
+    assert_eq!(switched.stats().workers, 2, "plan switch");
+    let fresh = SweepExecutor::serial().execute(&m, &other, &w).unwrap();
+    assert_eq!(fresh.entries(), switched.entries());
 }
 
 #[test]

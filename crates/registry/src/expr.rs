@@ -17,7 +17,7 @@
 //! are `[A-Za-z_][A-Za-z0-9_]*` and resolve against the variable map
 //! supplied at evaluation time. Errors carry the 1-based **column** of
 //! the offending token so a pack file can report exactly where a rule
-//! went wrong.
+//! went wrong. Expressions nest at most [`MAX_DEPTH`] levels deep.
 //!
 //! ```
 //! use tdc_registry::expr::Expression;
@@ -62,6 +62,20 @@ fn err(column: usize, message: impl Into<String>) -> ExprError {
         column,
         message: message.into(),
     }
+}
+
+/// The deepest expression [`Expression::parse`] accepts, counted both
+/// in open parentheses and negations and in levels of the parsed tree:
+/// parsing, evaluation, [`Expression::variables`] and `Drop` all
+/// recurse once per level, so deeper input is rejected with its column
+/// instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+fn too_deep(column: usize) -> ExprError {
+    err(
+        column,
+        format!("expression nests deeper than {MAX_DEPTH} levels"),
+    )
 }
 
 /// A parsed pack expression, ready to evaluate against a variable map.
@@ -109,6 +123,29 @@ enum Token {
 
 /// A token plus the 1-based column where it starts.
 type Spanned = (Token, usize);
+
+/// A parsed subtree plus its height (0 for a leaf).
+type Parsed = (Node, usize);
+
+/// Joins two operands under `op`, one level above the taller one.
+fn binary(
+    op: Op,
+    (lhs, lh): Parsed,
+    (rhs, rh): Parsed,
+    column: usize,
+) -> Result<Parsed, ExprError> {
+    let height = lh.max(rh) + 1;
+    if height > MAX_DEPTH {
+        return Err(too_deep(column));
+    }
+    let node = Node::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+        column,
+    };
+    Ok((node, height))
+}
 
 fn tokenize(source: &str) -> Result<Vec<Spanned>, ExprError> {
     let bytes = source.as_bytes();
@@ -190,6 +227,8 @@ struct Parser<'a> {
     pos: usize,
     /// Column just past the end of the source, for "unexpected end".
     end: usize,
+    /// Parentheses and negations currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,7 +244,23 @@ impl Parser<'_> {
         t
     }
 
-    fn expr(&mut self) -> Result<Node, ExprError> {
+    /// Runs `parse` one parenthesis or negation deeper, refusing to
+    /// open a level beyond [`MAX_DEPTH`] (`column` names the opener).
+    fn descend(
+        &mut self,
+        column: usize,
+        parse: fn(&mut Self) -> Result<Parsed, ExprError>,
+    ) -> Result<Parsed, ExprError> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep(column));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    fn expr(&mut self) -> Result<Parsed, ExprError> {
         let mut lhs = self.term()?;
         while let Some((token, column)) = self.peek() {
             let op = match token {
@@ -216,17 +271,12 @@ impl Parser<'_> {
             let column = *column;
             self.pos += 1;
             let rhs = self.term()?;
-            lhs = Node::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                column,
-            };
+            lhs = binary(op, lhs, rhs, column)?;
         }
         Ok(lhs)
     }
 
-    fn term(&mut self) -> Result<Node, ExprError> {
+    fn term(&mut self) -> Result<Parsed, ExprError> {
         let mut lhs = self.unary()?;
         while let Some((token, column)) = self.peek() {
             let op = match token {
@@ -237,37 +287,39 @@ impl Parser<'_> {
             let column = *column;
             self.pos += 1;
             let rhs = self.unary()?;
-            lhs = Node::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                column,
-            };
+            lhs = binary(op, lhs, rhs, column)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Node, ExprError> {
-        if let Some((Token::Minus, _)) = self.peek() {
+    fn unary(&mut self) -> Result<Parsed, ExprError> {
+        if let Some(&(Token::Minus, column)) = self.peek() {
             self.pos += 1;
-            return Ok(Node::Negate(Box::new(self.unary()?)));
+            let (inner, height) = self.descend(column, Self::unary)?;
+            if height == MAX_DEPTH {
+                return Err(too_deep(column));
+            }
+            return Ok((Node::Negate(Box::new(inner)), height + 1));
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Node, ExprError> {
+    fn atom(&mut self) -> Result<Parsed, ExprError> {
         let Some((token, column)) = self.bump() else {
             return Err(err(self.end, "unexpected end of expression"));
         };
         let column = *column;
         match token {
-            Token::Number(value) => Ok(Node::Number(*value)),
-            Token::Ident(name) => Ok(Node::Variable {
-                name: name.clone(),
-                column,
-            }),
+            Token::Number(value) => Ok((Node::Number(*value), 0)),
+            Token::Ident(name) => Ok((
+                Node::Variable {
+                    name: name.clone(),
+                    column,
+                },
+                0,
+            )),
             Token::Open => {
-                let inner = self.expr()?;
+                let inner = self.descend(column, Self::expr)?;
                 match self.bump() {
                     Some((Token::Close, _)) => Ok(inner),
                     Some((_, c)) => Err(err(*c, "expected `)`")),
@@ -299,8 +351,9 @@ impl Expression {
             tokens: &tokens,
             pos: 0,
             end: source.len() + 1,
+            depth: 0,
         };
-        let root = parser.expr()?;
+        let (root, _) = parser.expr()?;
         if let Some((_, column)) = parser.peek() {
             return Err(err(*column, "unexpected trailing input"));
         }
@@ -431,6 +484,28 @@ mod tests {
         let e = eval("1 / 0", &[]).unwrap_err();
         assert_eq!(e.column, 3);
         assert!(e.message.contains("division"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_column() {
+        let n = 200_000;
+        let deep = [
+            (format!("{}1", "(".repeat(n)), MAX_DEPTH + 1),
+            (format!("{}1", "-".repeat(n)), MAX_DEPTH + 1),
+            ("1+".repeat(n) + "1", 2 * (MAX_DEPTH + 1)),
+            ("2*".repeat(n) + "2", 2 * (MAX_DEPTH + 1)),
+        ];
+        for (source, column) in deep {
+            let e = Expression::parse(&source).unwrap_err();
+            assert_eq!(e.column, column, "{e}");
+            assert!(e.message.contains("deeper"), "{e}");
+        }
+        let parens = format!("{}1{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert_eq!(eval(&parens, &[]).unwrap(), 1.0);
+        let chain = "1+".repeat(MAX_DEPTH) + "1";
+        #[allow(clippy::cast_precision_loss)]
+        let sum = (MAX_DEPTH + 1) as f64;
+        assert_eq!(eval(&chain, &[]).unwrap(), sum);
     }
 
     #[test]

@@ -11,8 +11,16 @@
 //! * **rendering is deterministic** — the same tree always produces
 //!   the same bytes, which is what lets a parallel sweep's report be
 //!   byte-identical to a serial one.
+//!
+//! Arrays and objects may nest at most [`MAX_DEPTH`] levels deep: the
+//! parser, the renderers and `Drop` all recurse once per level, so
+//! deeper input is rejected with a positioned error instead of
+//! overflowing the stack of whichever thread parses it.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +72,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_whitespace();
         let value = p.parse_value()?;
@@ -283,6 +292,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -325,8 +336,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
@@ -335,6 +346,21 @@ impl Parser<'_> {
             Some(c) => Err(self.error(format!("unexpected character `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open
+    /// a level beyond [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -562,6 +588,18 @@ mod tests {
             .unwrap_err()
             .message
             .contains("duplicate"));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_position() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let err = JsonValue::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!((err.line, err.column), (1, MAX_DEPTH + 1));
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!("{}1", r#"{"a": "#.repeat(MAX_DEPTH + 1));
+        let err = JsonValue::parse(&objects).unwrap_err();
+        assert_eq!(err.column, 6 * MAX_DEPTH + 1, "{err}");
     }
 
     #[test]

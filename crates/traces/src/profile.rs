@@ -378,7 +378,7 @@ impl TraceProfile {
     /// The 128-bit content fingerprint (over the merged segment
     /// columns). Two ingests of the same log always agree; this is
     /// what flows into stage tags (via `Debug`) and into `PartialEq`,
-    /// keeping trace-workload cache keys and batch tag memos O(1).
+    /// keeping both O(1) for trace-backed workloads.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
         self.fingerprint
@@ -526,8 +526,7 @@ impl fmt::Debug for TraceProfile {
 }
 
 /// O(1): content fingerprints stand in for the columns, so workload
-/// equality (the batch tag memo's key) stays cheap with traces
-/// attached.
+/// equality stays cheap with traces attached.
 impl PartialEq for TraceProfile {
     fn eq(&self, other: &Self) -> bool {
         self.fingerprint == other.fingerprint
