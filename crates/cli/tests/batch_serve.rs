@@ -274,6 +274,43 @@ fn deeply_nested_frame_is_answered_and_the_stream_continues() {
 }
 
 #[test]
+fn overflowing_workload_frame_is_answered_and_the_stream_continues() {
+    // Every number here is finite, but the bandwidth stretch of a
+    // 1 MB/op workload pushes 1e308 active hours past `f64::MAX`. The
+    // operational stage must reject the phase by name instead of
+    // panicking, so the server answers this frame and the next one.
+    let input = "{\"id\": 1, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
+                 \"epyc-7452\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 254, \
+                 \"active_hours\": 1e308, \"bytes_per_op\": 1e6}}}\n\
+                 {\"id\": 2, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
+                 \"epyc-7452\"}}}\n";
+    let session = ScenarioSession::serial();
+    let mut stdout = Vec::new();
+    let mut stderr = Vec::new();
+    let summary = serve(&session, input.as_bytes(), &mut stdout, &mut stderr, 1).expect("serves");
+    let frames: Vec<JsonValue> = String::from_utf8(stdout)
+        .expect("utf8")
+        .lines()
+        .map(|l| JsonValue::parse(l).expect("frame parses"))
+        .collect();
+    assert_eq!(frames.len(), 2);
+    assert_eq!(frames[0].get("id").and_then(JsonValue::as_f64), Some(1.0));
+    assert_eq!(frames[0].get("ok"), Some(&JsonValue::Bool(false)));
+    let message = frames[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(JsonValue::as_str)
+        .expect("error message");
+    assert!(
+        message.contains("workload phase `w`") && message.contains("must be finite"),
+        "{message}"
+    );
+    assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(2.0));
+    assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!((summary.frames, summary.errors), (2, 1));
+}
+
+#[test]
 fn serve_orders_responses_under_concurrency() {
     let mut input = String::new();
     for id in 1..=6 {

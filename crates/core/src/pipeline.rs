@@ -51,7 +51,7 @@ use tdc_floorplan::{
 use tdc_integration::{
     IntegrationCatalog, IntegrationTechnology, IoDensity, StackOrientation, SubstrateKind,
 };
-use tdc_power::{pitch_count, AppPhase, PowerModel};
+use tdc_power::{pitch_count, BandwidthVerdict, PowerModel};
 use tdc_technode::{surveyed_efficiency, NodeParameters, ProcessNode};
 use tdc_units::{Area, Bandwidth, CarbonIntensity, Co2Mass, Energy, Length, Power, Throughput};
 use tdc_yield::{
@@ -662,6 +662,172 @@ pub fn power_profile(
     Ok(PowerProfile::new(shares, lanes, uplift))
 }
 
+/// The per-point state of Eqs. 16–18 that [`operational_report`] and
+/// [`operational_carbon`] share: the bandwidth verdict (Eq. 18), the
+/// runtime stretch it implies, and the power terms (Eq. 17). Both
+/// functions price the use phase through [`UsePhase::carbon_and_energy`],
+/// one expression in one summation order, which is what makes the
+/// report's `carbon` and the carbon-only price bit-identical.
+struct UsePhase<'a> {
+    ctx: &'a ModelContext,
+    design: &'a ChipDesign,
+    power_profile: &'a PowerProfile,
+    workload: &'a Workload,
+    power_model: &'a dyn PowerModel,
+    peak: Throughput,
+    required_bw: Bandwidth,
+    verdict: Option<BandwidthVerdict>,
+    achieved_bw: Option<Bandwidth>,
+    stretch: f64,
+}
+
+impl<'a> UsePhase<'a> {
+    /// Runs the bandwidth constraint (Eq. 18 + §3.4) for one design.
+    fn new(
+        ctx: &'a ModelContext,
+        design: &'a ChipDesign,
+        phys: &PhysicalProfile,
+        power_profile: &'a PowerProfile,
+        workload: &'a Workload,
+        power_model: &'a dyn PowerModel,
+    ) -> Self {
+        let required_bw = workload.required_bandwidth();
+        let peak = workload.peak_throughput();
+        let (verdict, achieved_bw) = if !ctx.bandwidth_constraint_enabled() {
+            (None, None)
+        } else {
+            match design {
+                ChipDesign::Monolithic2d { .. } => (None, None),
+                ChipDesign::Stack3d { .. } => {
+                    // §3.4: 3D die-to-die bandwidth matches on-chip bandwidth.
+                    (
+                        Some(ctx.bandwidth().check(peak, peak, required_bw, required_bw)),
+                        Some(required_bw),
+                    )
+                }
+                ChipDesign::Assembly25d { tech, .. } => {
+                    let spec = ctx.catalog().interface(*tech);
+                    let bottleneck = (0..phys.dies.len())
+                        .map(|i| spec.aggregate_bandwidth(power_profile.io_lanes()[i]))
+                        .fold(Bandwidth::new(f64::INFINITY), Bandwidth::min);
+                    let v = ctx.bandwidth().check(peak, peak, bottleneck, required_bw);
+                    (Some(v), Some(bottleneck))
+                }
+            }
+        };
+        let stretch = verdict.map_or(1.0, |v| v.runtime_stretch(peak));
+        Self {
+            ctx,
+            design,
+            power_profile,
+            workload,
+            power_model,
+            peak,
+            required_bw,
+            verdict,
+            achieved_bw,
+            stretch,
+        }
+    }
+
+    /// Per-die interface power at a given throughput: every die's
+    /// interface sees the bisection traffic (Eq. 17's P_IO, energy
+    /// following traffic rather than provisioned lanes). The traffic
+    /// is the *average* intensity, capped by what the interface can
+    /// carry.
+    fn io_power_at(&self, th: Throughput) -> Power {
+        self.design.technology().map_or(Power::ZERO, |tech| {
+            let demand = Bandwidth::from_gbps(
+                th.tops() * 1.0e12 * self.workload.average_bytes_per_op() * 8.0 / 1.0e9,
+            );
+            let traffic = self.achieved_bw.map_or(demand, |a| demand.min(a));
+            self.ctx.catalog().interface(tech).interface_power(traffic)
+        })
+    }
+
+    /// Eq. 17's compute power of one die delivering `th_share`: its
+    /// measured efficiency when given, the power plug-in otherwise.
+    fn compute_power(&self, spec: &DieSpec, th_share: Throughput) -> Power {
+        let uplift = self.power_profile.uplift();
+        if let Some(eff) = spec.efficiency() {
+            th_share / (eff * uplift)
+        } else {
+            self.power_model.compute_power(th_share, spec.node()) * (1.0 / uplift)
+        }
+    }
+
+    /// Eq. 16 over the workload's phases, with utilization and runtime
+    /// stretch: `(C_operational, use-phase energy)`.
+    ///
+    /// With a trace attached, the duty statistics come from its
+    /// memoized prefix-sum summary — O(1) per evaluation, so
+    /// trace-driven sweep points re-price as fast as scalar ones. A
+    /// bitwise-constant trace returns the sample value itself (not
+    /// `(u·T)/T`), keeping this path byte-identical to the scalar one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] naming the phase when
+    /// its power or its stretched duration is not finite (a huge
+    /// active time times the bandwidth stretch can overflow) or is
+    /// negative — the conditions [`tdc_power::AppPhase::new`] asserts.
+    fn carbon_and_energy(&self) -> Result<(Co2Mass, Energy), ModelError> {
+        let workload = self.workload;
+        let trace_pricing = workload.trace().map(|t| t.pricing());
+        let util =
+            trace_pricing.map_or_else(|| workload.average_utilization(), |p| p.mean_utilization);
+        // Utilization-only traces keep the context's use-region grid;
+        // an intensity column replaces it with the trace's
+        // energy-weighted intensity (each kWh priced at the grid it
+        // was actually drawn on).
+        let ci_use = trace_pricing
+            .and_then(|p| p.intensity_kg_per_kwh)
+            .map_or_else(|| self.ctx.ci_use(), CarbonIntensity::from_kg_per_kwh);
+        // Every die drives its own interface; the bisection traffic
+        // crosses each of them.
+        #[allow(clippy::cast_precision_loss)]
+        let interface_count = if self.design.technology().is_some() {
+            self.design.dies().len() as f64
+        } else {
+            0.0
+        };
+        let shares = self.power_profile.shares();
+        // Running sums seeded with `-0.0`, the neutral element
+        // `Iterator::sum` folds `f64`s from: the same totals as summing
+        // a list of phases, without building one.
+        let (mut carbon, mut energy) = (-0.0, -0.0);
+        for phase in workload.phases() {
+            let th_avg = phase.throughput * (util / self.stretch);
+            let mut p = self.io_power_at(th_avg) * interface_count;
+            for (spec, share) in self.design.dies().iter().zip(shares) {
+                p += self.compute_power(spec, th_avg * *share);
+            }
+            let duration = phase.duration * self.stretch;
+            if !(p.watts().is_finite() && p.watts() >= 0.0) {
+                return Err(ModelError::InvalidParameter(format!(
+                    "workload phase `{}` draws {} W; phase power must be finite and \
+                     non-negative",
+                    phase.name,
+                    p.watts()
+                )));
+            }
+            if !(duration.hours().is_finite() && duration.hours() >= 0.0) {
+                return Err(ModelError::InvalidParameter(format!(
+                    "workload phase `{}` runs {:e} h stretched {}x by the bandwidth limit; \
+                     phase time must be finite and non-negative",
+                    phase.name,
+                    phase.duration.hours(),
+                    self.stretch
+                )));
+            }
+            let phase_energy = p * duration;
+            carbon += (ci_use * phase_energy).kg();
+            energy += phase_energy.kwh();
+        }
+        Ok((Co2Mass::from_kg(carbon), Energy::from_kwh(energy)))
+    }
+}
+
 /// Stage 5 — the operational model (Eqs. 16–18) for a design under a
 /// workload, using the cached physical and power artifacts.
 ///
@@ -671,7 +837,9 @@ pub fn power_profile(
 ///
 /// # Errors
 ///
-/// Propagates power-model and bandwidth-constraint failures.
+/// Propagates power-model and bandwidth-constraint failures, and
+/// returns [`ModelError::InvalidParameter`] when a phase's power or
+/// stretched duration is not finite.
 pub fn operational_report(
     ctx: &ModelContext,
     design: &ChipDesign,
@@ -681,124 +849,27 @@ pub fn operational_report(
     power_model: &dyn PowerModel,
 ) -> Result<OperationalReport, ModelError> {
     let _obs = tdc_obs::span_timed("stage.operational", &tdc_obs::metrics::STAGE_OPERATIONAL_NS);
-    let shares = power_profile.shares();
-    let required_bw = workload.required_bandwidth();
-    let peak = workload.peak_throughput();
-
-    // ---- Bandwidth constraint (Eq. 18 + §3.4) ----
-    let (verdict, achieved_bw) = if !ctx.bandwidth_constraint_enabled() {
-        (None, None)
-    } else {
-        match design {
-            ChipDesign::Monolithic2d { .. } => (None, None),
-            ChipDesign::Stack3d { .. } => {
-                // §3.4: 3D die-to-die bandwidth matches on-chip bandwidth.
-                (
-                    Some(ctx.bandwidth().check(peak, peak, required_bw, required_bw)),
-                    Some(required_bw),
-                )
-            }
-            ChipDesign::Assembly25d { tech, .. } => {
-                let spec = ctx.catalog().interface(*tech);
-                let bottleneck = (0..phys.dies.len())
-                    .map(|i| spec.aggregate_bandwidth(power_profile.io_lanes()[i]))
-                    .fold(Bandwidth::new(f64::INFINITY), Bandwidth::min);
-                let v = ctx.bandwidth().check(peak, peak, bottleneck, required_bw);
-                (Some(v), Some(bottleneck))
-            }
-        }
-    };
-    let stretch = verdict.map_or(1.0, |v| v.runtime_stretch(peak));
-
-    let uplift = power_profile.uplift();
-
-    // Interface traffic actually flowing (bits/s) at a given
-    // throughput: *average* intensity, capped by what the interface
-    // can carry.
-    let traffic_at = |th: Throughput| -> Bandwidth {
-        let demand = Bandwidth::from_gbps(
-            th.tops() * 1.0e12 * workload.average_bytes_per_op() * 8.0 / 1.0e9,
-        );
-        achieved_bw.map_or(demand, |a| demand.min(a))
-    };
-
-    // Per-die interface power at a given throughput: every die's
-    // interface sees the bisection traffic (Eq. 17's P_IO, energy
-    // following traffic rather than provisioned lanes).
-    let io_power_at = |th: Throughput| -> Power {
-        design.technology().map_or(Power::ZERO, |tech| {
-            let spec = ctx.catalog().interface(tech);
-            spec.interface_power(traffic_at(th))
-        })
-    };
+    let terms = UsePhase::new(ctx, design, phys, power_profile, workload, power_model);
+    let stretch = terms.stretch;
 
     // ---- Per-die report at peak throughput (Eq. 17) ----
+    let shares = power_profile.shares();
     let mut die_reports = Vec::with_capacity(phys.dies.len());
     for (i, (die, spec)) in phys.dies.iter().zip(design.dies()).enumerate() {
         let efficiency = spec
             .efficiency()
             .unwrap_or_else(|| surveyed_efficiency(spec.node()));
-        let lanes = power_profile.io_lanes()[i];
-        let p_io = io_power_at(peak / stretch);
-        let th_share = peak * shares[i] / stretch;
-        let compute = if spec.efficiency().is_some() {
-            th_share / (efficiency * uplift)
-        } else {
-            power_model.compute_power(th_share, spec.node()) * (1.0 / uplift)
-        };
         die_reports.push(DieOperationalReport {
             name: die.name.clone(),
             share: shares[i],
             efficiency,
-            compute_power: compute,
-            io_lanes: lanes,
-            io_power: p_io,
+            compute_power: terms.compute_power(spec, terms.peak * shares[i] / stretch),
+            io_lanes: power_profile.io_lanes()[i],
+            io_power: terms.io_power_at(terms.peak / stretch),
         });
     }
 
-    // ---- Eq. 16 over phases, with utilization and runtime stretch ----
-    // With a trace attached, the duty statistics come from its
-    // memoized prefix-sum summary — O(1) per evaluation, so
-    // trace-driven sweep points re-price as fast as scalar ones. A
-    // bitwise-constant trace returns the sample value itself (not
-    // `(u·T)/T`), keeping this path byte-identical to the scalar one.
-    let trace_pricing = workload.trace().map(|t| t.pricing());
-    let util = trace_pricing.map_or_else(|| workload.average_utilization(), |p| p.mean_utilization);
-    // Every die drives its own interface; the bisection traffic crosses
-    // each of them.
-    #[allow(clippy::cast_precision_loss)]
-    let interface_count = if design.technology().is_some() {
-        phys.dies.len() as f64
-    } else {
-        0.0
-    };
-    let mut phases = Vec::with_capacity(workload.phases().len());
-    for phase in workload.phases() {
-        let th_avg = phase.throughput * (util / stretch);
-        let mut p = io_power_at(th_avg) * interface_count;
-        for (i, spec) in design.dies().iter().enumerate() {
-            let th_share = th_avg * shares[i];
-            p += if let Some(eff) = spec.efficiency() {
-                th_share / (eff * uplift)
-            } else {
-                power_model.compute_power(th_share, spec.node()) * (1.0 / uplift)
-            };
-        }
-        phases.push(AppPhase::new(
-            phase.name.clone(),
-            p,
-            phase.duration * stretch,
-        ));
-    }
-    // Utilization-only traces keep the context's use-region grid;
-    // an intensity column replaces it with the trace's
-    // energy-weighted intensity (each kWh priced at the grid it was
-    // actually drawn on).
-    let ci_use = trace_pricing
-        .and_then(|p| p.intensity_kg_per_kwh)
-        .map_or_else(|| ctx.ci_use(), CarbonIntensity::from_kg_per_kwh);
-    let carbon = tdc_power::operational_carbon(ci_use, &phases);
-    let energy: Energy = phases.iter().map(AppPhase::energy).sum();
+    let (carbon, energy) = terms.carbon_and_energy()?;
     let power = die_reports
         .iter()
         .map(|d| d.compute_power + d.io_power)
@@ -807,14 +878,37 @@ pub fn operational_report(
     Ok(OperationalReport {
         dies: die_reports,
         power,
-        verdict,
-        achieved_bandwidth: achieved_bw,
-        required_bandwidth: required_bw,
+        verdict: terms.verdict,
+        achieved_bandwidth: terms.achieved_bw,
+        required_bandwidth: terms.required_bw,
         runtime_stretch: stretch,
         energy,
         mission_time: workload.mission_time(),
         carbon,
     })
+}
+
+/// Stage 5's carbon alone: the `carbon` field [`operational_report`]
+/// returns for the same inputs, bit for bit — both evaluate one shared
+/// Eq. 16 expression in one summation order — without building the
+/// report (no per-die or per-phase allocation). The batch ranking path
+/// prices re-priced points with it.
+///
+/// # Errors
+///
+/// Exactly those of [`operational_report`].
+pub fn operational_carbon(
+    ctx: &ModelContext,
+    design: &ChipDesign,
+    phys: &PhysicalProfile,
+    power_profile: &PowerProfile,
+    workload: &Workload,
+    power_model: &dyn PowerModel,
+) -> Result<Co2Mass, ModelError> {
+    let _obs = tdc_obs::span_timed("stage.operational", &tdc_obs::metrics::STAGE_OPERATIONAL_NS);
+    UsePhase::new(ctx, design, phys, power_profile, workload, power_model)
+        .carbon_and_energy()
+        .map(|(carbon, _)| carbon)
 }
 
 /// Eq. 1 over *borrowed* stage artifacts: the life-cycle total that a
@@ -932,6 +1026,35 @@ mod tests {
         assert_eq!(a, b);
         assert!((a.shares().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(a.io_lanes().iter().all(|l| *l > 0.0));
+    }
+
+    #[test]
+    fn carbon_only_price_is_the_report_carbon_and_rejects_overflow() {
+        let ctx = ModelContext::default();
+        let pm = tdc_power::SurveyedEfficiency::new();
+        let design = emib();
+        let phys = physical_profile(&ctx, &design);
+        let power = power_profile(&ctx, &design, &phys).unwrap();
+        let w = workload();
+        let report = operational_report(&ctx, &design, &phys, &power, &w, &pm).unwrap();
+        let carbon = operational_carbon(&ctx, &design, &phys, &power, &w, &pm).unwrap();
+        assert_eq!(report.carbon.kg().to_bits(), carbon.kg().to_bits());
+
+        // Finite inputs whose stretched duration overflows: the
+        // bandwidth limit stretches 1e308 active hours past `f64::MAX`.
+        let huge = Workload::fixed(
+            "w",
+            Throughput::from_tops(254.0),
+            TimeSpan::from_hours(1e308),
+        )
+        .with_bytes_per_op(1e6);
+        let rejects = |r: Result<(), ModelError>| matches!(r, Err(ModelError::InvalidParameter(m)) if m.contains("phase `w`"));
+        assert!(rejects(
+            operational_report(&ctx, &design, &phys, &power, &huge, &pm).map(|_| ())
+        ));
+        assert!(rejects(
+            operational_carbon(&ctx, &design, &phys, &power, &huge, &pm).map(|_| ())
+        ));
     }
 
     #[test]

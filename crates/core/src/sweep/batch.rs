@@ -20,28 +20,48 @@
 //! * **columns** are the within-plan structural layer — the fast path
 //!   for re-ranking the plan under new downstream axes;
 //! * the shared [`EvalCache`] remains the cross-plan warmth layer —
+//!   on a materializing call ([`SweepExecutor::execute_batched`])
 //!   every column miss consults *and populates* the keyed store
 //!   exactly like the per-point path, so switching plans (or mixing
 //!   `run`/`sweep` requests in a session) reuses artifacts across plan
 //!   shapes, and the reported per-stage statistics stay comparable.
 //!
-//! A fully warm call — every head column tagged for the current
+//! Ranking calls ([`SweepExecutor::execute_batched_ranking`]) read
+//! only totals, so they price the operational stage as a bare carbon
+//! figure ([`pipeline::operational_carbon`]) written straight into
+//! the totals column. They still look the keyed operational store up
+//! on every totals miss (so a report a materializing call stored
+//! answers them, and lookup counters stay the same), but they never
+//! build an [`OperationalReport`], never insert one into the keyed
+//! store, and never take or store an op column — ranking traffic
+//! cannot push out a materializing call's op columns. The price of
+//! that: nothing a ranking call prices is stored for a later point to
+//! hit, so each duplicate design in a plan counts as an operational
+//! miss where a materializing call would hit the report its first
+//! occurrence stored.
+//!
+//! A fully warm call — the embodied and totals columns (plus, on a
+//! materializing call, the op column) tagged for the current
 //! configuration and complete — skips the point loop entirely: it
 //! ranks the pre-computed life-cycle totals with **zero heap
 //! allocations per point** (enforced by
-//! `crates/core/tests/batch_alloc.rs`). A fill that must compute
-//! embodied artifacts for at least the executor's parallel threshold
-//! of points shards the point range into contiguous chunks stolen by
-//! scoped workers ([`chunk_size`] indices per steal), so parallel fills
-//! pay synchronization once per chunk instead of once per point. A
-//! fill that only re-prices (every embodied slot resident) runs on the
-//! calling thread: the operational stage alone is too little work per
-//! point to pay for spawning workers.
+//! `crates/core/tests/batch_alloc.rs`). A fill borrows resident
+//! artifacts instead of cloning them, so a ranking call that only
+//! re-prices (every embodied slot resident) is one allocation-free
+//! pass over the embodied, physical and power columns into the totals
+//! column. A fill that must compute embodied artifacts for at least
+//! the executor's parallel threshold of points shards the point range
+//! into contiguous chunks stolen by scoped workers ([`chunk_size`]
+//! indices per steal), so parallel fills pay synchronization once per
+//! chunk instead of once per point. A fill that only re-prices runs on
+//! the calling thread: the operational stage alone is too little work
+//! per point to pay for spawning workers.
 //!
 //! Output is byte-identical to the per-point path for any worker
 //! count: totals are computed by the same floating-point expression
-//! ([`pipeline::lifecycle_total`]) and ranked by the same (total, plan
-//! index) order.
+//! ([`pipeline::lifecycle_total`], whose operational term
+//! [`pipeline::operational_carbon`] reproduces bit for bit) and ranked
+//! by the same (total, plan index) order.
 
 use super::cache::{
     EmbodiedOutcome, EvalCache, PipelineStats, PipelineTally, PointLookup, StageCounters,
@@ -71,8 +91,12 @@ pub struct RankedPoint {
 
 /// Reusable output buffer of
 /// [`SweepExecutor::execute_batched_ranking`]: ranked points plus the
-/// run's statistics. Reuse one value across calls — a warm call then
-/// performs no per-point allocations at all.
+/// run's statistics. Reuse one value across calls — a warm or
+/// re-price-only call then performs no per-point allocations at all.
+///
+/// The statistics follow the ranking contract: operational prices are
+/// never stored, so each duplicate design in a plan counts as an
+/// operational miss (see [`SweepExecutor::execute_batched_ranking`]).
 #[derive(Debug, Default)]
 pub struct BatchRanking {
     pub(crate) ranked: Vec<RankedPoint>,
@@ -218,7 +242,9 @@ struct FillCtx<'a> {
     stamp: Stamp,
     cap: usize,
     /// Each stage column's last-written stamp, for attributing column
-    /// hits exactly like keyed-cache hits.
+    /// hits exactly like keyed-cache hits. `op_col` is the op column's
+    /// on materializing calls and the totals column's on ranking
+    /// calls, which keep their operational prices there.
     phys_col: Stamp,
     emb_col: Stamp,
     power_col: Stamp,
@@ -254,6 +280,7 @@ struct FillOut {
     wrote_emb: bool,
     wrote_power: bool,
     wrote_op: bool,
+    wrote_totals: bool,
     /// Lowest-indexed genuine model error, matching the per-point
     /// path's deterministic error selection.
     error: Option<(usize, ModelError)>,
@@ -270,6 +297,7 @@ impl FillOut {
         self.wrote_emb |= other.wrote_emb;
         self.wrote_power |= other.wrote_power;
         self.wrote_op |= other.wrote_op;
+        self.wrote_totals |= other.wrote_totals;
         if let Some((i, e)) = other.error {
             if self.error.as_ref().is_none_or(|(j, _)| i < *j) {
                 self.error = Some((i, e));
@@ -278,62 +306,77 @@ impl FillOut {
     }
 }
 
-/// One contiguous stolen range: the points plus every column's
-/// matching slot sub-slice.
-struct ChunkTask<'a> {
-    start: usize,
-    points: &'a [SweepPoint],
+/// Mutable views of every column a fill writes, aligned with a run of
+/// plan points. `op` is `None` on ranking calls, which keep no op
+/// column.
+struct Slots<'a> {
     phys: &'a mut [Option<Arc<PhysicalProfile>>],
     emb: &'a mut [Option<EmbodiedOutcome>],
     power: &'a mut [Option<Arc<PowerProfile>>],
-    op: &'a mut [Option<Arc<OperationalReport>>],
+    op: Option<&'a mut [Option<Arc<OperationalReport>>]>,
     totals: &'a mut [Option<f64>],
 }
 
-/// Resolves the physical profile for one point at most once: first
-/// the per-point memo, then the plan column (a structural hit), then
-/// the keyed cache (which computes on miss) — mirroring the per-point
-/// path's fetch-once discipline so stage counters stay comparable.
-fn resolve_phys(
+/// One contiguous stolen range: the points plus every column's
+/// matching slots.
+struct ChunkTask<'a> {
+    start: usize,
+    points: &'a [SweepPoint],
+    slots: Slots<'a>,
+}
+
+/// Resolves the physical profile for one point, counting at most one
+/// lookup per point: the plan column (a structural hit), else the
+/// keyed cache (which computes on miss). `fetched` remembers that this
+/// point already resolved it — the per-point path's fetch-once
+/// discipline, which keeps stage counters comparable.
+fn resolve_phys<'s>(
     ctx: &FillCtx<'_>,
     point: &PointLookup<'_>,
-    phys_local: &mut Option<Arc<PhysicalProfile>>,
-    phys_slot: &mut Option<Arc<PhysicalProfile>>,
+    fetched: &mut bool,
+    slot: &'s mut Option<Arc<PhysicalProfile>>,
     out: &mut FillOut,
-) -> Arc<PhysicalProfile> {
-    if let Some(p) = phys_local.as_ref() {
-        return Arc::clone(p);
+) -> &'s PhysicalProfile {
+    if slot.is_none() {
+        *slot = Some(ctx.cache.physical_or_eval(point));
+        out.wrote_phys = true;
+    } else if !*fetched {
+        count_col_hit(&mut out.col.physical, ctx.phys_col, ctx.stamp);
     }
-    let p = match phys_slot.as_ref() {
-        Some(p) => {
-            count_col_hit(&mut out.col.physical, ctx.phys_col, ctx.stamp);
-            Arc::clone(p)
-        }
-        None => {
-            let p = ctx.cache.physical_or_eval(point);
-            out.wrote_phys = true;
-            *phys_slot = Some(Arc::clone(&p));
-            p
-        }
-    };
-    *phys_local = Some(Arc::clone(&p));
-    p
+    *fetched = true;
+    slot.as_deref().expect("physical slot filled above")
+}
+
+/// Resolves the power profile for one point: the plan column, else
+/// the keyed cache (which computes on miss).
+fn resolve_power<'s>(
+    ctx: &FillCtx<'_>,
+    point: &PointLookup<'_>,
+    phys: &PhysicalProfile,
+    slot: &'s mut Option<Arc<PowerProfile>>,
+    out: &mut FillOut,
+) -> Result<&'s PowerProfile, ModelError> {
+    if slot.is_some() {
+        count_col_hit(&mut out.col.power, ctx.power_col, ctx.stamp);
+    } else {
+        *slot = Some(ctx.cache.power_or_eval(point, phys)?);
+        out.wrote_power = true;
+    }
+    Ok(slot.as_deref().expect("power slot filled above"))
 }
 
 /// Fills point `index`'s missing slots (column → cache → compute per
-/// artifact head) and writes its life-cycle total. Returns the
-/// every-stage-hit flag and whether the point ranked (false =
-/// oversized drop).
-#[allow(clippy::too_many_arguments)]
+/// artifact head) and writes its life-cycle total; `at` is the point's
+/// position in `slots`. Resident artifacts are borrowed, never cloned,
+/// so a re-price that finds every upstream slot filled allocates
+/// nothing. Returns the every-stage-hit flag and whether the point
+/// ranked (false = oversized drop).
 fn eval_slots(
     ctx: &FillCtx<'_>,
     index: usize,
+    at: usize,
     design: &ChipDesign,
-    phys_slot: &mut Option<Arc<PhysicalProfile>>,
-    emb_slot: &mut Option<EmbodiedOutcome>,
-    power_slot: &mut Option<Arc<PowerProfile>>,
-    op_slot: &mut Option<Arc<OperationalReport>>,
-    total_slot: &mut Option<f64>,
+    slots: &mut Slots<'_>,
     out: &mut FillOut,
 ) -> Result<(bool, bool), ModelError> {
     let (cache, tags, stamp) = (ctx.cache, ctx.tags, ctx.stamp);
@@ -347,10 +390,10 @@ fn eval_slots(
         tally: ctx.tally,
     };
     let mut all_hit = true;
-    let mut phys_local: Option<Arc<PhysicalProfile>> = None;
+    let mut phys_fetched = false;
 
     // ---- Embodied head (physical → yield → embodied) ----
-    if emb_slot.is_some() {
+    if slots.emb[at].is_some() {
         count_col_hit(&mut out.col.embodied, ctx.emb_col, stamp);
     } else {
         let outcome = match cache
@@ -360,9 +403,9 @@ fn eval_slots(
             Some(o) => o,
             None => {
                 all_hit = false;
-                let phys = resolve_phys(ctx, &point, &mut phys_local, phys_slot, out);
-                let yld = cache.yield_or_eval(&point, &phys)?;
-                match pipeline::embodied_breakdown(ctx.model.context(), design, &phys, &yld) {
+                let phys = resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
+                let yld = cache.yield_or_eval(&point, phys)?;
+                match pipeline::embodied_breakdown(ctx.model.context(), design, phys, &yld) {
                     Ok(b) => {
                         let o = EmbodiedOutcome::Report(Arc::new(b));
                         cache
@@ -385,80 +428,106 @@ fn eval_slots(
             }
         };
         out.wrote_emb = true;
-        *emb_slot = Some(outcome);
+        slots.emb[at] = Some(outcome);
     }
-    let emb = match emb_slot.as_ref().expect("embodied slot filled above") {
-        EmbodiedOutcome::Report(r) => Arc::clone(r),
+    let emb = match slots.emb[at].as_ref().expect("embodied slot filled above") {
+        EmbodiedOutcome::Report(r) => &**r,
         EmbodiedOutcome::Oversized => {
-            *total_slot = None;
+            slots.totals[at] = None;
             return Ok((all_hit, false));
         }
     };
 
     // ---- Operational head (physical → power → operational) ----
-    if op_slot.is_some() {
+    let total = if let Some(op) = slots.op.as_deref_mut() {
+        // Materializing call: the full report, kept in the op column
+        // and the keyed store for the entries built from it.
+        if op[at].is_some() {
+            count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
+        } else {
+            let report =
+                match cache
+                    .operational
+                    .lookup(tags.operational, key, stamp, &ctx.tally.operational)
+                {
+                    Some(r) => r,
+                    None => {
+                        all_hit = false;
+                        let phys =
+                            resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
+                        let power = resolve_power(ctx, &point, phys, &mut slots.power[at], out)?;
+                        let r = Arc::new(pipeline::operational_report(
+                            ctx.model.context(),
+                            design,
+                            phys,
+                            power,
+                            ctx.workload,
+                            ctx.model.power_model(),
+                        )?);
+                        cache.operational.insert(
+                            tags.operational,
+                            key,
+                            stamp,
+                            Arc::clone(&r),
+                            ctx.cap,
+                        );
+                        r
+                    }
+                };
+            out.wrote_op = true;
+            op[at] = Some(report);
+        }
+        let op = op[at].as_ref().expect("operational slot filled above");
+        pipeline::lifecycle_total(emb, op)
+    } else if slots.totals[at].is_some() {
+        // Ranking call: a resident total already carries this
+        // configuration's operational price.
         count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
+        return Ok((all_hit, true));
     } else {
-        let report =
+        // Ranking call: only the carbon figure is needed. A report
+        // stored by a materializing call answers it; otherwise it is
+        // priced without building (or storing) a report.
+        let carbon =
             match cache
                 .operational
                 .lookup(tags.operational, key, stamp, &ctx.tally.operational)
             {
-                Some(r) => r,
+                Some(r) => r.carbon,
                 None => {
                     all_hit = false;
-                    let phys = resolve_phys(ctx, &point, &mut phys_local, phys_slot, out);
-                    let power = match power_slot.as_ref() {
-                        Some(p) => {
-                            count_col_hit(&mut out.col.power, ctx.power_col, stamp);
-                            Arc::clone(p)
-                        }
-                        None => {
-                            let p = cache.power_or_eval(&point, &phys)?;
-                            out.wrote_power = true;
-                            *power_slot = Some(Arc::clone(&p));
-                            p
-                        }
-                    };
-                    let r = Arc::new(pipeline::operational_report(
+                    let phys =
+                        resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
+                    let power = resolve_power(ctx, &point, phys, &mut slots.power[at], out)?;
+                    pipeline::operational_carbon(
                         ctx.model.context(),
                         design,
-                        &phys,
-                        &power,
+                        phys,
+                        power,
                         ctx.workload,
                         ctx.model.power_model(),
-                    )?);
-                    cache
-                        .operational
-                        .insert(tags.operational, key, stamp, Arc::clone(&r), ctx.cap);
-                    r
+                    )?
                 }
             };
-        out.wrote_op = true;
-        *op_slot = Some(report);
-    }
-    let op = op_slot.as_ref().expect("operational slot filled above");
-    *total_slot = Some(pipeline::lifecycle_total(&emb, op).kg());
+        out.wrote_totals = true;
+        // `lifecycle_total`'s expression, with the bare carbon figure.
+        emb.total() + carbon
+    };
+    slots.totals[at] = Some(total.kg());
     Ok((all_hit, true))
 }
 
 /// Evaluates one point into its slots, folding the outcome into the
 /// worker-local bookkeeping.
-#[allow(clippy::too_many_arguments)]
 fn fill_point(
     ctx: &FillCtx<'_>,
     index: usize,
+    at: usize,
     design: &ChipDesign,
-    phys_slot: &mut Option<Arc<PhysicalProfile>>,
-    emb_slot: &mut Option<EmbodiedOutcome>,
-    power_slot: &mut Option<Arc<PowerProfile>>,
-    op_slot: &mut Option<Arc<OperationalReport>>,
-    total_slot: &mut Option<f64>,
+    slots: &mut Slots<'_>,
     out: &mut FillOut,
 ) {
-    match eval_slots(
-        ctx, index, design, phys_slot, emb_slot, power_slot, op_slot, total_slot, out,
-    ) {
+    match eval_slots(ctx, index, at, design, slots, out) {
         Ok((all_hit, ranked)) => {
             if all_hit {
                 out.point_hits += 1;
@@ -484,31 +553,11 @@ fn fill_point(
 /// Every point is evaluated even when one fails — the per-point path
 /// does the same, which is what makes the reported error (lowest plan
 /// index) deterministic under any worker count.
-#[allow(clippy::too_many_arguments)]
-fn fill(
-    ctx: &FillCtx<'_>,
-    points: &[SweepPoint],
-    workers: usize,
-    phys: &mut [Option<Arc<PhysicalProfile>>],
-    emb: &mut [Option<EmbodiedOutcome>],
-    power: &mut [Option<Arc<PowerProfile>>],
-    op: &mut [Option<Arc<OperationalReport>>],
-    totals: &mut [Option<f64>],
-) -> FillOut {
+fn fill(ctx: &FillCtx<'_>, points: &[SweepPoint], workers: usize, mut slots: Slots<'_>) -> FillOut {
     if workers <= 1 || points.len() <= 1 {
         let mut local = FillOut::default();
         for (i, point) in points.iter().enumerate() {
-            fill_point(
-                ctx,
-                i,
-                point.design(),
-                &mut phys[i],
-                &mut emb[i],
-                &mut power[i],
-                &mut op[i],
-                &mut totals[i],
-                &mut local,
-            );
+            fill_point(ctx, i, i, point.design(), &mut slots, &mut local);
         }
         return local;
     }
@@ -516,22 +565,27 @@ fn fill(
     let chunk = chunk_size(points.len(), workers);
     let mut tasks = Vec::with_capacity(points.len().div_ceil(chunk));
     let mut start = 0;
+    let mut op_chunks = slots.op.map(|op| op.chunks_mut(chunk));
     let zipped = points
         .chunks(chunk)
-        .zip(phys.chunks_mut(chunk))
-        .zip(emb.chunks_mut(chunk))
-        .zip(power.chunks_mut(chunk))
-        .zip(op.chunks_mut(chunk))
-        .zip(totals.chunks_mut(chunk));
-    for (((((points, phys), emb), power), op), totals) in zipped {
+        .zip(slots.phys.chunks_mut(chunk))
+        .zip(slots.emb.chunks_mut(chunk))
+        .zip(slots.power.chunks_mut(chunk))
+        .zip(slots.totals.chunks_mut(chunk));
+    for ((((points, phys), emb), power), totals) in zipped {
+        let op = op_chunks
+            .as_mut()
+            .map(|c| c.next().expect("the op column spans the plan"));
         tasks.push(ChunkTask {
             start,
             points,
-            phys,
-            emb,
-            power,
-            op,
-            totals,
+            slots: Slots {
+                phys,
+                emb,
+                power,
+                op,
+                totals,
+            },
         });
         start += points.len();
     }
@@ -544,17 +598,14 @@ fn fill(
                 let mut local = FillOut::default();
                 loop {
                     let stolen = queue.lock().expect("steal queue poisoned").next();
-                    let Some(task) = stolen else { break };
+                    let Some(mut task) = stolen else { break };
                     for (o, point) in task.points.iter().enumerate() {
                         fill_point(
                             ctx,
                             task.start + o,
+                            o,
                             point.design(),
-                            &mut task.phys[o],
-                            &mut task.emb[o],
-                            &mut task.power[o],
-                            &mut task.op[o],
-                            &mut task.totals[o],
+                            &mut task.slots,
                             &mut local,
                         );
                     }
@@ -609,8 +660,16 @@ pub(crate) fn run(
 
     let totals_tag = tags.embodied ^ tags.operational.rotate_left(17);
     let mut emb_col = state.emb.take(tags.embodied, n);
-    let mut op_col = state.op.take(tags.operational, n);
+    // Ranking calls price the operational stage straight into the
+    // totals column and keep no op column, so they never push one of
+    // a materializing call's op columns out.
+    let mut op_col = entries
+        .is_some()
+        .then(|| state.op.take(tags.operational, n));
     let mut totals_col = state.totals.take(totals_tag, n);
+    // Operational column hits are attributed by the stamp of the
+    // column the operational prices live in.
+    let op_stamp = op_col.as_ref().map_or(totals_col.stamp, |c| c.stamp);
 
     let mut stats = SweepStats {
         points: n,
@@ -619,11 +678,13 @@ pub(crate) fn run(
         ..SweepStats::default()
     };
 
-    let warm = emb_col.complete && op_col.complete && totals_col.complete;
+    let warm =
+        emb_col.complete && totals_col.complete && op_col.as_ref().is_none_or(|c| c.complete);
     let result = if warm {
-        // ---- Warm fast path: both artifact heads and the totals are
-        // column-resident for this exact configuration. No threads, no
-        // keys, no cache traffic — and no per-point allocations.
+        // ---- Warm fast path: the embodied head and the totals (plus,
+        // on a materializing call, the op head) are column-resident
+        // for this exact configuration. No threads, no keys, no cache
+        // traffic — and no per-point allocations.
         let evaluated = totals_col.slots.iter().filter(|s| s.is_some()).count();
         stats.evaluated = evaluated;
         stats.dropped = n - evaluated;
@@ -637,10 +698,10 @@ pub(crate) fn run(
             col.embodied.client_hits = n as u64;
         }
         col.operational.hits = evaluated as u64;
-        if op_col.stamp.epoch < stamp.epoch {
+        if op_stamp.epoch < stamp.epoch {
             col.operational.cross_hits = evaluated as u64;
         }
-        if op_col.stamp.client != stamp.client {
+        if op_stamp.client != stamp.client {
             col.operational.client_hits = evaluated as u64;
         }
         stats.stages = col;
@@ -670,19 +731,17 @@ pub(crate) fn run(
             phys_col: phys_col.stamp,
             emb_col: emb_col.stamp,
             power_col: power_col.stamp,
-            op_col: op_col.stamp,
+            op_col: op_stamp,
             tally: &tally,
         };
-        let merged = fill(
-            &ctx,
-            plan.points(),
-            workers,
-            &mut phys_col.slots,
-            &mut emb_col.slots,
-            &mut power_col.slots,
-            &mut op_col.slots,
-            &mut totals_col.slots,
-        );
+        let slots = Slots {
+            phys: &mut phys_col.slots,
+            emb: &mut emb_col.slots,
+            power: &mut power_col.slots,
+            op: op_col.as_mut().map(|c| c.slots.as_mut_slice()),
+            totals: &mut totals_col.slots,
+        };
+        let merged = fill(&ctx, plan.points(), workers, slots);
         if merged.wrote_phys {
             phys_col.stamp = stamp;
         }
@@ -692,9 +751,6 @@ pub(crate) fn run(
         if merged.wrote_power {
             power_col.stamp = stamp;
         }
-        if merged.wrote_op {
-            op_col.stamp = stamp;
-        }
         phys_col.complete = phys_col.slots.iter().all(Option::is_some);
         power_col.complete = power_col.slots.iter().all(Option::is_some);
         emb_col.complete = emb_col.slots.iter().all(Option::is_some);
@@ -703,12 +759,21 @@ pub(crate) fn run(
         let resolved = |i: usize, filled: bool| {
             filled || matches!(emb_col.slots[i], Some(EmbodiedOutcome::Oversized))
         };
-        op_col.complete = emb_col.complete
-            && op_col
-                .slots
-                .iter()
-                .enumerate()
-                .all(|(i, s)| resolved(i, s.is_some()));
+        if let Some(op_col) = op_col.as_mut() {
+            if merged.wrote_op {
+                op_col.stamp = stamp;
+            }
+            op_col.complete = emb_col.complete
+                && op_col
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .all(|(i, s)| resolved(i, s.is_some()));
+            // The totals were priced from the op column.
+            totals_col.stamp = op_col.stamp;
+        } else if merged.wrote_totals {
+            totals_col.stamp = stamp;
+        }
         totals_col.complete = emb_col.complete
             && totals_col
                 .slots
@@ -762,8 +827,9 @@ pub(crate) fn run(
                 else {
                     unreachable!("ranked point has an embodied artifact")
                 };
-                let op = op_col.slots[ranked.index]
+                let op = op_col
                     .as_ref()
+                    .and_then(|c| c.slots[ranked.index].as_ref())
                     .expect("ranked point has an operational artifact");
                 entries.push(SweepEntry {
                     label: point.label().to_owned(),
@@ -782,7 +848,9 @@ pub(crate) fn run(
     // Columns are stored back even when the fill failed: the partial
     // progress is real, and the next call recomputes only the holes.
     state.emb.store(emb_col, limit);
-    state.op.store(op_col, limit);
+    if let Some(op_col) = op_col {
+        state.op.store(op_col, limit);
+    }
     state.totals.store(totals_col, limit);
 
     result

@@ -392,11 +392,27 @@ impl SweepExecutor {
 
     /// The non-materializing batch path: ranks `plan`'s points by
     /// life-cycle total into the caller-owned `out` buffer without
-    /// building [`SweepEntry`] values at all. On a warm plan (stage
-    /// columns already filled) this performs **zero heap allocations
-    /// per point** — reuse one [`BatchRanking`] across calls to keep
-    /// its buffers warm. The ranking order (total, then plan index) is
-    /// identical to [`execute`](Self::execute)'s entry order.
+    /// building [`SweepEntry`] values at all. The ranking order
+    /// (total, then plan index) is identical to
+    /// [`execute`](Self::execute)'s entry order, and every total is
+    /// bit-identical to its entry's.
+    ///
+    /// A ranking call computes operational **carbon only**
+    /// ([`pipeline::operational_carbon`](crate::pipeline::operational_carbon)):
+    /// it reads the keyed operational store (a report
+    /// [`execute_batched`](Self::execute_batched) stored answers it)
+    /// but never grows it, and it leaves the op columns alone. On a
+    /// warm plan (embodied and totals columns filled) this performs
+    /// **zero heap allocations per point**, and a call that only
+    /// re-prices (new grid, lifetime or utilization over resident
+    /// embodied artifacts) allocates nothing per point either — reuse
+    /// one [`BatchRanking`] across calls to keep its buffers warm.
+    ///
+    /// The statistics differ from `execute_batched`'s in one way:
+    /// since no operational price is stored, a re-priced point can
+    /// only hit a report a materializing call stored, so each
+    /// duplicate design in `plan` counts as an operational miss where
+    /// `execute_batched` hits the report its first occurrence stored.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
-//! The zero-allocation guarantee of the warm batch inner loop,
-//! enforced with a counting global allocator.
+//! The zero-allocation guarantee of the batch ranking loop, enforced
+//! with a counting global allocator.
 //!
 //! A warm `execute_batched_ranking` call — plan columns resident,
 //! output buffer reused — must perform **zero heap allocations per
@@ -7,7 +7,10 @@
 //! and a 99-point plan (any per-point `String`/`Vec`/`Arc` churn would
 //! scale the counts apart) and small in absolute terms (a constant
 //! handful of per-*call* allocations, from the stage-tag fingerprint
-//! strings, is permitted).
+//! strings, is permitted). The same holds for a re-price-only call —
+//! a new use region and utilization, every embodied slot resident —
+//! which prices each point's operational carbon without building,
+//! storing or sharing a report.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, so a sibling test running on another thread would
@@ -18,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor};
 use tdc_core::{CarbonModel, ModelContext, Workload};
-use tdc_technode::ProcessNode;
+use tdc_technode::{GridRegion, ProcessNode};
 use tdc_units::{Throughput, TimeSpan};
 
 struct CountingAllocator;
@@ -49,8 +52,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations of one warm ranking call on a fresh plan of `nodes`.
-fn warm_call_allocations(nodes: Vec<ProcessNode>) -> u64 {
+/// Allocations of one warm ranking call, then of one re-price-only
+/// call (new use region and utilization), on a fresh plan of `nodes`.
+fn ranking_call_allocations(nodes: Vec<ProcessNode>) -> (u64, u64) {
     let plan = DesignSweep::new(17.0e9).nodes(nodes).plan().unwrap();
     let model = CarbonModel::new(ModelContext::default());
     let workload = Workload::fixed(
@@ -74,15 +78,36 @@ fn warm_call_allocations(nodes: Vec<ProcessNode>) -> u64 {
     executor
         .execute_batched_ranking(&model, &plan, &workload, &mut ranking)
         .unwrap();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let warm = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(ranking.ranked().len(), plan.len());
-    after - before
+
+    // Only the operational stage's inputs change: every embodied slot
+    // stays resident and each point is re-priced.
+    let repriced_model = CarbonModel::new(
+        ModelContext::builder()
+            .use_region(GridRegion::France)
+            .build(),
+    );
+    let repriced_workload = workload.clone().with_average_utilization(0.4);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    executor
+        .execute_batched_ranking(&repriced_model, &plan, &repriced_workload, &mut ranking)
+        .unwrap();
+    let reprice = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let stats = ranking.stats();
+    assert_eq!(
+        stats.stages.embodied.misses, 0,
+        "re-price recomputed embodied"
+    );
+    assert_eq!(stats.stages.operational.misses, plan.len() as u64);
+    assert_eq!(ranking.ranked().len(), plan.len());
+    (warm, reprice)
 }
 
 #[test]
 fn warm_batch_ranking_performs_zero_allocations_per_point() {
-    let small = warm_call_allocations(vec![ProcessNode::N7]);
-    let large = warm_call_allocations(ProcessNode::ALL.to_vec());
+    let (small, small_reprice) = ranking_call_allocations(vec![ProcessNode::N7]);
+    let (large, large_reprice) = ranking_call_allocations(ProcessNode::ALL.to_vec());
     // Zero per-point: the count must not grow with the plan (9 points
     // vs 99 points), and the constant per-call overhead (stage-tag
     // strings) stays small.
@@ -94,18 +119,27 @@ fn warm_batch_ranking_performs_zero_allocations_per_point() {
         large <= 64,
         "warm batch call allocated {large} times; expected a small constant"
     );
+    assert_eq!(
+        small_reprice, large_reprice,
+        "re-price allocations scale with plan size: {small_reprice} vs {large_reprice}"
+    );
+    assert!(
+        large_reprice <= 64,
+        "re-price call allocated {large_reprice} times; expected a small constant"
+    );
 
-    // With observability recording turned on, the warm call must stay
+    // With observability recording turned on, the calls must stay
     // just as allocation-free: every metric is a static atomic and the
     // span recorder pre-reserves its capacity on enable, so recording
-    // the `sweep.execute_batched` span and its counters costs zero
-    // heap traffic.
+    // the `sweep.execute_batched` and `stage.operational` spans and
+    // their counters costs zero heap traffic.
     tdc_obs::set_enabled(true);
-    let enabled = warm_call_allocations(ProcessNode::ALL.to_vec());
+    let enabled = ranking_call_allocations(ProcessNode::ALL.to_vec());
     tdc_obs::set_enabled(false);
     tdc_obs::reset();
     assert_eq!(
-        large, enabled,
-        "enabling obs changed warm-call allocations: {large} vs {enabled}"
+        (large, large_reprice),
+        enabled,
+        "enabling obs changed ranking-call allocations"
     );
 }
