@@ -1,12 +1,12 @@
-//! Criterion bench: the batch fast path vs the staged per-point path
-//! on the Table 2 × grid-region space, plus a recorded million-point
-//! sweep (the scale the ROADMAP's registry/fleet items will generate).
+//! Criterion bench: the sweep fill kernel's regimes on the Table 2 ×
+//! grid-region space, plus a recorded million-point sweep (the scale
+//! the ROADMAP's registry/fleet items will generate).
 //!
 //! Three batch regimes over the same 99-design × 8-configuration space
 //! `staged_sweep.rs` records, plus the million-point one-shot:
 //!
-//! * `batch-cold` — fresh executor, full space: the batch path's cold
-//!   cost (same work as `staged-cold`, minus per-point overhead).
+//! * `batch-cold` — fresh executor, full space: the kernel's cold
+//!   cost (the same calls as `staged-cold`).
 //! * `batch-warm-materialized` — warm columns, entries cloned out per
 //!   configuration (the `SweepResult` API sessions use).
 //! * `batch-warm-ranking` — warm columns, reused [`BatchRanking`]
@@ -77,7 +77,7 @@ fn bench_batch_sweep(c: &mut Criterion) {
             for (model, workload) in &space {
                 black_box(
                     executor
-                        .execute_batched(black_box(model), black_box(&plan), black_box(workload))
+                        .execute(black_box(model), black_box(&plan), black_box(workload))
                         .unwrap(),
                 );
             }
@@ -86,13 +86,13 @@ fn bench_batch_sweep(c: &mut Criterion) {
 
     let warm = SweepExecutor::serial();
     for (model, workload) in &space {
-        warm.execute_batched(model, &plan, workload).expect("warms");
+        warm.execute(model, &plan, workload).expect("warms");
     }
     group.bench_function("batch-warm-materialized", |b| {
         b.iter(|| {
             for (model, workload) in &space {
                 black_box(
-                    warm.execute_batched(black_box(model), black_box(&plan), black_box(workload))
+                    warm.execute(black_box(model), black_box(&plan), black_box(workload))
                         .unwrap(),
                 );
             }

@@ -66,7 +66,7 @@ fn bench_obs(c: &mut Criterion) {
 
     let warm = SweepExecutor::serial();
     for (model, workload) in &space {
-        warm.execute_batched(model, &plan, workload).expect("warms");
+        warm.execute(model, &plan, workload).expect("warms");
     }
 
     let mut group = c.benchmark_group("obs");

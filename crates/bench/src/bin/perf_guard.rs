@@ -199,7 +199,7 @@ fn run() -> Result<u32, String> {
     let batch_exec = SweepExecutor::serial();
     for (model, workload) in &space {
         batch_exec
-            .execute_batched(model, &plan, workload)
+            .execute(model, &plan, workload)
             .expect("batch sweeps");
     }
     let batch_cold = batch_exec.cache().stats().stages;
@@ -211,10 +211,10 @@ fn run() -> Result<u32, String> {
         floor(&floors, "batch_delta_embodied_single_eval_min")?,
     );
 
-    // ---- Timing: warm batch ranking vs the staged-warm per-point path ----
-    // The batch fast path's reason to exist: a warm re-ranking of the
-    // space must beat the warm per-point path by a wide multiple
-    // (recorded ~85x; the floor is far below to absorb noise).
+    // ---- Timing: warm batch ranking vs the staged-warm materializing calls ----
+    // A warm re-ranking of the space must beat warm `execute` calls,
+    // which clone every entry out, by a wide multiple (the floor is far
+    // below the recorded ratio to absorb noise).
     let mut ranking = BatchRanking::new();
     let batch_warm = best_of(|| {
         for (model, workload) in &space {

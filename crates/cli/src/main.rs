@@ -71,9 +71,6 @@ OPTIONS:
     --repeat <n>                Execute the sweep n times on one warm executor,
                                 reporting per-stage cache hit-rates per round
                                 (`sweep` only; the report is from the last round)
-    --per-point                 Evaluate the sweep through the staged per-point
-                                path instead of the batch fast path (`sweep`
-                                only; output is byte-identical either way)
     --max-inflight <n>          Frames evaluating at once, per connection
                                 (`serve` only; default 1 = fully sequential)
     --listen <addr>             Serve N TCP clients on one shared warm session
@@ -106,7 +103,6 @@ struct Options {
     out: Option<String>,
     workers: Option<usize>,
     repeat: usize,
-    per_point: bool,
     max_inflight: usize,
     listen: Option<String>,
     baseline: Option<String>,
@@ -150,7 +146,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
         out: None,
         workers: None,
         repeat: 1,
-        per_point: false,
         max_inflight: 1,
         listen: None,
         baseline: None,
@@ -183,7 +178,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
                 }
                 options.repeat = n;
             }
-            "--per-point" => options.per_point = true,
             "--max-inflight" => {
                 let token = iter.next().ok_or("--max-inflight needs a count")?;
                 let n = parse_count(&token, "in-flight count")?;
@@ -245,7 +239,6 @@ const OPTION_GATES: &[(&str, &[&str])] = &[
         &["sweep", "explore", "batch", "serve"],
     ),
     ("--repeat", &["sweep"]),
-    ("--per-point", &["sweep"]),
     ("--max-inflight", &["serve"]),
     ("--listen", &["serve"]),
     ("--baseline", &["run"]),
@@ -283,7 +276,6 @@ fn validate(options: &Options) -> Result<(), String> {
     check(options.out.is_some(), "--out")?;
     check(options.workers.is_some(), "--workers/--serial")?;
     check(options.repeat != 1, "--repeat")?;
-    check(options.per_point, "--per-point")?;
     check(options.max_inflight != 1, "--max-inflight")?;
     check(options.listen.is_some(), "--listen")?;
     check(options.baseline.is_some(), "--baseline")?;
@@ -407,15 +399,9 @@ fn cmd_sweep(options: &Options) -> Result<(), String> {
     let mut result = None;
     for round in 1..=options.repeat {
         executor.cache().advance_epoch();
-        // The batch fast path is the default; `--per-point` keeps the
-        // staged per-point path reachable (outputs are byte-identical
-        // — CI diffs them).
-        let r = if options.per_point {
-            executor.execute(&model, &plan, &workload)
-        } else {
-            executor.execute_batched(&model, &plan, &workload)
-        }
-        .map_err(|e| e.to_string())?;
+        let r = executor
+            .execute(&model, &plan, &workload)
+            .map_err(|e| e.to_string())?;
         // Bookkeeping goes to stderr so stdout is byte-identical for
         // any worker count (and any repeat count). Trace counters are
         // appended after the stable tokens — the line only ever grows
@@ -444,7 +430,8 @@ fn cmd_sweep(options: &Options) -> Result<(), String> {
 /// One sweep round's bookkeeping in the stable machine-parseable
 /// `key=value` format shared with the `batch`/`serve` summaries (see
 /// [`tdc_core::service::summary`]): point totals first, then the
-/// per-stage counters.
+/// per-stage counters. `batch=1` is a constant token kept so existing
+/// greps of the line keep matching.
 fn sweep_stats_line(stats: &tdc_core::sweep::SweepStats, round: usize, rounds: usize) -> String {
     let head = if rounds > 1 {
         format!("sweep[{round}/{rounds}]")
@@ -452,12 +439,11 @@ fn sweep_stats_line(stats: &tdc_core::sweep::SweepStats, round: usize, rounds: u
         "sweep".to_owned()
     };
     format!(
-        "{head} points={} ranked={} dropped={} workers={} batch={} delta_skips={} warm_points={}/{} {}",
+        "{head} points={} ranked={} dropped={} workers={} batch=1 delta_skips={} warm_points={}/{} {}",
         stats.points,
         stats.evaluated,
         stats.dropped,
         stats.workers,
-        u8::from(stats.batch),
         stats.delta_skips,
         stats.cache_hits,
         stats.cache_hits + stats.cache_misses,

@@ -21,6 +21,13 @@
 //! frame or end of input, printing an aggregate stats line (stable
 //! [`summary`](tdc_core::service::summary) format) to stderr.
 //!
+//! Both transports read frames by one rule (`FrameReader`): the
+//! bytes up to the next newline, decoded lossily (invalid UTF-8
+//! becomes U+FFFD and then fails to parse like any malformed frame).
+//! A frame longer than [`MAX_FRAME_BYTES`] is answered with one error
+//! frame naming the limit and skipped through its newline; the stream
+//! continues, and no frame ever holds more than the limit in memory.
+//!
 //! The loop runs over two transports with the **same wire format**:
 //!
 //! * **stdin/stdout** ([`serve`]) — one client, byte-identical to
@@ -45,7 +52,7 @@ use crate::json::JsonValue;
 use crate::report::response_document;
 use crate::scenario::{RequestKind, Scenario, ScenarioError};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -294,11 +301,37 @@ fn answer_frame(session: &ScenarioSession, client: u64, frame: &Frame) -> (Strin
     }
 }
 
-/// A pull-based line source: `Ok(Some(line))` per input line (without
-/// the terminator), `Ok(None)` at end of input — which for a TCP
-/// connection under a server-scope drain may be *logical* end of
-/// input, not socket EOF.
-type LineSource<'a> = dyn FnMut() -> std::io::Result<Option<String>> + 'a;
+/// The most bytes one request frame may carry, its newline excluded.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// One frame's worth of input.
+enum Input {
+    /// A complete line without its terminator, decoded lossily.
+    Line(String),
+    /// A line longer than [`MAX_FRAME_BYTES`], already skipped.
+    TooLong,
+}
+
+/// The frame a unit of input asks to evaluate (`None` for blank
+/// lines, which are ignored).
+fn frame_of(input: Input) -> Option<Frame> {
+    match input {
+        Input::Line(line) if line.trim().is_empty() => None,
+        Input::Line(line) => Some(parse_frame(&line)),
+        Input::TooLong => Some(Frame::Bad {
+            response: error_frame(
+                &JsonValue::Null,
+                None,
+                &format!("frame exceeds the {MAX_FRAME_BYTES}-byte limit"),
+            ),
+        }),
+    }
+}
+
+/// A pull-based input source: `Ok(Some(input))` per input line,
+/// `Ok(None)` at end of input — which for a TCP connection under a
+/// server-scope drain may be *logical* end of input, not socket EOF.
+type LineSource<'a> = dyn FnMut() -> std::io::Result<Option<Input>> + 'a;
 
 /// Runs the frame loop over one line source until a `shutdown` frame
 /// or end of input, answering as `client`. Returns whether a
@@ -316,11 +349,10 @@ fn serve_lines(
     }
     // Sequential fast path: fully deterministic, including the
     // `stats` counters — the golden-transcript mode.
-    while let Some(line) = next_line()? {
-        if line.trim().is_empty() {
+    while let Some(input) = next_line()? {
+        let Some(frame) = frame_of(input) else {
             continue;
-        }
-        let frame = parse_frame(&line);
+        };
         let (response, is_error) = answer(session, client, &frame);
         summary.frames += 1;
         summary.errors += u64::from(is_error);
@@ -348,14 +380,22 @@ fn serve_lines(
 /// itself reports failures as error frames instead of panicking).
 pub fn serve(
     session: &ScenarioSession,
-    input: impl BufRead,
+    input: impl Read,
     output: &mut dyn Write,
     stderr: &mut dyn Write,
     max_inflight: usize,
 ) -> std::io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    let mut lines = input.lines();
-    let mut next_line = move || lines.next().transpose();
+    let mut frames = FrameReader::new(input);
+    let mut next_line = move || loop {
+        match frames.next_event()? {
+            LineEvent::Input(input) => return Ok(Some(input)),
+            LineEvent::Eof => return Ok(None),
+            // A blocking reader never times out; keep reading if one
+            // reports it anyway.
+            LineEvent::Tick => {}
+        }
+    };
     serve_lines(
         session,
         0,
@@ -428,11 +468,10 @@ fn serve_concurrent(
             Ok(())
         };
 
-        while let Some(line) = next_line()? {
-            if line.trim().is_empty() {
+        while let Some(input) = next_line()? {
+            let Some(frame) = frame_of(input) else {
                 continue;
-            }
-            let frame = parse_frame(&line);
+            };
             let stop = match &frame {
                 Frame::Shutdown { server, .. } => {
                     server_shutdown = *server;
@@ -471,62 +510,91 @@ fn serve_concurrent(
 /// never sits on the request path.
 const STOP_POLL: Duration = Duration::from_millis(50);
 
-/// An incremental line reader over a read timeout. `BufRead::read_line`
-/// cannot be used on a socket with a read timeout — a timeout mid-line
-/// discards the bytes read so far — so this keeps its own carry buffer
-/// across timeouts.
-struct TimeoutLines {
-    stream: TcpStream,
+/// The frame reader of both transports: the bytes up to the next
+/// newline, decoded lossily, at most [`MAX_FRAME_BYTES`] of them.
+/// `BufRead::read_line` cannot be used on a socket with a read timeout
+/// — a timeout mid-line discards the bytes read so far — so this keeps
+/// its own carry buffer across timeouts. Each read scans only its new
+/// bytes for the newline, so a long frame costs linear time, and a
+/// frame past the limit is dropped as it arrives instead of buffered.
+struct FrameReader<R> {
+    reader: R,
     carry: Vec<u8>,
+    /// `carry[..scanned]` is known to hold no newline.
+    scanned: usize,
+    /// The current line outgrew the limit: its bytes are discarded up
+    /// to its newline.
+    skipping: bool,
 }
 
 enum LineEvent {
-    Line(String),
+    Input(Input),
     Eof,
     /// The read timed out with no complete line; the caller decides
     /// whether to keep waiting (and can check a stop flag in between).
     Tick,
 }
 
-impl TimeoutLines {
-    fn new(stream: TcpStream) -> Self {
+impl<R: Read> FrameReader<R> {
+    fn new(reader: R) -> Self {
         Self {
-            stream,
+            reader,
             carry: Vec::new(),
+            scanned: 0,
+            skipping: false,
         }
     }
 
-    fn take_line(&mut self) -> Option<String> {
-        let nl = self.carry.iter().position(|b| *b == b'\n')?;
-        let mut line: Vec<u8> = self.carry.drain(..=nl).collect();
-        line.pop(); // the newline
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        Some(String::from_utf8_lossy(&line).into_owned())
+    /// Splits the next complete line off the carry buffer, scanning
+    /// only the bytes no earlier call has scanned.
+    fn take_line(&mut self) -> Option<Input> {
+        let Some(offset) = self.carry[self.scanned..].iter().position(|b| *b == b'\n') else {
+            if self.skipping || self.carry.len() > MAX_FRAME_BYTES {
+                self.skipping = true;
+                self.carry.clear();
+            }
+            self.scanned = self.carry.len();
+            return None;
+        };
+        let nl = self.scanned + offset;
+        let input = if self.skipping || nl > MAX_FRAME_BYTES {
+            Input::TooLong
+        } else {
+            let end = if nl > 0 && self.carry[nl - 1] == b'\r' {
+                nl - 1
+            } else {
+                nl
+            };
+            Input::Line(String::from_utf8_lossy(&self.carry[..end]).into_owned())
+        };
+        self.carry.drain(..=nl);
+        self.scanned = 0;
+        self.skipping = false;
+        Some(input)
     }
 
     fn next_event(&mut self) -> std::io::Result<LineEvent> {
-        if let Some(line) = self.take_line() {
-            return Ok(LineEvent::Line(line));
-        }
-        let mut chunk = [0u8; 4096];
+        let mut chunk = [0u8; 8192];
         loop {
-            match self.stream.read(&mut chunk) {
+            if let Some(input) = self.take_line() {
+                return Ok(LineEvent::Input(input));
+            }
+            match self.reader.read(&mut chunk) {
                 Ok(0) => {
-                    // Socket EOF: a final unterminated line still counts.
-                    if self.carry.is_empty() {
+                    // End of input: a final unterminated line still
+                    // counts.
+                    let input = if std::mem::take(&mut self.skipping) {
+                        Input::TooLong
+                    } else if self.carry.is_empty() {
                         return Ok(LineEvent::Eof);
-                    }
-                    let rest = std::mem::take(&mut self.carry);
-                    return Ok(LineEvent::Line(String::from_utf8_lossy(&rest).into_owned()));
+                    } else {
+                        Input::Line(String::from_utf8_lossy(&self.carry).into_owned())
+                    };
+                    self.carry.clear();
+                    self.scanned = 0;
+                    return Ok(LineEvent::Input(input));
                 }
-                Ok(n) => {
-                    self.carry.extend_from_slice(&chunk[..n]);
-                    if let Some(line) = self.take_line() {
-                        return Ok(LineEvent::Line(line));
-                    }
-                }
+                Ok(n) => self.carry.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -565,11 +633,11 @@ fn handle_connection(
         Ok(reader) => reader,
         Err(e) => return (client, summary, false, Err(e)),
     };
-    let mut lines = TimeoutLines::new(reader);
+    let mut frames = FrameReader::new(reader);
     let mut output = stream;
     let mut next_line = move || loop {
-        match lines.next_event()? {
-            LineEvent::Line(line) => return Ok(Some(line)),
+        match frames.next_event()? {
+            LineEvent::Input(input) => return Ok(Some(input)),
             LineEvent::Eof => return Ok(None),
             // Logical end of input on a server-scope drain: the
             // connection finishes its in-flight frames and closes.

@@ -14,7 +14,7 @@ use tdc_cli::batch::{expand_paths, run_batch};
 use tdc_cli::report::{
     render_embodied, render_explore, render_lifecycle, render_response, render_sweep, OutputFormat,
 };
-use tdc_cli::serve::serve;
+use tdc_cli::serve::{serve, MAX_FRAME_BYTES};
 use tdc_cli::{JsonValue, RequestKind, Scenario};
 use tdc_core::service::ScenarioSession;
 use tdc_core::sweep::SweepExecutor;
@@ -271,6 +271,65 @@ fn deeply_nested_frame_is_answered_and_the_stream_continues() {
     assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(2.0));
     assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
     assert_eq!((summary.frames, summary.errors), (2, 1));
+}
+
+/// Serves `input` on a fresh serial session and returns the parsed
+/// response frames plus the summary's (frames, errors).
+fn serve_frames(input: &[u8]) -> (Vec<JsonValue>, (u64, u64)) {
+    let session = ScenarioSession::serial();
+    let mut stdout = Vec::new();
+    let mut stderr = Vec::new();
+    let summary = serve(&session, input, &mut stdout, &mut stderr, 1).expect("serves");
+    let frames = String::from_utf8(stdout)
+        .expect("utf8")
+        .lines()
+        .map(|l| JsonValue::parse(l).expect("frame parses"))
+        .collect();
+    (frames, (summary.frames, summary.errors))
+}
+
+#[test]
+fn non_utf8_frame_is_answered_and_the_stream_continues() {
+    // Stdin used to abort the whole server on invalid UTF-8 before
+    // the next frame was read; both transports now decode lossily.
+    let mut input = b"\xff\xfe\n".to_vec();
+    input.extend_from_slice(b"{\"id\": 1, \"command\": \"stats\"}\n");
+    let (frames, summary) = serve_frames(&input);
+    assert_eq!(frames.len(), 2);
+    assert_eq!(frames[0].get("ok"), Some(&JsonValue::Bool(false)));
+    assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(1.0));
+    assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (2, 1));
+}
+
+#[test]
+fn over_limit_frame_is_answered_and_the_stream_continues() {
+    // One byte past the limit: one error frame naming the limit, the
+    // frame skipped through its newline, and the next frame answered.
+    let mut input = vec![b' '; MAX_FRAME_BYTES + 1];
+    input.extend_from_slice(b"\n{\"id\": 2, \"command\": \"stats\"}\n");
+    let (frames, summary) = serve_frames(&input);
+    assert_eq!(frames.len(), 2);
+    assert_eq!(frames[0].get("ok"), Some(&JsonValue::Bool(false)));
+    let message = frames[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(JsonValue::as_str)
+        .expect("error message");
+    assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
+    assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(2.0));
+    assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (2, 1));
+    // A frame of exactly the limit is read (and fails only to parse).
+    let mut input = vec![b'x'; MAX_FRAME_BYTES];
+    input.push(b'\n');
+    let (frames, _) = serve_frames(&input);
+    let message = frames[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(JsonValue::as_str)
+        .expect("error message");
+    assert!(!message.contains("limit"), "{message}");
 }
 
 #[test]

@@ -372,6 +372,33 @@ fn malformed_frames_mid_stream_answer_errors_and_keep_the_connection() {
     assert_eq!(summary.errors, 4, "exactly the four injected bad frames");
 }
 
+/// A 16 MiB frame with no newline inside it used to cost quadratic
+/// CPU (the carry buffer was rescanned after every read) and unbounded
+/// memory. It must now be skipped in linear time: its error answer and
+/// the next frame's answer both arrive within a 10 s read timeout.
+#[test]
+fn huge_frame_is_skipped_in_linear_time_and_the_connection_continues() {
+    let session = ScenarioSession::serial();
+    let ((), summary, _stderr) = with_server(&session, 1, |addr| {
+        let mut client = Client::connect(addr);
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let huge = vec![b'x'; 16 << 20];
+        client.writer.write_all(&huge).expect("writes");
+        client.send("");
+        client.send("{\"id\": 2, \"command\": \"stats\"}");
+        let rejected = client.recv().expect("an answer to the huge frame");
+        assert!(rejected.contains("\"ok\":false"), "{rejected}");
+        assert!(rejected.contains("byte limit"), "{rejected}");
+        let next = client.recv().expect("an answer to the next frame");
+        assert!(ok_frame(&next), "{next}");
+        stop_server(addr);
+    });
+    assert_eq!((summary.frames, summary.errors), (3, 1));
+}
+
 /// Server-scope shutdown with another client's frames still in flight:
 /// the in-flight frames are answered before that connection closes —
 /// drain is graceful, not abortive.

@@ -37,11 +37,11 @@ fn av_trace_family_sweeps_identically_on_any_worker_count() {
     let model = CarbonModel::new(scenario.build_context().unwrap());
     let plan = scenario.build_sweep().unwrap().plan().unwrap();
     let serial = SweepExecutor::serial()
-        .execute_batched(&model, &plan, &workload)
+        .execute(&model, &plan, &workload)
         .unwrap();
     let parallel = SweepExecutor::new(8)
         .parallel_threshold(0)
-        .execute_batched(&model, &plan, &workload)
+        .execute(&model, &plan, &workload)
         .unwrap();
     assert_eq!(serial.entries(), parallel.entries());
     for format in [OutputFormat::Table, OutputFormat::Json, OutputFormat::Csv] {

@@ -2,12 +2,12 @@
 
 use super::request::{EvalRequest, EvalResponse};
 use crate::error::ModelError;
-use crate::model::CarbonModel;
+use crate::model::{CarbonModel, LifecycleReport};
 use crate::sensitivity::sensitivity_report;
-use crate::sweep::cache::{EvalCache, PipelineStats, PipelineTally};
+use crate::sweep::batch;
+use crate::sweep::cache::{EmbodiedOutcome, PipelineStats};
 use crate::sweep::SweepExecutor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Reuse accounting of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,7 +30,9 @@ pub struct SessionStats {
     /// [`ScenarioSession::register_client`]). Zero for single-client
     /// owners that only ever call [`ScenarioSession::evaluate`].
     pub clients: u64,
-    /// Sum of every request's per-stage counters.
+    /// Every stage lookup the session's cache counted — the sum of
+    /// every request's per-stage counters, including the lookups of
+    /// requests that failed mid-evaluation.
     pub stages: PipelineStats,
     /// Artifacts currently stored across all cache stages.
     pub entries: usize,
@@ -47,7 +49,8 @@ pub struct Evaluated {
 }
 
 /// A long-lived evaluator: one [`SweepExecutor`] (and therefore one
-/// staged [`EvalCache`]) serving a stream of [`EvalRequest`]s.
+/// staged [`EvalCache`](crate::sweep::EvalCache)) serving a stream of
+/// [`EvalRequest`]s.
 ///
 /// Each request starts a new cache *epoch*, so the per-request
 /// counters distinguish warmth inherited from earlier requests
@@ -60,7 +63,9 @@ pub struct Evaluated {
 ///
 /// Sessions are `Sync` — `evaluate` takes `&self`, and the underlying
 /// cache is thread-safe — so a server can evaluate several requests
-/// concurrently against one shared session.
+/// concurrently against one shared session. Sweep and explore
+/// requests serialize on the executor's plan columns; `run` requests
+/// evaluate as one-point plans that never touch them.
 ///
 /// ```
 /// use tdc_core::service::{EvalRequest, EvalResponse, ScenarioSession};
@@ -97,7 +102,6 @@ pub struct ScenarioSession {
     executor: SweepExecutor,
     requests: AtomicU64,
     clients: AtomicU64,
-    totals: Mutex<PipelineStats>,
 }
 
 impl ScenarioSession {
@@ -110,7 +114,6 @@ impl ScenarioSession {
             executor: SweepExecutor::new(workers),
             requests: AtomicU64::new(0),
             clients: AtomicU64::new(0),
-            totals: Mutex::new(PipelineStats::default()),
         }
     }
 
@@ -131,7 +134,6 @@ impl ScenarioSession {
             executor: SweepExecutor::new(workers).artifact_cap(cap),
             requests: AtomicU64::new(0),
             clients: AtomicU64::new(0),
-            totals: Mutex::new(PipelineStats::default()),
         }
     }
 
@@ -148,7 +150,7 @@ impl ScenarioSession {
     }
 
     /// The session's executor (for cache inspection or an explicit
-    /// [`EvalCache::clear`]).
+    /// [`EvalCache::clear`](crate::sweep::EvalCache::clear)).
     #[must_use]
     pub fn executor(&self) -> &SweepExecutor {
         &self.executor
@@ -189,32 +191,26 @@ impl ScenarioSession {
                 workload,
             } => {
                 let model = CarbonModel::new(context.clone());
-                let tally = PipelineTally::default();
-                let key = EvalCache::key_for(design);
-                let response = match workload {
-                    Some(workload) => {
-                        let tags = EvalCache::stage_tags(&model, Some(workload));
-                        match cache
-                            .lifecycle_or_eval(&tags, &model, design, key, workload, &tally)?
-                        {
-                            (Some(report), _) => EvalResponse::Lifecycle(report),
-                            // Oversized: a sweep would drop the point,
-                            // but `run` must surface exactly the error
-                            // a fresh process reports.
-                            (None, _) => {
-                                EvalResponse::Lifecycle(model.lifecycle(design, workload)?)
-                            }
-                        }
+                let one = batch::evaluate_one(cache, &model, design, workload.as_ref())?;
+                let response = match (&one.embodied, &one.operational, workload) {
+                    (EmbodiedOutcome::Report(embodied), Some(operational), Some(_)) => {
+                        EvalResponse::Lifecycle(LifecycleReport {
+                            embodied: (**embodied).clone(),
+                            operational: (**operational).clone(),
+                        })
                     }
-                    None => {
-                        let tags = EvalCache::stage_tags(&model, None);
-                        match cache.embodied_or_eval(&tags, &model, design, key, &tally)? {
-                            Some(breakdown) => EvalResponse::Embodied((*breakdown).clone()),
-                            None => EvalResponse::Embodied(model.embodied(design)?),
-                        }
+                    (EmbodiedOutcome::Report(embodied), _, None) => {
+                        EvalResponse::Embodied((**embodied).clone())
                     }
+                    // Oversized: a sweep would drop the point, but
+                    // `run` must surface exactly the error a fresh
+                    // process reports.
+                    (_, _, Some(workload)) => {
+                        EvalResponse::Lifecycle(model.lifecycle(design, workload)?)
+                    }
+                    (_, _, None) => EvalResponse::Embodied(model.embodied(design)?),
                 };
-                (response, tally.snapshot())
+                (response, one.stats)
             }
             EvalRequest::Sweep {
                 context,
@@ -222,12 +218,10 @@ impl ScenarioSession {
                 workload,
             } => {
                 let model = CarbonModel::new(context.clone());
-                // Sessions take the batch fast path: repeat sweeps of a
-                // resident plan shape delta-eval from stage columns,
-                // while column misses still consult the shared keyed
-                // cache — so responses and per-stage accounting stay
-                // equivalent to the per-point path.
-                let result = self.executor.execute_batched(&model, plan, workload)?;
+                // Repeat sweeps of a resident plan shape delta-eval
+                // from stage columns, while column misses consult the
+                // shared keyed cache.
+                let result = self.executor.execute(&model, plan, workload)?;
                 let stages = result.stats().stages;
                 (EvalResponse::Sweep(result), stages)
             }
@@ -253,10 +247,6 @@ impl ScenarioSession {
                 (EvalResponse::Explore(Box::new(result)), stages)
             }
         };
-        {
-            let mut totals = self.totals.lock().expect("session stats lock poisoned");
-            *totals = totals.merged(&stages);
-        }
         Ok(Evaluated {
             response,
             stats: RequestStats { index, stages },
@@ -265,16 +255,18 @@ impl ScenarioSession {
 
     /// Cumulative session accounting.
     ///
-    /// `stages` sums the per-request tallies (so concurrent requests
-    /// are each attributed exactly their own lookups), and `entries`
-    /// is the store's current size.
+    /// `stages` and `entries` are the cache's own
+    /// [`stats`](crate::sweep::EvalCache::stats): the running sum of
+    /// every evaluation's per-stage counts, and the store's current
+    /// size.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
+        let cache = self.executor.cache().stats();
         SessionStats {
             requests: self.requests.load(Ordering::Relaxed),
             clients: self.clients.load(Ordering::Relaxed),
-            stages: *self.totals.lock().expect("session stats lock poisoned"),
-            entries: self.executor.cache().stats().entries,
+            stages: cache.stages,
+            entries: cache.entries,
         }
     }
 }

@@ -1,44 +1,50 @@
-//! The batch-evaluation fast path: a [`SweepPlan`] lowered into
-//! structure-of-arrays form ([`PlanState`]) so sweeps run as columnar
-//! kernels instead of per-point struct plumbing.
+//! The sweep evaluation kernel: a [`SweepPlan`] lowered into
+//! structure-of-arrays form ([`PlanState`]), evaluated by one fill
+//! kernel ([`eval_slots`]) that is the only code in the crate that
+//! prices a design.
 //!
-//! The staged per-point path ([`SweepExecutor::execute`]) rediscovers
-//! every reusable artifact through keyed [`EvalCache`] lookups per
-//! point — taking a shard lock and probing a map, per stage, per point,
-//! even when nothing changed. The batch path instead keeps the plan's
-//! artifacts in *stage columns*: one slot vector per pipeline stage,
-//! aligned with the plan's point indices, tagged with the stage's
-//! input-slice fingerprint. A re-execution compares five tags
-//! (computed once per call, not per point) and then
-//! **delta-evaluates**: stages whose context slice is
+//! The kernel keeps the plan's artifacts in *stage columns*: one slot
+//! vector per pipeline stage, aligned with the plan's point indices,
+//! tagged with the stage's input-slice fingerprint. A re-execution
+//! compares five tags (computed once per call, not per point) and
+//! then **delta-evaluates**: stages whose context slice is
 //! structurally unchanged are answered by indexed column loads — no
 //! key building, no hashing, no locks — and only the stages whose tag
 //! changed walk their points again.
 //!
-//! The two layers compose rather than compete:
+//! Two layers compose:
 //!
 //! * **columns** are the within-plan structural layer — the fast path
 //!   for re-ranking the plan under new downstream axes;
-//! * the shared [`EvalCache`] remains the cross-plan warmth layer —
-//!   on a materializing call ([`SweepExecutor::execute_batched`])
-//!   every column miss consults *and populates* the keyed store
-//!   exactly like the per-point path, so switching plans (or mixing
-//!   `run`/`sweep` requests in a session) reuses artifacts across plan
-//!   shapes, and the reported per-stage statistics stay comparable.
+//! * the shared [`EvalCache`] is the cross-plan warmth layer — on a
+//!   materializing call ([`SweepExecutor::execute`]) every column miss
+//!   consults *and populates* the keyed store, so switching plans (or
+//!   mixing `run`/`sweep` requests in a session) reuses artifacts
+//!   across plan shapes.
+//!
+//! A single design (a session's `run` request) goes through the same
+//! kernel as a one-point plan whose one-slot columns are never stored
+//! ([`evaluate_one`]): it takes no engine lock, evicts no resident
+//! plan, and without a workload stops after the embodied head.
+//!
+//! **Counting.** Every stage lookup — a column hit or a keyed lookup —
+//! is counted once, in the fill worker's plain [`PipelineStats`]. A
+//! call's stats are its workers' merged counts, and every call adds
+//! them (failed calls included) to the running sum
+//! [`EvalCache::stats`] reports.
 //!
 //! Ranking calls ([`SweepExecutor::execute_batched_ranking`]) read
 //! only totals, so they price the operational stage as a bare carbon
 //! figure ([`pipeline::operational_carbon`]) written straight into
 //! the totals column. They still look the keyed operational store up
 //! on every totals miss (so a report a materializing call stored
-//! answers them, and lookup counters stay the same), but they never
-//! build an [`OperationalReport`], never insert one into the keyed
-//! store, and never take or store an op column — ranking traffic
-//! cannot push out a materializing call's op columns. The price of
-//! that: nothing a ranking call prices is stored for a later point to
-//! hit, so each duplicate design in a plan counts as an operational
-//! miss where a materializing call would hit the report its first
-//! occurrence stored.
+//! answers them), but they never build an [`OperationalReport`], never
+//! insert one into the keyed store, and never take or store an op
+//! column — ranking traffic cannot push out a materializing call's op
+//! columns. The price of that: nothing a ranking call prices is stored
+//! for a later point to hit, so each duplicate design in a plan counts
+//! as an operational miss where a materializing call would hit the
+//! report its first occurrence stored.
 //!
 //! A fully warm call — the embodied and totals columns (plus, on a
 //! materializing call, the op column) tagged for the current
@@ -51,21 +57,20 @@
 //! pass over the embodied, physical and power columns into the totals
 //! column. A fill that must compute embodied artifacts for at least
 //! the executor's parallel threshold of points shards the point range
-//! into contiguous chunks stolen by scoped workers ([`chunk_size`]
-//! indices per steal), so parallel fills pay synchronization once per
-//! chunk instead of once per point. A fill that only re-prices runs on
-//! the calling thread: the operational stage alone is too little work
-//! per point to pay for spawning workers.
+//! into contiguous chunks, queued and stolen by scoped workers
+//! ([`chunk_size`] indices per chunk), so parallel fills pay
+//! synchronization once per chunk instead of once per point. A fill
+//! that only re-prices runs on the calling thread: the operational
+//! stage alone is too little work per point to pay for spawning
+//! workers.
 //!
-//! Output is byte-identical to the per-point path for any worker
-//! count: totals are computed by the same floating-point expression
-//! ([`pipeline::lifecycle_total`], whose operational term
-//! [`pipeline::operational_carbon`] reproduces bit for bit) and ranked
-//! by the same (total, plan index) order.
+//! Output is byte-identical for any worker count: totals are computed
+//! by one floating-point expression ([`pipeline::lifecycle_total`],
+//! whose operational term [`pipeline::operational_carbon`] reproduces
+//! bit for bit) and ranked by (total, plan index).
 
 use super::cache::{
-    EmbodiedOutcome, EvalCache, PipelineStats, PipelineTally, PointLookup, StageCounters,
-    StageTags, Stamp,
+    EmbodiedOutcome, EvalCache, PipelineStats, PointLookup, StageCounters, StageTags, Stamp,
 };
 use super::executor::{chunk_size, SweepExecutor, SweepStats};
 use super::plan::{SweepPlan, SweepPoint};
@@ -126,8 +131,8 @@ impl BatchRanking {
 }
 
 /// The executor-resident batch state: the stage columns of the most
-/// recently batch-executed plan, behind one lock (batch calls on a
-/// shared executor serialize; the per-point path is untouched).
+/// recently executed plan, behind one lock (sweep calls on a shared
+/// executor serialize; one-point evaluations never take it).
 #[derive(Debug, Default)]
 pub(crate) struct BatchEngine {
     plan: Mutex<Option<PlanState>>,
@@ -237,7 +242,8 @@ struct FillCtx<'a> {
     /// The plan's key column: point `i`'s store key is `keys[i]`.
     keys: &'a [u128],
     model: &'a CarbonModel,
-    workload: &'a Workload,
+    /// `None` prices the embodied head only.
+    workload: Option<&'a Workload>,
     /// The (epoch, client) this fill runs under.
     stamp: Stamp,
     cap: usize,
@@ -249,13 +255,20 @@ struct FillCtx<'a> {
     emb_col: Stamp,
     power_col: Stamp,
     op_col: Stamp,
-    tally: &'a PipelineTally,
 }
 
-/// Counts one column hit, attributing cross-request and cross-client
-/// reuse exactly like the keyed store's `StageCell::lookup` does: the
-/// column was last written under `col`, the reader runs under `now`.
-fn count_col_hit(counters: &mut StageCounters, col: Stamp, now: Stamp) {
+/// Counts one column hit on the stage `stage` picks, attributing
+/// cross-request and cross-client reuse exactly like the keyed store's
+/// `StageCell::lookup` does: the column was last written under `col`,
+/// the reader runs under `now`.
+fn count_col_hit(
+    out: &mut FillOut,
+    stage: impl FnOnce(&mut PipelineStats) -> &mut StageCounters,
+    col: Stamp,
+    now: Stamp,
+) {
+    out.delta_skips += 1;
+    let counters = stage(&mut out.stats);
     counters.hits += 1;
     if col.epoch < now.epoch {
         counters.cross_hits += 1;
@@ -268,10 +281,11 @@ fn count_col_hit(counters: &mut StageCounters, col: Stamp, now: Stamp) {
 /// Per-worker fill bookkeeping, merged after the scope joins.
 #[derive(Default)]
 struct FillOut {
-    /// Column-hit counters (stage lookups answered structurally, never
-    /// touching the keyed cache). Merged into the tally snapshot for
-    /// the reported per-stage stats.
-    col: PipelineStats,
+    /// Every stage lookup this worker made, column hits and keyed
+    /// lookups alike.
+    stats: PipelineStats,
+    /// The subset of `stats`' hits answered by a stage column.
+    delta_skips: u64,
     evaluated: usize,
     dropped: usize,
     point_hits: usize,
@@ -281,14 +295,15 @@ struct FillOut {
     wrote_power: bool,
     wrote_op: bool,
     wrote_totals: bool,
-    /// Lowest-indexed genuine model error, matching the per-point
-    /// path's deterministic error selection.
+    /// Lowest-indexed genuine model error: the reported error does
+    /// not depend on which worker met it.
     error: Option<(usize, ModelError)>,
 }
 
 impl FillOut {
     fn merge(&mut self, other: FillOut) {
-        self.col = self.col.merged(&other.col);
+        self.stats = self.stats.merged(&other.stats);
+        self.delta_skips += other.delta_skips;
         self.evaluated += other.evaluated;
         self.dropped += other.dropped;
         self.point_hits += other.point_hits;
@@ -328,8 +343,7 @@ struct ChunkTask<'a> {
 /// Resolves the physical profile for one point, counting at most one
 /// lookup per point: the plan column (a structural hit), else the
 /// keyed cache (which computes on miss). `fetched` remembers that this
-/// point already resolved it — the per-point path's fetch-once
-/// discipline, which keeps stage counters comparable.
+/// point already resolved it, so both artifact heads share one lookup.
 fn resolve_phys<'s>(
     ctx: &FillCtx<'_>,
     point: &PointLookup<'_>,
@@ -338,10 +352,10 @@ fn resolve_phys<'s>(
     out: &mut FillOut,
 ) -> &'s PhysicalProfile {
     if slot.is_none() {
-        *slot = Some(ctx.cache.physical_or_eval(point));
+        *slot = Some(ctx.cache.physical_or_eval(point, &mut out.stats.physical));
         out.wrote_phys = true;
     } else if !*fetched {
-        count_col_hit(&mut out.col.physical, ctx.phys_col, ctx.stamp);
+        count_col_hit(out, |s| &mut s.physical, ctx.phys_col, ctx.stamp);
     }
     *fetched = true;
     slot.as_deref().expect("physical slot filled above")
@@ -357,9 +371,9 @@ fn resolve_power<'s>(
     out: &mut FillOut,
 ) -> Result<&'s PowerProfile, ModelError> {
     if slot.is_some() {
-        count_col_hit(&mut out.col.power, ctx.power_col, ctx.stamp);
+        count_col_hit(out, |s| &mut s.power, ctx.power_col, ctx.stamp);
     } else {
-        *slot = Some(ctx.cache.power_or_eval(point, phys)?);
+        *slot = Some(ctx.cache.power_or_eval(point, phys, &mut out.stats.power)?);
         out.wrote_power = true;
     }
     Ok(slot.as_deref().expect("power slot filled above"))
@@ -369,8 +383,9 @@ fn resolve_power<'s>(
 /// artifact head) and writes its life-cycle total; `at` is the point's
 /// position in `slots`. Resident artifacts are borrowed, never cloned,
 /// so a re-price that finds every upstream slot filled allocates
-/// nothing. Returns the every-stage-hit flag and whether the point
-/// ranked (false = oversized drop).
+/// nothing. Without a workload only the embodied head runs. Returns
+/// the every-stage-hit flag and whether the point ranked (false =
+/// oversized drop).
 fn eval_slots(
     ctx: &FillCtx<'_>,
     index: usize,
@@ -387,46 +402,47 @@ fn eval_slots(
         design,
         design_key: key,
         stamp,
-        tally: ctx.tally,
     };
     let mut all_hit = true;
     let mut phys_fetched = false;
 
     // ---- Embodied head (physical → yield → embodied) ----
     if slots.emb[at].is_some() {
-        count_col_hit(&mut out.col.embodied, ctx.emb_col, stamp);
+        count_col_hit(out, |s| &mut s.embodied, ctx.emb_col, stamp);
     } else {
-        let outcome = match cache
-            .embodied
-            .lookup(tags.embodied, key, stamp, &ctx.tally.embodied)
-        {
-            Some(o) => o,
-            None => {
-                all_hit = false;
-                let phys = resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
-                let yld = cache.yield_or_eval(&point, phys)?;
-                match pipeline::embodied_breakdown(ctx.model.context(), design, phys, &yld) {
-                    Ok(b) => {
-                        let o = EmbodiedOutcome::Report(Arc::new(b));
-                        cache
-                            .embodied
-                            .insert(tags.embodied, key, stamp, o.clone(), ctx.cap);
-                        o
+        let outcome =
+            match cache
+                .embodied
+                .lookup(tags.embodied, key, stamp, &mut out.stats.embodied)
+            {
+                Some(o) => o,
+                None => {
+                    all_hit = false;
+                    let phys =
+                        resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
+                    let yld = cache.yield_or_eval(&point, phys, &mut out.stats.yields)?;
+                    match pipeline::embodied_breakdown(ctx.model.context(), design, phys, &yld) {
+                        Ok(b) => {
+                            let o = EmbodiedOutcome::Report(Arc::new(b));
+                            cache
+                                .embodied
+                                .insert(tags.embodied, key, stamp, o.clone(), ctx.cap);
+                            o
+                        }
+                        Err(ModelError::DieExceedsWafer { .. }) => {
+                            cache.embodied.insert(
+                                tags.embodied,
+                                key,
+                                stamp,
+                                EmbodiedOutcome::Oversized,
+                                ctx.cap,
+                            );
+                            EmbodiedOutcome::Oversized
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(ModelError::DieExceedsWafer { .. }) => {
-                        cache.embodied.insert(
-                            tags.embodied,
-                            key,
-                            stamp,
-                            EmbodiedOutcome::Oversized,
-                            ctx.cap,
-                        );
-                        EmbodiedOutcome::Oversized
-                    }
-                    Err(e) => return Err(e),
                 }
-            }
-        };
+            };
         out.wrote_emb = true;
         slots.emb[at] = Some(outcome);
     }
@@ -437,43 +453,43 @@ fn eval_slots(
             return Ok((all_hit, false));
         }
     };
+    let Some(workload) = ctx.workload else {
+        return Ok((all_hit, true));
+    };
 
     // ---- Operational head (physical → power → operational) ----
     let total = if let Some(op) = slots.op.as_deref_mut() {
         // Materializing call: the full report, kept in the op column
         // and the keyed store for the entries built from it.
         if op[at].is_some() {
-            count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
+            count_col_hit(out, |s| &mut s.operational, ctx.op_col, stamp);
         } else {
-            let report =
-                match cache
-                    .operational
-                    .lookup(tags.operational, key, stamp, &ctx.tally.operational)
-                {
-                    Some(r) => r,
-                    None => {
-                        all_hit = false;
-                        let phys =
-                            resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
-                        let power = resolve_power(ctx, &point, phys, &mut slots.power[at], out)?;
-                        let r = Arc::new(pipeline::operational_report(
-                            ctx.model.context(),
-                            design,
-                            phys,
-                            power,
-                            ctx.workload,
-                            ctx.model.power_model(),
-                        )?);
-                        cache.operational.insert(
-                            tags.operational,
-                            key,
-                            stamp,
-                            Arc::clone(&r),
-                            ctx.cap,
-                        );
-                        r
-                    }
-                };
+            let report = match cache.operational.lookup(
+                tags.operational,
+                key,
+                stamp,
+                &mut out.stats.operational,
+            ) {
+                Some(r) => r,
+                None => {
+                    all_hit = false;
+                    let phys =
+                        resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
+                    let power = resolve_power(ctx, &point, phys, &mut slots.power[at], out)?;
+                    let r = Arc::new(pipeline::operational_report(
+                        ctx.model.context(),
+                        design,
+                        phys,
+                        power,
+                        workload,
+                        ctx.model.power_model(),
+                    )?);
+                    cache
+                        .operational
+                        .insert(tags.operational, key, stamp, Arc::clone(&r), ctx.cap);
+                    r
+                }
+            };
             out.wrote_op = true;
             op[at] = Some(report);
         }
@@ -482,7 +498,7 @@ fn eval_slots(
     } else if slots.totals[at].is_some() {
         // Ranking call: a resident total already carries this
         // configuration's operational price.
-        count_col_hit(&mut out.col.operational, ctx.op_col, stamp);
+        count_col_hit(out, |s| &mut s.operational, ctx.op_col, stamp);
         return Ok((all_hit, true));
     } else {
         // Ranking call: only the carbon figure is needed. A report
@@ -491,7 +507,7 @@ fn eval_slots(
         let carbon =
             match cache
                 .operational
-                .lookup(tags.operational, key, stamp, &ctx.tally.operational)
+                .lookup(tags.operational, key, stamp, &mut out.stats.operational)
             {
                 Some(r) => r.carbon,
                 None => {
@@ -504,7 +520,7 @@ fn eval_slots(
                         design,
                         phys,
                         power,
-                        ctx.workload,
+                        workload,
                         ctx.model.power_model(),
                     )?
                 }
@@ -550,9 +566,9 @@ fn fill_point(
 }
 
 /// Fills every missing slot, serially or via chunked work-stealing.
-/// Every point is evaluated even when one fails — the per-point path
-/// does the same, which is what makes the reported error (lowest plan
-/// index) deterministic under any worker count.
+/// Every point is evaluated even when one fails, which is what makes
+/// the reported error (lowest plan index) deterministic under any
+/// worker count.
 fn fill(ctx: &FillCtx<'_>, points: &[SweepPoint], workers: usize, mut slots: Slots<'_>) -> FillOut {
     if workers <= 1 || points.len() <= 1 {
         let mut local = FillOut::default();
@@ -625,9 +641,9 @@ fn fill(ctx: &FillCtx<'_>, points: &[SweepPoint], workers: usize, mut slots: Slo
     merged
 }
 
-/// The batch execution core shared by
-/// [`SweepExecutor::execute_batched`] (which passes `entries`) and
-/// [`SweepExecutor::execute_batched_ranking`] (which does not).
+/// The execution core shared by [`SweepExecutor::execute`] (which
+/// passes `entries`) and [`SweepExecutor::execute_batched_ranking`]
+/// (which does not).
 pub(crate) fn run(
     exec: &SweepExecutor,
     model: &CarbonModel,
@@ -636,7 +652,7 @@ pub(crate) fn run(
     out: &mut BatchRanking,
     entries: Option<&mut Vec<SweepEntry>>,
 ) -> Result<(), ModelError> {
-    let _obs = tdc_obs::span("sweep.execute_batched");
+    let _obs = tdc_obs::span("sweep.execute");
     let cache = exec.cache();
     let stamp = cache.current_stamp();
     let cap = cache.artifact_cap();
@@ -653,7 +669,7 @@ pub(crate) fn run(
     if guard.as_ref().is_none_or(|s| *s.keys != **keys) {
         // A different plan owns the columns: drop them and start
         // fresh. The keyed cache still answers warm artifacts, so a
-        // plan switch costs no more than the per-point path.
+        // plan switch recomputes nothing it already stored.
         *guard = Some(PlanState::new(Arc::clone(keys)));
     }
     let state = guard.as_mut().expect("batch state present");
@@ -674,7 +690,6 @@ pub(crate) fn run(
     let mut stats = SweepStats {
         points: n,
         workers: 1,
-        batch: true,
         ..SweepStats::default()
     };
 
@@ -719,20 +734,18 @@ pub(crate) fn run(
         stats.workers = workers;
         let mut phys_col = state.phys.take(tags.physical, n);
         let mut power_col = state.power.take(tags.power, n);
-        let tally = PipelineTally::default();
         let ctx = FillCtx {
             cache,
             tags: &tags,
             keys,
             model,
-            workload,
+            workload: Some(workload),
             stamp,
             cap,
             phys_col: phys_col.stamp,
             emb_col: emb_col.stamp,
             power_col: power_col.stamp,
             op_col: op_stamp,
-            tally: &tally,
         };
         let slots = Slots {
             phys: &mut phys_col.slots,
@@ -784,8 +797,8 @@ pub(crate) fn run(
         stats.dropped = merged.dropped;
         stats.cache_hits = merged.point_hits;
         stats.cache_misses = merged.point_misses;
-        stats.delta_skips = merged.col.hits();
-        stats.stages = tally.snapshot().merged(&merged.col);
+        stats.delta_skips = merged.delta_skips;
+        stats.stages = merged.stats;
         state.phys.store(phys_col, limit);
         state.power.store(power_col, limit);
         match merged.error {
@@ -794,9 +807,10 @@ pub(crate) fn run(
         }
     };
 
+    cache.record(&stats.stages);
     if tdc_obs::enabled() {
         use tdc_obs::metrics as m;
-        m::SWEEP_BATCH_CALLS.inc();
+        m::SWEEP_EXECUTE_CALLS.inc();
         if warm {
             m::SWEEP_BATCH_WARM_CALLS.inc();
         }
@@ -854,6 +868,73 @@ pub(crate) fn run(
     state.totals.store(totals_col, limit);
 
     result
+}
+
+/// What [`evaluate_one`] left behind for its design.
+pub(crate) struct OnePoint {
+    /// The embodied outcome (`Oversized` when the dies outgrow the
+    /// wafer).
+    pub(crate) embodied: EmbodiedOutcome,
+    /// The operational report; `None` without a workload or for an
+    /// oversized design.
+    pub(crate) operational: Option<Arc<OperationalReport>>,
+    /// Every stage lookup the evaluation made.
+    pub(crate) stats: PipelineStats,
+}
+
+/// Evaluates one design through the fill kernel, as a one-point plan
+/// whose one-slot columns are never stored: it takes no engine lock
+/// and evicts no resident plan, while every column miss consults and
+/// populates the keyed store like a sweep's. Without a `workload` it
+/// stops after the embodied head. The lookups are added to the
+/// cache's running stats even when the evaluation fails.
+pub(crate) fn evaluate_one(
+    cache: &EvalCache,
+    model: &CarbonModel,
+    design: &ChipDesign,
+    workload: Option<&Workload>,
+) -> Result<OnePoint, ModelError> {
+    let tags = EvalCache::stage_tags(model, workload);
+    let ctx = FillCtx {
+        cache,
+        tags: &tags,
+        keys: &[EvalCache::key_for(design)],
+        model,
+        workload,
+        stamp: cache.current_stamp(),
+        cap: cache.artifact_cap(),
+        // Empty columns are never hit, so their stamps are never read.
+        phys_col: Stamp::default(),
+        emb_col: Stamp::default(),
+        power_col: Stamp::default(),
+        op_col: Stamp::default(),
+    };
+    let (mut phys, mut emb, mut power, mut op, mut totals) =
+        ([None], [None], [None], [None], [None]);
+    let mut out = FillOut::default();
+    let outcome = eval_slots(
+        &ctx,
+        0,
+        0,
+        design,
+        &mut Slots {
+            phys: &mut phys,
+            emb: &mut emb,
+            power: &mut power,
+            op: Some(&mut op),
+            totals: &mut totals,
+        },
+        &mut out,
+    );
+    cache.record(&out.stats);
+    outcome?;
+    let [embodied] = emb;
+    let [operational] = op;
+    Ok(OnePoint {
+        embodied: embodied.expect("the embodied head always fills its slot"),
+        operational,
+        stats: out.stats,
+    })
 }
 
 /// Ignored-by-default profiling harness: breaks a warm batch call

@@ -48,9 +48,12 @@
 //! when a shard reaches its share of the per-stage artifact cap, the
 //! least-recently-used quarter of that shard is evicted (recomputing
 //! is always safe, so eviction can never change results — only
-//! recompute costs). The cumulative hit/miss counters live outside the
-//! shards and **survive eviction** (and [`EvalCache::clear`]), so a
-//! long-running session's stats line never goes backwards mid-stream.
+//! recompute costs). The store keeps no hit/miss counters of its own:
+//! every lookup counts into the calling fill worker's plain
+//! [`PipelineStats`], and [`EvalCache::stats`] reports the running sum
+//! of every call's merged counts, which **survives eviction** (and
+//! [`EvalCache::clear`]), so a long-running session's stats line never
+//! goes backwards mid-stream.
 //! Only non-fatal outcomes are stored: a design whose dies outgrow the
 //! wafer is remembered as `Oversized`, while genuine model errors
 //! always propagate and are re-raised on every attempt.
@@ -68,7 +71,7 @@
 use crate::context::ModelContext;
 use crate::design::ChipDesign;
 use crate::error::ModelError;
-use crate::model::{CarbonModel, LifecycleReport};
+use crate::model::CarbonModel;
 use crate::operational::{OperationalReport, Workload};
 use crate::pipeline::{self, PhysicalProfile, PowerProfile, YieldProfile};
 use std::collections::hash_map::{DefaultHasher, RandomState};
@@ -76,8 +79,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-use tdc_obs::metrics::Counter;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use tdc_power::PowerModel;
 
 /// What a finished embodied evaluation left behind. Only the two
@@ -95,7 +97,8 @@ pub(crate) enum EmbodiedOutcome {
 /// Hit/miss counters of one pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageCounters {
-    /// Lookups answered from the store.
+    /// Lookups answered from a plan's stage column or from the keyed
+    /// store.
     pub hits: u64,
     /// The subset of [`hits`](Self::hits) answered by an artifact
     /// inserted during an *earlier epoch* — i.e. by a previous request
@@ -212,8 +215,8 @@ impl PipelineStats {
         }
     }
 
-    /// Element-wise sum of two snapshots (used by sessions to
-    /// accumulate per-request tallies).
+    /// Element-wise sum of two snapshots (used to merge fill workers'
+    /// counts and to accumulate per-call stats).
     #[must_use]
     pub fn merged(&self, other: &PipelineStats) -> PipelineStats {
         let add = |a: StageCounters, b: StageCounters| StageCounters {
@@ -268,14 +271,16 @@ impl PipelineStats {
 /// Cumulative counters and size of an [`EvalCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Per-stage hit/miss counters since construction. Counters
-    /// survive eviction and [`EvalCache::clear`] — a long-running
-    /// session's stats never go backwards mid-stream.
+    /// The sum of every evaluation call's per-stage stats since
+    /// construction, failed calls included: column hits and keyed
+    /// lookups alike. Counters survive eviction and
+    /// [`EvalCache::clear`] — a long-running session's stats never go
+    /// backwards mid-stream.
     pub stages: PipelineStats,
     /// Artifacts currently stored, across all stages.
     pub entries: usize,
     /// Artifacts evicted by the per-shard LRU policy since
-    /// construction, across all stages.
+    /// construction, summed over every stage's shards.
     pub evictions: u64,
 }
 
@@ -328,51 +333,6 @@ pub(crate) struct Stamp {
     pub(crate) client: u64,
 }
 
-/// Per-execute hit/miss tally, threaded through every lookup so a
-/// `SweepExecutor::execute` call reports exactly its own traffic even
-/// when other calls share the cache concurrently (the cumulative
-/// [`StageCell`] counters cannot be attributed per call).
-#[derive(Debug, Default)]
-pub(crate) struct PipelineTally {
-    pub(crate) physical: TallyPair,
-    pub(crate) yields: TallyPair,
-    pub(crate) embodied: TallyPair,
-    pub(crate) power: TallyPair,
-    pub(crate) operational: TallyPair,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct TallyPair {
-    hits: Counter,
-    cross_hits: Counter,
-    client_hits: Counter,
-    misses: Counter,
-}
-
-impl TallyPair {
-    fn snapshot(&self) -> StageCounters {
-        StageCounters {
-            hits: self.hits.get(),
-            cross_hits: self.cross_hits.get(),
-            client_hits: self.client_hits.get(),
-            misses: self.misses.get(),
-        }
-    }
-}
-
-impl PipelineTally {
-    /// The counters accumulated so far, as plain stats.
-    pub(crate) fn snapshot(&self) -> PipelineStats {
-        PipelineStats {
-            physical: self.physical.snapshot(),
-            yields: self.yields.snapshot(),
-            embodied: self.embodied.snapshot(),
-            power: self.power.snapshot(),
-            operational: self.operational.snapshot(),
-        }
-    }
-}
-
 /// One stored artifact plus its bookkeeping: the (epoch, client) it
 /// was inserted under and its last-used stamp from the store-wide
 /// access clock (atomic, so warm lookups bump recency under the
@@ -423,17 +383,18 @@ fn per_shard_cap(cap: usize) -> usize {
 }
 
 /// Evicts the least-recently-used quarter (at least one entry) of a
-/// full shard, returning how many entries were dropped. Access-clock
-/// stamps are unique, so the quantile threshold evicts an exact count,
-/// and selecting it takes linear time under the write lock.
-fn evict_lru<T>(shard: &mut Shard<T>) -> usize {
+/// full shard, adding the dropped entries to the shard's eviction
+/// count. Access-clock stamps are unique, so the quantile threshold
+/// evicts an exact count, and selecting it takes linear time under the
+/// write lock.
+fn evict_lru<T>(shard: &mut Shard<T>) {
     let mut stamps: Vec<u64> = shard
         .entries
         .values()
         .map(|e| e.last_used.load(Ordering::Relaxed))
         .collect();
     if stamps.is_empty() {
-        return 0;
+        return;
     }
     let drop_n = (stamps.len() / 4).max(1);
     let threshold = *stamps.select_nth_unstable(drop_n - 1).1;
@@ -441,29 +402,17 @@ fn evict_lru<T>(shard: &mut Shard<T>) -> usize {
     shard
         .entries
         .retain(|_, e| e.last_used.load(Ordering::Relaxed) > threshold);
-    let evicted = before - shard.entries.len();
-    shard.evictions += evicted as u64;
-    evicted
+    shard.evictions += (before - shard.entries.len()) as u64;
 }
 
-/// One stage's sharded store plus its cumulative counters. The
-/// counters are [`tdc_obs::metrics::Counter`] atomics *outside* the
-/// shards, so they are exact under concurrent readers and they survive
-/// eviction and `clear` — the old single-map store reset its entry
-/// accounting wholesale on overflow, which made a long stream's stats
-/// lie mid-flight. (`stages_kv` in [`crate::service::summary`] is the
-/// compatibility formatter that keeps the stderr `key=value` surface
-/// byte-identical on top of these.)
+/// One stage's sharded store. It keeps no hit/miss counters: each
+/// lookup counts into the caller's [`StageCounters`], and evictions
+/// are counted inside the shard that evicted.
 #[derive(Debug)]
 pub(crate) struct StageCell<T> {
     shards: [RwLock<Shard<T>>; SHARD_COUNT],
     /// The store-wide access clock LRU stamps come from.
     clock: AtomicU64,
-    hits: Counter,
-    cross_hits: Counter,
-    client_hits: Counter,
-    misses: Counter,
-    evictions: Counter,
 }
 
 // Manual impl: `derive(Default)` would needlessly require `T: Default`.
@@ -472,49 +421,42 @@ impl<T> Default for StageCell<T> {
         Self {
             shards: std::array::from_fn(|_| RwLock::new(Shard::default())),
             clock: AtomicU64::new(0),
-            hits: Counter::new(),
-            cross_hits: Counter::new(),
-            client_hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
         }
     }
 }
 
 impl<T: Clone> StageCell<T> {
     /// Looks (`tag`, `key`) up under the shard's *read* lock, counting
-    /// the outcome both cumulatively and on the caller's tally. A hit
-    /// on an artifact inserted before `stamp.epoch` additionally
-    /// counts as a cross-epoch hit; one inserted by a different client
-    /// as a cross-client hit. Hits bump the entry's LRU stamp.
-    pub(crate) fn lookup(&self, tag: u64, key: u128, stamp: Stamp, tally: &TallyPair) -> Option<T> {
+    /// the outcome on `counters`. A hit on an artifact inserted before
+    /// `stamp.epoch` additionally counts as a cross-epoch hit; one
+    /// inserted by a different client as a cross-client hit. Hits bump
+    /// the entry's LRU stamp.
+    pub(crate) fn lookup(
+        &self,
+        tag: u64,
+        key: u128,
+        stamp: Stamp,
+        counters: &mut StageCounters,
+    ) -> Option<T> {
         let shard = self.shards[shard_of(tag)]
             .read()
             .expect("cache shard poisoned");
-        match shard.entries.get(&(tag, key)) {
-            Some(entry) => {
-                entry.last_used.store(
-                    self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-                    Ordering::Relaxed,
-                );
-                self.hits.inc();
-                tally.hits.inc();
-                if entry.epoch < stamp.epoch {
-                    self.cross_hits.inc();
-                    tally.cross_hits.inc();
-                }
-                if entry.client != stamp.client {
-                    self.client_hits.inc();
-                    tally.client_hits.inc();
-                }
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.inc();
-                tally.misses.inc();
-                None
-            }
+        let Some(entry) = shard.entries.get(&(tag, key)) else {
+            counters.misses += 1;
+            return None;
+        };
+        entry.last_used.store(
+            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
+        counters.hits += 1;
+        if entry.epoch < stamp.epoch {
+            counters.cross_hits += 1;
         }
+        if entry.client != stamp.client {
+            counters.client_hits += 1;
+        }
+        Some(entry.value.clone())
     }
 
     /// Inserts under the shard's write lock, evicting the shard's LRU
@@ -526,8 +468,7 @@ impl<T: Clone> StageCell<T> {
             .expect("cache shard poisoned");
         let exists = shard.entries.contains_key(&(tag, key));
         if !exists && shard.entries.len() >= per_shard_cap(cap) {
-            let evicted = evict_lru(&mut shard);
-            self.evictions.add(evicted as u64);
+            evict_lru(&mut shard);
         }
         let entry = Entry {
             value,
@@ -536,19 +477,6 @@ impl<T: Clone> StageCell<T> {
             last_used: AtomicU64::new(now),
         };
         shard.entries.insert((tag, key), entry);
-    }
-
-    fn counters(&self) -> StageCounters {
-        StageCounters {
-            hits: self.hits.get(),
-            cross_hits: self.cross_hits.get(),
-            client_hits: self.client_hits.get(),
-            misses: self.misses.get(),
-        }
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions.get()
     }
 
     fn len(&self) -> usize {
@@ -809,6 +737,9 @@ pub struct EvalCache {
     client: AtomicU64,
     /// Per-stage artifact cap (see [`DEFAULT_ARTIFACT_CAP`]).
     artifact_cap: usize,
+    /// The running sum of every evaluation call's stage counts (see
+    /// [`CacheStats::stages`]).
+    totals: Mutex<PipelineStats>,
 }
 
 impl Default for EvalCache {
@@ -841,6 +772,7 @@ impl EvalCache {
             epoch: AtomicU64::new(0),
             client: AtomicU64::new(0),
             artifact_cap: cap.max(1),
+            totals: Mutex::new(PipelineStats::default()),
         }
     }
 
@@ -911,27 +843,24 @@ impl EvalCache {
         model.context_tags().resolve(workload)
     }
 
+    /// Adds one evaluation call's stage counts to the running sum
+    /// [`stats`](Self::stats) reports.
+    pub(crate) fn record(&self, stages: &PipelineStats) {
+        let mut totals = self.totals.lock().expect("cache totals lock poisoned");
+        *totals = totals.merged(stages);
+    }
+
     /// Current counters and size.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            stages: PipelineStats {
-                physical: self.physical.counters(),
-                yields: self.yields.counters(),
-                embodied: self.embodied.counters(),
-                power: self.power.counters(),
-                operational: self.operational.counters(),
-            },
+            stages: *self.totals.lock().expect("cache totals lock poisoned"),
             entries: self.physical.len()
                 + self.yields.len()
                 + self.embodied.len()
                 + self.power.len()
                 + self.operational.len(),
-            evictions: self.physical.evictions()
-                + self.yields.evictions()
-                + self.embodied.evictions()
-                + self.power.evictions()
-                + self.operational.evictions(),
+            evictions: self.shard_stats().iter().map(|s| s.evictions).sum(),
         }
     }
 
@@ -939,8 +868,7 @@ impl EvalCache {
     /// stage cells (shard `i` of every stage shares index `i`).
     /// Occupancy reflects the current contents; evictions are
     /// cumulative since construction (maintained inside each shard, so
-    /// they attribute LRU pressure to the shard that felt it — the
-    /// cell-level [`CacheStats::evictions`] aggregate cannot).
+    /// they attribute LRU pressure to the shard that felt it).
     #[must_use]
     pub fn shard_stats(&self) -> [ShardStats; SHARD_COUNT] {
         let mut out = [ShardStats::default(); SHARD_COUNT];
@@ -989,40 +917,36 @@ impl EvalCache {
         self.operational.clear();
     }
 
-    pub(crate) fn physical_or_eval(&self, point: &PointLookup<'_>) -> Arc<PhysicalProfile> {
-        if let Some(p) = self.physical.lookup(
-            point.tags.physical,
-            point.design_key,
-            point.stamp,
-            &point.tally.physical,
-        ) {
+    /// The physical profile of `point`: the keyed store, else
+    /// computed and inserted. The lookup counts on `counters`.
+    pub(crate) fn physical_or_eval(
+        &self,
+        point: &PointLookup<'_>,
+        counters: &mut StageCounters,
+    ) -> Arc<PhysicalProfile> {
+        let (tag, key) = (point.tags.physical, point.design_key);
+        if let Some(p) = self.physical.lookup(tag, key, point.stamp, counters) {
             return p;
         }
         let p = Arc::new(pipeline::physical_profile(
             point.model.context(),
             point.design,
         ));
-        self.physical.insert(
-            point.tags.physical,
-            point.design_key,
-            point.stamp,
-            Arc::clone(&p),
-            self.artifact_cap,
-        );
+        self.physical
+            .insert(tag, key, point.stamp, Arc::clone(&p), self.artifact_cap);
         p
     }
 
+    /// The yield profile of `point`: the keyed store, else computed
+    /// from `phys` and inserted.
     pub(crate) fn yield_or_eval(
         &self,
         point: &PointLookup<'_>,
         phys: &PhysicalProfile,
+        counters: &mut StageCounters,
     ) -> Result<Arc<YieldProfile>, ModelError> {
-        if let Some(y) = self.yields.lookup(
-            point.tags.yields,
-            point.design_key,
-            point.stamp,
-            &point.tally.yields,
-        ) {
+        let (tag, key) = (point.tags.yields, point.design_key);
+        if let Some(y) = self.yields.lookup(tag, key, point.stamp, counters) {
             return Ok(y);
         }
         let y = Arc::new(pipeline::yield_profile(
@@ -1030,27 +954,21 @@ impl EvalCache {
             point.design,
             phys,
         )?);
-        self.yields.insert(
-            point.tags.yields,
-            point.design_key,
-            point.stamp,
-            Arc::clone(&y),
-            self.artifact_cap,
-        );
+        self.yields
+            .insert(tag, key, point.stamp, Arc::clone(&y), self.artifact_cap);
         Ok(y)
     }
 
+    /// The power profile of `point`: the keyed store, else computed
+    /// from `phys` and inserted.
     pub(crate) fn power_or_eval(
         &self,
         point: &PointLookup<'_>,
         phys: &PhysicalProfile,
+        counters: &mut StageCounters,
     ) -> Result<Arc<PowerProfile>, ModelError> {
-        if let Some(p) = self.power.lookup(
-            point.tags.power,
-            point.design_key,
-            point.stamp,
-            &point.tally.power,
-        ) {
+        let (tag, key) = (point.tags.power, point.design_key);
+        if let Some(p) = self.power.lookup(tag, key, point.stamp, counters) {
             return Ok(p);
         }
         let p = Arc::new(pipeline::power_profile(
@@ -1058,172 +976,9 @@ impl EvalCache {
             point.design,
             phys,
         )?);
-        self.power.insert(
-            point.tags.power,
-            point.design_key,
-            point.stamp,
-            Arc::clone(&p),
-            self.artifact_cap,
-        );
+        self.power
+            .insert(tag, key, point.stamp, Arc::clone(&p), self.artifact_cap);
         Ok(p)
-    }
-
-    /// The embodied half of the pipeline (physical → yield →
-    /// embodied), answered from the store when possible. Returns
-    /// `Ok(None)` for designs whose dies outgrow the wafer; `phys_out`
-    /// receives the physical profile when this call had to fetch it,
-    /// so the operational half can reuse it without a second lookup.
-    fn embodied_half(
-        &self,
-        point: &PointLookup<'_>,
-        phys_out: &mut Option<Arc<PhysicalProfile>>,
-        all_hit: &mut bool,
-    ) -> Result<Option<Arc<crate::embodied::EmbodiedBreakdown>>, ModelError> {
-        match self.embodied.lookup(
-            point.tags.embodied,
-            point.design_key,
-            point.stamp,
-            &point.tally.embodied,
-        ) {
-            Some(EmbodiedOutcome::Report(r)) => Ok(Some(r)),
-            Some(EmbodiedOutcome::Oversized) => Ok(None),
-            None => {
-                *all_hit = false;
-                let phys = self.physical_or_eval(point);
-                *phys_out = Some(Arc::clone(&phys));
-                let yld = self.yield_or_eval(point, &phys)?;
-                match pipeline::embodied_breakdown(point.model.context(), point.design, &phys, &yld)
-                {
-                    Ok(b) => {
-                        let arc = Arc::new(b);
-                        self.embodied.insert(
-                            point.tags.embodied,
-                            point.design_key,
-                            point.stamp,
-                            EmbodiedOutcome::Report(Arc::clone(&arc)),
-                            self.artifact_cap,
-                        );
-                        Ok(Some(arc))
-                    }
-                    Err(ModelError::DieExceedsWafer { .. }) => {
-                        self.embodied.insert(
-                            point.tags.embodied,
-                            point.design_key,
-                            point.stamp,
-                            EmbodiedOutcome::Oversized,
-                            self.artifact_cap,
-                        );
-                        *all_hit = false;
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        }
-    }
-
-    /// Evaluates only the embodied chain of `design` (whose
-    /// [`key_for`](Self::key_for) is `design_key`) under `model` (the
-    /// `tdc run` without-a-workload path), answering every stage from
-    /// the store when possible. Returns `Ok(None)` for designs whose
-    /// dies outgrow the wafer.
-    pub(crate) fn embodied_or_eval(
-        &self,
-        tags: &StageTags,
-        model: &CarbonModel,
-        design: &ChipDesign,
-        design_key: u128,
-        tally: &PipelineTally,
-    ) -> Result<Option<Arc<crate::embodied::EmbodiedBreakdown>>, ModelError> {
-        let point = PointLookup {
-            tags,
-            model,
-            design,
-            design_key,
-            stamp: self.current_stamp(),
-            tally,
-        };
-        let mut phys_local = None;
-        let mut all_hit = true;
-        self.embodied_half(&point, &mut phys_local, &mut all_hit)
-    }
-
-    /// Evaluates `design` (whose [`key_for`](Self::key_for) is
-    /// `design_key`) under (`model`, `workload`) through the staged
-    /// pipeline, answering every stage from the store when possible.
-    /// `tags` is the value [`stage_tags`](EvalCache::stage_tags)
-    /// returned for this configuration. Returns `Ok(None)` for designs
-    /// whose dies outgrow the wafer (dropped, and remembered as
-    /// dropped), and the report plus a did-every-stage-hit flag
-    /// otherwise.
-    pub(crate) fn lifecycle_or_eval(
-        &self,
-        tags: &StageTags,
-        model: &CarbonModel,
-        design: &ChipDesign,
-        design_key: u128,
-        workload: &Workload,
-        tally: &PipelineTally,
-    ) -> Result<(Option<LifecycleReport>, bool), ModelError> {
-        let point = PointLookup {
-            tags,
-            model,
-            design,
-            design_key,
-            stamp: self.current_stamp(),
-            tally,
-        };
-        // Fetched at most once per point, shared by both halves below.
-        let mut phys_local: Option<Arc<PhysicalProfile>> = None;
-        let mut all_hit = true;
-
-        // ---- Embodied artifact (physical → yield → embodied) ----
-        let Some(embodied) = self.embodied_half(&point, &mut phys_local, &mut all_hit)? else {
-            return Ok((None, all_hit));
-        };
-
-        // ---- Operational artifact (physical → power → operational) ----
-        let operational = match self.operational.lookup(
-            tags.operational,
-            design_key,
-            point.stamp,
-            &tally.operational,
-        ) {
-            Some(r) => r,
-            None => {
-                all_hit = false;
-                let phys = match &phys_local {
-                    Some(p) => Arc::clone(p),
-                    None => self.physical_or_eval(&point),
-                };
-                let power = self.power_or_eval(&point, &phys)?;
-                let r = pipeline::operational_report(
-                    model.context(),
-                    design,
-                    &phys,
-                    &power,
-                    workload,
-                    model.power_model(),
-                )?;
-                let arc = Arc::new(r);
-                self.operational.insert(
-                    tags.operational,
-                    design_key,
-                    point.stamp,
-                    Arc::clone(&arc),
-                    self.artifact_cap,
-                );
-                arc
-            }
-        };
-
-        Ok((
-            Some(LifecycleReport {
-                embodied: (*embodied).clone(),
-                operational: (*operational).clone(),
-            }),
-            all_hit,
-        ))
     }
 }
 
@@ -1235,7 +990,6 @@ pub(crate) struct PointLookup<'a> {
     pub(crate) design: &'a ChipDesign,
     pub(crate) design_key: u128,
     pub(crate) stamp: Stamp,
-    pub(crate) tally: &'a PipelineTally,
 }
 
 #[cfg(test)]
@@ -1243,6 +997,8 @@ mod tests {
     use super::*;
     use crate::context::ModelContext;
     use crate::design::DieSpec;
+    use crate::model::LifecycleReport;
+    use crate::sweep::batch::evaluate_one;
     use tdc_technode::{GridRegion, ProcessNode};
     use tdc_units::{Throughput, TimeSpan};
 
@@ -1282,18 +1038,31 @@ mod tests {
         client: 0,
     };
 
-    /// `lifecycle_or_eval` under the design's own key.
+    /// One design through the kernel's one-slot entry: the lifecycle
+    /// report (`None` when oversized), the every-stage-hit flag, and
+    /// exactly this call's stage counts.
     fn life(
         cache: &EvalCache,
-        tags: &StageTags,
         m: &CarbonModel,
         d: &ChipDesign,
         w: &Workload,
-        tally: &PipelineTally,
-    ) -> (Option<LifecycleReport>, bool) {
-        cache
-            .lifecycle_or_eval(tags, m, d, EvalCache::key_for(d), w, tally)
-            .unwrap()
+    ) -> (Option<LifecycleReport>, bool, PipelineStats) {
+        let one = evaluate_one(cache, m, d, Some(w)).unwrap();
+        let report = match (one.embodied, one.operational) {
+            (EmbodiedOutcome::Report(e), Some(op)) => Some(LifecycleReport {
+                embodied: (*e).clone(),
+                operational: (*op).clone(),
+            }),
+            _ => None,
+        };
+        (report, one.stats.misses() == 0, one.stats)
+    }
+
+    /// Evictions of one cell, summed over its shards.
+    fn evictions<T: Clone>(cell: &StageCell<T>) -> u64 {
+        let mut shards = [ShardStats::default(); SHARD_COUNT];
+        cell.fold_shard_stats(&mut shards);
+        shards.iter().map(|s| s.evictions).sum()
     }
 
     #[test]
@@ -1301,9 +1070,8 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        let (first, hit1) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
-        let (second, hit2) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
+        let (first, hit1, _) = life(&cache, &m, &d, &w);
+        let (second, hit2, _) = life(&cache, &m, &d, &w);
         assert!(!hit1);
         assert!(hit2);
         assert_eq!(first, second);
@@ -1330,7 +1098,7 @@ mod tests {
         let w = workload();
         let base = model();
         let tags = EvalCache::stage_tags(&base, Some(&w));
-        life(&cache, &tags, &base, &d, &w, &PipelineTally::default());
+        life(&cache, &base, &d, &w);
 
         let moved = CarbonModel::new(
             ModelContext::builder()
@@ -1340,14 +1108,7 @@ mod tests {
         let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
         assert_eq!(tags.embodied, moved_tags.embodied);
         assert_ne!(tags.operational, moved_tags.operational);
-        let (report, hit) = life(
-            &cache,
-            &moved_tags,
-            &moved,
-            &d,
-            &w,
-            &PipelineTally::default(),
-        );
+        let (report, hit, _) = life(&cache, &moved, &d, &w);
         assert!(!hit, "the operational stage must recompute");
         let stats = cache.stats();
         assert_eq!(
@@ -1374,7 +1135,7 @@ mod tests {
         let w = workload();
         let base = model();
         let tags = EvalCache::stage_tags(&base, Some(&w));
-        life(&cache, &tags, &base, &d, &w, &PipelineTally::default());
+        life(&cache, &base, &d, &w);
 
         let moved = CarbonModel::new(
             ModelContext::builder()
@@ -1384,14 +1145,7 @@ mod tests {
         let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
         assert_eq!(tags.operational, moved_tags.operational);
         assert_ne!(tags.embodied, moved_tags.embodied);
-        let (report, _) = life(
-            &cache,
-            &moved_tags,
-            &moved,
-            &d,
-            &w,
-            &PipelineTally::default(),
-        );
+        let (report, _, _) = life(&cache, &moved, &d, &w);
         let stats = cache.stats();
         assert_eq!(
             stats.stages.operational,
@@ -1412,9 +1166,8 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        let (r1, hit1) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
-        let (r2, hit2) = life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
+        let (r1, hit1, _) = life(&cache, &m, &d, &w);
+        let (r2, hit2, _) = life(&cache, &m, &d, &w);
         assert!(r1.is_none() && r2.is_none());
         assert!(!hit1);
         assert!(hit2);
@@ -1430,7 +1183,7 @@ mod tests {
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
         let tags = EvalCache::stage_tags(&m, Some(&w));
-        life(&cache, &tags, &m, &d, &w, &PipelineTally::default());
+        life(&cache, &m, &d, &w);
         let longer = Workload::fixed(
             "app",
             Throughput::from_tops(50.0),
@@ -1439,14 +1192,7 @@ mod tests {
         let longer_tags = EvalCache::stage_tags(&m, Some(&longer));
         assert_eq!(tags.embodied, longer_tags.embodied);
         assert_ne!(tags.operational, longer_tags.operational);
-        let (_, hit) = life(
-            &cache,
-            &longer_tags,
-            &m,
-            &d,
-            &longer,
-            &PipelineTally::default(),
-        );
+        let (_, hit, _) = life(&cache, &m, &d, &longer);
         assert!(!hit, "a different workload must re-price operations");
         assert_eq!(cache.stats().stages.embodied.hits, 1);
     }
@@ -1481,15 +1227,7 @@ mod tests {
     fn clear_drops_entries() {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        life(
-            &cache,
-            &tags,
-            &m,
-            &mono(5.0e9),
-            &w,
-            &PipelineTally::default(),
-        );
+        life(&cache, &m, &mono(5.0e9), &w);
         assert_eq!(cache.stats().entries, 5);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
@@ -1504,19 +1242,31 @@ mod tests {
         // oldest entry redirects eviction to the next-oldest.
         let cell: StageCell<u8> = StageCell::default();
         const CAP: usize = 4 * SHARD_COUNT;
-        let tally = TallyPair::default();
+        let mut counters = StageCounters::default();
         for i in 0..4u8 {
             cell.insert(7, u128::from(i), S0, i, CAP);
         }
         assert_eq!(cell.len(), 4);
         // Touch key 0: key 1 becomes the LRU entry.
-        assert_eq!(cell.lookup(7, 0, S0, &tally), Some(0));
+        assert_eq!(cell.lookup(7, 0, S0, &mut counters), Some(0));
         cell.insert(7, 4, S0, 4, CAP);
         assert_eq!(cell.len(), 4, "one in, one out");
-        assert_eq!(cell.lookup(7, 1, S0, &tally), None, "LRU entry evicted");
-        assert_eq!(cell.lookup(7, 0, S0, &tally), Some(0), "touched entry kept");
-        assert_eq!(cell.lookup(7, 4, S0, &tally), Some(4), "new entry stored");
-        assert_eq!(cell.evictions(), 1);
+        assert_eq!(
+            cell.lookup(7, 1, S0, &mut counters),
+            None,
+            "LRU entry evicted"
+        );
+        assert_eq!(
+            cell.lookup(7, 0, S0, &mut counters),
+            Some(0),
+            "touched entry kept"
+        );
+        assert_eq!(
+            cell.lookup(7, 4, S0, &mut counters),
+            Some(4),
+            "new entry stored"
+        );
+        assert_eq!(evictions(&cell), 1);
     }
 
     #[test]
@@ -1525,25 +1275,24 @@ mod tests {
         // never reset its cumulative hit/miss accounting mid-stream.
         let cell: StageCell<u8> = StageCell::default();
         const CAP: usize = SHARD_COUNT; // one entry per shard
-        let tally = TallyPair::default();
+        let mut counters = StageCounters::default();
         cell.insert(3, 0xa, S0, 1, CAP);
-        assert_eq!(cell.lookup(3, 0xa, S0, &tally), Some(1));
-        assert_eq!(cell.lookup(3, 0xdead, S0, &tally), None);
-        let before = cell.counters();
+        assert_eq!(cell.lookup(3, 0xa, S0, &mut counters), Some(1));
+        assert_eq!(cell.lookup(3, 0xdead, S0, &mut counters), None);
+        let before = counters;
         assert_eq!(before, sc(1, 1));
         // Same tag → same shard → every insert beyond the first evicts.
         for i in 0..8u8 {
             cell.insert(3, 0x100 + u128::from(i), S0, i, CAP);
         }
-        assert!(cell.evictions() > 0, "the shard must have overflowed");
+        assert!(evictions(&cell) > 0, "the shard must have overflowed");
         assert_eq!(
-            cell.counters(),
-            before,
+            counters, before,
             "inserts and evictions never touch the hit/miss counters"
         );
         // And the store keeps answering: the most recent entry is warm.
-        assert_eq!(cell.lookup(3, 0x107, S0, &tally), Some(7));
-        assert_eq!(cell.counters().hits, before.hits + 1);
+        assert_eq!(cell.lookup(3, 0x107, S0, &mut counters), Some(7));
+        assert_eq!(counters.hits, before.hits + 1);
     }
 
     #[test]
@@ -1553,25 +1302,10 @@ mod tests {
         // ever grows and entries reflects what actually survived.
         let cache = EvalCache::with_artifact_cap(1);
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
-        life(
-            &cache,
-            &tags,
-            &m,
-            &mono(5.0e9),
-            &w,
-            &PipelineTally::default(),
-        );
+        life(&cache, &m, &mono(5.0e9), &w);
         let before = cache.stats();
         assert_eq!(before.stages.misses(), 5);
-        life(
-            &cache,
-            &tags,
-            &m,
-            &mono(6.0e9),
-            &w,
-            &PipelineTally::default(),
-        );
+        life(&cache, &m, &mono(6.0e9), &w);
         let after = cache.stats();
         assert_eq!(
             after.stages.misses(),
@@ -1589,11 +1323,10 @@ mod tests {
         let roomy = EvalCache::new();
         let tight = EvalCache::with_artifact_cap(1);
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         for gates in [5.0e9, 6.0e9, 5.0e9, 7.0e9, 6.0e9] {
             let d = mono(gates);
-            let (a, _) = life(&roomy, &tags, &m, &d, &w, &PipelineTally::default());
-            let (b, _) = life(&tight, &tags, &m, &d, &w, &PipelineTally::default());
+            let (a, _, _) = life(&roomy, &m, &d, &w);
+            let (b, _, _) = life(&tight, &m, &d, &w);
             assert_eq!(a, b);
         }
     }
@@ -1608,12 +1341,13 @@ mod tests {
         let cell: StageCell<u64> = StageCell::default();
         const CAP: usize = 8 * SHARD_COUNT;
         let total_lookups = std::sync::atomic::AtomicU64::new(0);
+        let summed = std::sync::Mutex::new(StageCounters::default());
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let (cell, total_lookups) = (&cell, &total_lookups);
+                let (cell, total_lookups, summed) = (&cell, &total_lookups, &summed);
                 scope.spawn(move || {
                     let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
-                    let tally = TallyPair::default();
+                    let mut counters = StageCounters::default();
                     let mut lookups = 0u64;
                     for i in 0..2_000u64 {
                         seed = seed
@@ -1627,18 +1361,20 @@ mod tests {
                             client: t,
                         };
                         lookups += 1;
-                        match cell.lookup(tag, key, stamp, &tally) {
+                        match cell.lookup(tag, key, stamp, &mut counters) {
                             Some(v) => assert_eq!(v, tag ^ k, "value belongs to another key"),
                             None => cell.insert(tag, key, stamp, tag ^ k, CAP),
                         }
                     }
-                    let snap = tally.snapshot();
-                    assert_eq!(snap.hits + snap.misses, lookups);
+                    assert_eq!(counters.hits + counters.misses, lookups);
                     total_lookups.fetch_add(lookups, Ordering::Relaxed);
+                    let mut sum = summed.lock().unwrap();
+                    sum.hits += counters.hits;
+                    sum.misses += counters.misses;
                 });
             }
         });
-        let c = cell.counters();
+        let c = *summed.lock().unwrap();
         assert_eq!(
             c.hits + c.misses,
             total_lookups.load(Ordering::Relaxed),
@@ -1668,30 +1404,23 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         // Request 1: cold.
         cache.advance_epoch();
-        let t1 = PipelineTally::default();
-        life(&cache, &tags, &m, &d, &w, &t1);
-        assert_eq!(t1.snapshot().cross_hits(), 0);
+        let (_, _, s1) = life(&cache, &m, &d, &w);
+        assert_eq!(s1.cross_hits(), 0);
         // Request 2: both artifact heads come from request 1.
         cache.advance_epoch();
-        let t2 = PipelineTally::default();
-        life(&cache, &tags, &m, &d, &w, &t2);
-        let s2 = t2.snapshot();
+        let (_, _, s2) = life(&cache, &m, &d, &w);
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.cross_hits(), 2, "warmth came from the earlier epoch");
         assert!((s2.cross_hit_rate() - 1.0).abs() < 1e-12);
         // A re-evaluation *within* request 2 hits, but not cross-epoch.
-        let t3 = PipelineTally::default();
         let moved = CarbonModel::new(
             ModelContext::builder()
                 .use_region(GridRegion::France)
                 .build(),
         );
-        let moved_tags = EvalCache::stage_tags(&moved, Some(&w));
-        life(&cache, &moved_tags, &moved, &d, &w, &t3);
-        let s3 = t3.snapshot();
+        let (_, _, s3) = life(&cache, &moved, &d, &w);
         // Embodied head: cross hit (inserted in request 1). The
         // physical/power artifacts under the recomputed operational
         // stage are cross hits too.
@@ -1709,17 +1438,13 @@ mod tests {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
         let d = mono(5.0e9);
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         // Client 1 computes everything.
         cache.begin_request(1);
-        let t1 = PipelineTally::default();
-        life(&cache, &tags, &m, &d, &w, &t1);
-        assert_eq!(t1.snapshot().client_hits(), 0);
+        let (_, _, s1) = life(&cache, &m, &d, &w);
+        assert_eq!(s1.client_hits(), 0);
         // Client 2 answers both heads from client 1's artifacts.
         cache.begin_request(2);
-        let t2 = PipelineTally::default();
-        life(&cache, &tags, &m, &d, &w, &t2);
-        let s2 = t2.snapshot();
+        let (_, _, s2) = life(&cache, &m, &d, &w);
         assert_eq!(s2.hits(), 2);
         assert_eq!(s2.client_hits(), 2, "warmth came from another client");
         assert_eq!(s2.cross_hits(), 2, "and from an earlier request");
@@ -1727,9 +1452,7 @@ mod tests {
         // Client 1 returning sees plain cross-request hits, not
         // cross-client ones — it computed these artifacts itself.
         cache.begin_request(1);
-        let t3 = PipelineTally::default();
-        life(&cache, &tags, &m, &d, &w, &t3);
-        let s3 = t3.snapshot();
+        let (_, _, s3) = life(&cache, &m, &d, &w);
         assert_eq!(s3.client_hits(), 0);
         assert_eq!(s3.cross_hits(), 2);
         assert_eq!(cache.stats().stages.client_hits(), 2);
@@ -1742,21 +1465,18 @@ mod tests {
         let d = mono(5.0e9);
         // Embodied-only request warms the embodied chain...
         cache.advance_epoch();
-        let only_tags = EvalCache::stage_tags(&m, None);
-        let t1 = PipelineTally::default();
-        let b = cache
-            .embodied_or_eval(&only_tags, &m, &d, EvalCache::key_for(&d), &t1)
-            .unwrap();
-        assert!(b.is_some());
-        assert_eq!(t1.snapshot().embodied.misses, 1);
+        let only = evaluate_one(&cache, &m, &d, None).unwrap();
+        assert!(matches!(only.embodied, EmbodiedOutcome::Report(_)));
+        assert!(
+            only.operational.is_none(),
+            "no workload, no operational head"
+        );
+        assert_eq!(only.stats.embodied.misses, 1);
         // ...and a later lifecycle request answers embodied from it.
         cache.advance_epoch();
-        let life_tags = EvalCache::stage_tags(&m, Some(&w));
-        let t2 = PipelineTally::default();
-        let (report, _) = life(&cache, &life_tags, &m, &d, &w, &t2);
+        let (report, _, s2) = life(&cache, &m, &d, &w);
         let fresh = m.lifecycle(&d, &w).unwrap();
         assert_eq!(report.unwrap(), fresh);
-        let s2 = t2.snapshot();
         assert_eq!(
             s2.embodied,
             StageCounters {
@@ -1776,25 +1496,10 @@ mod tests {
     fn stats_deltas_compose() {
         let cache = EvalCache::new();
         let (m, w) = (model(), workload());
-        let tags = EvalCache::stage_tags(&m, Some(&w));
         let before = cache.stats().stages;
-        life(
-            &cache,
-            &tags,
-            &m,
-            &mono(5.0e9),
-            &w,
-            &PipelineTally::default(),
-        );
+        life(&cache, &m, &mono(5.0e9), &w);
         let mid = cache.stats().stages;
-        life(
-            &cache,
-            &tags,
-            &m,
-            &mono(5.0e9),
-            &w,
-            &PipelineTally::default(),
-        );
+        life(&cache, &m, &mono(5.0e9), &w);
         let after = cache.stats().stages;
         let cold = mid.since(&before);
         let warm = after.since(&mid);

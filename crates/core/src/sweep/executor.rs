@@ -1,24 +1,24 @@
-//! Parallel evaluation of a [`SweepPlan`] ([`SweepExecutor`]).
+//! Evaluation of a [`SweepPlan`] ([`SweepExecutor`]).
 //!
-//! The executor shards plan points across a pool of `std::thread`
-//! workers pulling from a shared atomic cursor — idle workers
-//! immediately steal the next unevaluated index, so uneven point
-//! costs (a 9-die HBM stack next to a single 2D die) cannot leave a
-//! thread starved. Every point is evaluated through the per-stage
-//! [`EvalCache`], so points (and successive `execute` calls) that
-//! share upstream pipeline artifacts never recompute them. Results
-//! carry their plan index, and the final ranking sorts by (life-cycle
-//! total, index), so the output is **byte-identical for any worker
-//! count**, including the serial fast path.
+//! Every call runs the one fill kernel in [`super::batch`]: the plan
+//! is lowered into stage columns that persist on the executor, so a
+//! re-execution — or one that changes only downstream axes —
+//! delta-evaluates exactly the stages whose context slice changed.
+//! Column misses consult the per-stage [`EvalCache`], so plans (and
+//! successive calls) that share upstream pipeline artifacts never
+//! recompute them. A fill that computes embodied artifacts for at
+//! least the parallel threshold of points splits the plan into chunks
+//! that scoped workers steal from a queue. Totals are ranked by
+//! (life-cycle total, plan index), so the output is **byte-identical
+//! for any worker count**, including the serial fast path.
 
 use super::batch::{self, BatchEngine, BatchRanking};
-use super::cache::{EvalCache, PipelineStats, PipelineTally, StageTags};
-use super::plan::{SweepPlan, SweepPoint};
+use super::cache::{EvalCache, PipelineStats};
+use super::plan::SweepPlan;
 use super::SweepEntry;
 use crate::error::ModelError;
 use crate::model::CarbonModel;
 use crate::operational::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Plans smaller than this default take the serial fast path no matter
 /// how many workers are configured: below a few hundred points the
@@ -37,23 +37,20 @@ pub struct SweepStats {
     pub evaluated: usize,
     /// Points dropped because their dies outgrow the wafer.
     pub dropped: usize,
-    /// Points whose every pipeline stage was answered from the cache
-    /// (or, on the batch path, from the plan's warm stage columns).
+    /// Points whose every consulted pipeline stage was answered from
+    /// the plan's stage columns or the keyed cache.
     pub cache_hits: usize,
     /// Points that had to run at least one pipeline stage.
     pub cache_misses: usize,
     /// Worker threads actually used (1 = serial fast path).
     pub workers: usize,
-    /// Whether the batch fast path
-    /// ([`SweepExecutor::execute_batched`]) produced this result.
-    pub batch: bool,
     /// Stage recomputations *and* keyed cache lookups skipped because
-    /// the batch path answered the stage structurally from its
-    /// plan-aligned columns (0 on the per-point path).
+    /// the stage was answered structurally from the plan's columns.
     pub delta_skips: u64,
-    /// Per-stage hit/miss counters of exactly this call's lookups
-    /// (tallied per call, so the numbers stay correct even when
-    /// concurrent `execute` calls share one executor).
+    /// Per-stage hit/miss counters of exactly this call's lookups,
+    /// column hits included (counted by the call's own fill workers,
+    /// so the numbers stay correct even when concurrent calls share
+    /// one executor).
     pub stages: PipelineStats,
 }
 
@@ -89,13 +86,6 @@ impl SweepResult {
     pub fn best(&self) -> Option<&SweepEntry> {
         self.entries.iter().find(|e| e.is_viable())
     }
-}
-
-/// What one point produced (private merge currency).
-enum PointOutcome {
-    Entry(Box<SweepEntry>),
-    Dropped,
-    Failed(ModelError),
 }
 
 /// Evaluates [`SweepPlan`]s over a worker pool with memoization.
@@ -173,9 +163,9 @@ impl SweepExecutor {
     }
 
     /// Replaces the executor's cache with one capped at `cap` artifacts
-    /// per stage (see [`EvalCache::with_artifact_cap`]); the batch
-    /// path's per-plan stage columns obey the same cap. Intended at
-    /// construction time — any already-cached artifacts are dropped.
+    /// per stage (see [`EvalCache::with_artifact_cap`]); the per-plan
+    /// stage columns obey the same cap. Intended at construction time
+    /// — any already-cached artifacts are dropped.
     #[must_use]
     pub fn artifact_cap(mut self, cap: usize) -> Self {
         self.cache = EvalCache::with_artifact_cap(cap);
@@ -217,9 +207,15 @@ impl SweepExecutor {
     }
 
     /// Evaluates every point of `plan` under (`model`, `workload`)
-    /// and returns the ranked result. The memoization cache persists
-    /// across calls for the same model and workload and is invalidated
-    /// automatically when either changes.
+    /// and returns the ranked result. The plan is lowered into stage
+    /// columns that persist on this executor, so a re-execution (or
+    /// an execution that changes only downstream axes) recomputes
+    /// exactly the stages whose context slice changed — no per-point
+    /// keyed cache lookups on the warm path.
+    ///
+    /// Stage columns belong to one plan at a time (the most recent);
+    /// switching plans falls back to the shared [`EvalCache`], which
+    /// persists across calls and configurations.
     ///
     /// # Errors
     ///
@@ -232,143 +228,6 @@ impl SweepExecutor {
     /// Panics if a worker thread panics (model evaluation itself never
     /// panics for plan-constructed designs).
     pub fn execute(
-        &self,
-        model: &CarbonModel,
-        plan: &SweepPlan,
-        workload: &Workload,
-    ) -> Result<SweepResult, ModelError> {
-        let _obs = tdc_obs::span("sweep.execute");
-        if tdc_obs::enabled() {
-            tdc_obs::metrics::SWEEP_EXECUTE_CALLS.inc();
-            tdc_obs::metrics::SWEEP_POINTS.add(plan.points().len() as u64);
-        }
-        // Per-stage namespace tags: each hashes only the input slices
-        // that stage reads, so a configuration change invalidates
-        // exactly the stages it touches. The tags are baked into every
-        // key, so entries from one configuration can never answer
-        // another's lookups, even when concurrent `execute` calls race
-        // on a shared executor.
-        let tags = EvalCache::stage_tags(model, Some(workload));
-        // Per-call tally: every lookup this call makes is counted here
-        // as well as on the cache's cumulative counters, so the
-        // reported per-stage stats are exact even when other `execute`
-        // calls share this executor concurrently.
-        let tally = PipelineTally::default();
-        let points = plan.points();
-        let keys = plan.keys();
-        let workers = self.resolve_workers(points.len());
-
-        let mut slots: Vec<Option<(PointOutcome, bool)>> = Vec::new();
-        if workers <= 1 {
-            for (point, &key) in points.iter().zip(keys.iter()) {
-                slots.push(Some(
-                    self.eval_point(&tags, model, point, key, workload, &tally),
-                ));
-            }
-        } else {
-            slots.resize_with(points.len(), || None);
-            // Chunked work-stealing: each steal claims a contiguous
-            // index range, so workers synchronize once per chunk
-            // instead of once per point. Idle workers still rebalance
-            // — a worker stuck on an expensive chunk simply steals
-            // fewer of the remaining ones.
-            let chunk = chunk_size(points.len(), workers);
-            let cursor = AtomicUsize::new(0);
-            let mut collected: Vec<Vec<(usize, (PointOutcome, bool))>> =
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(workers);
-                    for _ in 0..workers {
-                        let cursor = &cursor;
-                        let tags = &tags;
-                        let tally = &tally;
-                        handles.push(scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                                if start >= points.len() {
-                                    break;
-                                }
-                                let end = (start + chunk).min(points.len());
-                                for (i, point) in points[start..end]
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(o, p)| (start + o, p))
-                                {
-                                    local.push((
-                                        i,
-                                        self.eval_point(
-                                            tags, model, point, keys[i], workload, tally,
-                                        ),
-                                    ));
-                                }
-                            }
-                            local
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sweep worker panicked"))
-                        .collect()
-                });
-            for (i, outcome) in collected.drain(..).flatten() {
-                slots[i] = Some(outcome);
-            }
-        }
-
-        let mut stats = SweepStats {
-            points: points.len(),
-            workers,
-            stages: tally.snapshot(),
-            ..SweepStats::default()
-        };
-        let mut ranked: Vec<(usize, SweepEntry)> = Vec::with_capacity(points.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (outcome, was_hit) = slot.expect("every point is evaluated exactly once");
-            if was_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            match outcome {
-                PointOutcome::Entry(entry) => {
-                    stats.evaluated += 1;
-                    ranked.push((i, *entry));
-                }
-                PointOutcome::Dropped => stats.dropped += 1,
-                // Lowest plan index wins: `slots` is scanned in order.
-                PointOutcome::Failed(e) => return Err(e),
-            }
-        }
-        ranked.sort_by(|(ia, a), (ib, b)| {
-            a.report
-                .total()
-                .kg()
-                .total_cmp(&b.report.total().kg())
-                .then(ia.cmp(ib))
-        });
-        Ok(SweepResult {
-            entries: ranked.into_iter().map(|(_, e)| e).collect(),
-            stats,
-        })
-    }
-
-    /// Evaluates every point of `plan` through the batch fast path:
-    /// the plan is lowered into structure-of-arrays stage columns that
-    /// persist on this executor, so a re-execution (or an execution
-    /// that changes only downstream axes) recomputes exactly the
-    /// stages whose context slice changed — no per-point keyed cache
-    /// lookups on the warm path. Output is byte-identical to
-    /// [`execute`](Self::execute) for any worker count.
-    ///
-    /// Stage columns belong to one plan at a time (the most recent);
-    /// switching plans falls back to the shared [`EvalCache`], so
-    /// alternating plans is never worse than the per-point path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ModelError`] of the lowest-indexed failing point,
-    /// exactly like [`execute`](Self::execute).
-    pub fn execute_batched(
         &self,
         model: &CarbonModel,
         plan: &SweepPlan,
@@ -390,6 +249,21 @@ impl SweepExecutor {
         })
     }
 
+    /// The same call as [`execute`](Self::execute), kept under its
+    /// former name for existing callers.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`execute`](Self::execute).
+    pub fn execute_batched(
+        &self,
+        model: &CarbonModel,
+        plan: &SweepPlan,
+        workload: &Workload,
+    ) -> Result<SweepResult, ModelError> {
+        self.execute(model, plan, workload)
+    }
+
     /// The non-materializing batch path: ranks `plan`'s points by
     /// life-cycle total into the caller-owned `out` buffer without
     /// building [`SweepEntry`] values at all. The ranking order
@@ -400,19 +274,19 @@ impl SweepExecutor {
     /// A ranking call computes operational **carbon only**
     /// ([`pipeline::operational_carbon`](crate::pipeline::operational_carbon)):
     /// it reads the keyed operational store (a report
-    /// [`execute_batched`](Self::execute_batched) stored answers it)
-    /// but never grows it, and it leaves the op columns alone. On a
+    /// [`execute`](Self::execute) stored answers it) but never grows
+    /// it, and it leaves the op columns alone. On a
     /// warm plan (embodied and totals columns filled) this performs
     /// **zero heap allocations per point**, and a call that only
     /// re-prices (new grid, lifetime or utilization over resident
     /// embodied artifacts) allocates nothing per point either — reuse
     /// one [`BatchRanking`] across calls to keep its buffers warm.
     ///
-    /// The statistics differ from `execute_batched`'s in one way:
-    /// since no operational price is stored, a re-priced point can
-    /// only hit a report a materializing call stored, so each
-    /// duplicate design in `plan` counts as an operational miss where
-    /// `execute_batched` hits the report its first occurrence stored.
+    /// The statistics differ from `execute`'s in one way: since no
+    /// operational price is stored, a re-priced point can only hit a
+    /// report a materializing call stored, so each duplicate design in
+    /// `plan` counts as an operational miss where `execute` hits the
+    /// report its first occurrence stored.
     ///
     /// # Errors
     ///
@@ -427,39 +301,9 @@ impl SweepExecutor {
     ) -> Result<(), ModelError> {
         batch::run(self, model, plan, workload, out, None)
     }
-
-    /// Evaluates one point (whose store key is `key`) via the
-    /// per-stage cache; the bool is the every-stage-hit flag.
-    fn eval_point(
-        &self,
-        tags: &StageTags,
-        model: &CarbonModel,
-        point: &SweepPoint,
-        key: u128,
-        workload: &Workload,
-        tally: &PipelineTally,
-    ) -> (PointOutcome, bool) {
-        match self
-            .cache
-            .lifecycle_or_eval(tags, model, point.design(), key, workload, tally)
-        {
-            Ok((Some(report), hit)) => (
-                PointOutcome::Entry(Box::new(SweepEntry {
-                    label: point.label().to_owned(),
-                    node: point.node(),
-                    technology: point.technology(),
-                    design: point.design().clone(),
-                    report,
-                })),
-                hit,
-            ),
-            Ok((None, hit)) => (PointOutcome::Dropped, hit),
-            Err(e) => (PointOutcome::Failed(e), false),
-        }
-    }
 }
 
-/// The contiguous index range one steal claims: small enough that 8
+/// The contiguous index range one chunk covers: small enough that 8
 /// workers rebalance a skewed plan (~8 steals each), large enough that
 /// synchronization is paid once per dozens of points, capped so huge
 /// plans still rebalance.
@@ -523,12 +367,6 @@ mod tests {
             .unwrap();
         assert_eq!(forced.stats().workers, 8, "threshold 0 disables the clamp");
         assert_eq!(clamped.entries(), forced.entries());
-        // The batch path obeys the same clamp.
-        let batched = SweepExecutor::new(8)
-            .execute_batched(&m, &plan, &w)
-            .unwrap();
-        assert_eq!(batched.stats().workers, 1);
-        assert_eq!(batched.entries(), clamped.entries());
     }
 
     #[test]

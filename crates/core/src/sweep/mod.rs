@@ -9,15 +9,19 @@
 //!   budget, node/technology/tier axes);
 //! * [`SweepPlan`] — the fully-enumerated, deterministically-indexed
 //!   list of [`SweepPoint`]s the builder expands into;
-//! * [`SweepExecutor`] — evaluates a plan, either serially or on a
-//!   pool of worker threads, with [`EvalCache`] memoizing every
-//!   artifact of the staged pipeline (geometry, yield, embodied,
-//!   power, operational) under stage-specific keys, so points — and
-//!   successive `execute` calls — that differ only in downstream axes
-//!   reuse every upstream artifact;
+//! * [`SweepExecutor`] — evaluates a plan through the one fill kernel
+//!   (`batch`), serially or on chunk-stealing worker threads: the plan
+//!   is lowered into per-stage columns that delta-evaluate across
+//!   calls, and every column miss consults [`EvalCache`], which
+//!   memoizes every artifact of the staged pipeline (geometry, yield,
+//!   embodied, power, operational) under stage-specific keys, so
+//!   points — and successive `execute` calls — that differ only in
+//!   downstream axes reuse every upstream artifact;
 //! * [`SweepResult`] — the ranked [`SweepEntry`] list plus
-//!   [`SweepStats`] bookkeeping (per-point and per-stage cache hits,
-//!   dropped points, workers).
+//!   [`SweepStats`] bookkeeping (whole-point and per-stage hits,
+//!   column answers, dropped points, workers). Every stage lookup is
+//!   counted once, by the fill worker that made it;
+//!   [`EvalCache::stats`] sums every call's counts.
 //!
 //! Results are **deterministic regardless of worker count**: entries
 //! are ranked by life-cycle total with the plan index as tie-break, so
@@ -33,7 +37,7 @@ use tdc_technode::ProcessNode;
 use tdc_units::Efficiency;
 use tdc_yield::StackingFlow;
 
-mod batch;
+pub(crate) mod batch;
 pub(crate) mod cache;
 mod executor;
 mod plan;

@@ -131,7 +131,7 @@ fn warm_batch_ranking_performs_zero_allocations_per_point() {
     // With observability recording turned on, the calls must stay
     // just as allocation-free: every metric is a static atomic and the
     // span recorder pre-reserves its capacity on enable, so recording
-    // the `sweep.execute_batched` and `stage.operational` spans and
+    // the `sweep.execute` and `stage.operational` spans and
     // their counters costs zero heap traffic.
     tdc_obs::set_enabled(true);
     let enabled = ranking_call_allocations(ProcessNode::ALL.to_vec());

@@ -1,15 +1,19 @@
-//! Integration tests for the batch-evaluation fast path
-//! (`sweep::batch`): byte-identity against the staged per-point path
+//! Integration tests for the sweep fill kernel (`sweep::batch`):
+//! byte-identity against the direct `CarbonModel::lifecycle` oracle
 //! (cold, warm, any worker count, tiny artifact caps, plan switches,
-//! oversized drops), delta-eval accounting when only downstream axes
-//! change, which fills go parallel, and a property test over randomized
-//! plans, worker counts, and configuration sequences.
+//! oversized drops, the 638-point CI plan), delta-eval accounting when
+//! only downstream axes change, which fills go parallel, one counter
+//! set across calls, and a property test over randomized plans, worker
+//! counts, and configuration sequences.
 
+mod common;
+
+use common::expected_entries;
 use proptest::prelude::*;
-use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor, SweepPlan};
+use tdc_core::sweep::{BatchRanking, DesignSweep, PipelineStats, SweepExecutor, SweepPlan};
 use tdc_core::{CarbonModel, ModelContext, Workload};
 use tdc_technode::{GridRegion, ProcessNode};
-use tdc_units::{Throughput, TimeSpan};
+use tdc_units::{Efficiency, Throughput, TimeSpan};
 
 const REGIONS: [GridRegion; 4] = [
     GridRegion::WorldAverage,
@@ -41,26 +45,35 @@ fn table2_plan() -> SweepPlan {
 }
 
 #[test]
-fn batch_is_byte_identical_to_per_point_cold_and_warm() {
+fn batch_is_byte_identical_to_the_direct_oracle_cold_and_warm() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(254.0));
-    let staged = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    let expected = expected_entries(&m, &plan, &w);
+    assert_eq!(expected.len(), plan.len(), "Table 2 drops no point");
 
     let executor = SweepExecutor::serial();
-    let cold = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), cold.entries());
-    assert!(cold.stats().batch);
-    assert!(!staged.stats().batch);
-    // Cold stats match the per-point path's accounting: nothing warm,
-    // same per-stage miss counts.
+    let cold = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(expected, cold.entries());
+    // Cold stats: nothing warm, every stage computed once per point.
+    let n = plan.len() as u64;
+    let stages = cold.stats().stages;
     assert_eq!(cold.stats().cache_hits, 0);
     assert_eq!(cold.stats().cache_misses, plan.len());
-    assert_eq!(cold.stats().stages, staged.stats().stages);
+    assert_eq!(stages.hits(), 0);
+    for stage in [
+        stages.physical,
+        stages.yields,
+        stages.embodied,
+        stages.power,
+        stages.operational,
+    ] {
+        assert_eq!(stage.misses, n, "{stages:?}");
+    }
     assert_eq!(cold.stats().delta_skips, 0);
 
     // Re-execution is answered entirely from the plan's stage columns.
-    let warm = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), warm.entries());
+    let warm = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(expected, warm.entries());
     assert_eq!(warm.stats().cache_hits, plan.len());
     assert_eq!(warm.stats().cache_misses, 0);
     assert!(warm.stats().delta_skips > 0);
@@ -71,14 +84,52 @@ fn batch_is_byte_identical_to_per_point_cold_and_warm() {
 fn batch_is_byte_identical_under_any_worker_count() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(100.0));
-    let reference = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    let expected = expected_entries(&m, &plan, &w);
     for workers in [2, 3, 8] {
         let result = SweepExecutor::new(workers)
             .parallel_threshold(0)
-            .execute_batched(&m, &plan, &w)
+            .execute(&m, &plan, &w)
             .unwrap();
-        assert_eq!(reference.entries(), result.entries(), "{workers} workers");
+        assert_eq!(expected, result.entries(), "{workers} workers");
         assert_eq!(result.stats().workers, workers);
+    }
+}
+
+#[test]
+fn generated_638_point_plan_matches_the_direct_oracle_at_1_and_8_workers() {
+    // The CI smoke plan: all 11 nodes × (the 2D reference + 8
+    // technologies × tier counts 2–9), priced in France at 2.74 TOPS/W
+    // for 254 TOPS × 4745 h at 15 % utilization. It clears the
+    // 256-point threshold, so 8 workers really steal chunks.
+    let plan = DesignSweep::new(17.0e9)
+        .tier_counts((2..=9).collect())
+        .efficiency(Efficiency::from_tops_per_watt(2.74))
+        .plan()
+        .unwrap();
+    assert_eq!(plan.len(), 638);
+    let m = region_model(GridRegion::France);
+    let w = Workload::fixed(
+        "inference",
+        Throughput::from_tops(254.0),
+        TimeSpan::from_hours(4745.0),
+    )
+    .with_average_utilization(0.15);
+    let expected = expected_entries(&m, &plan, &w);
+    for workers in [1, 8] {
+        let result = SweepExecutor::new(workers).execute(&m, &plan, &w).unwrap();
+        assert_eq!(result.stats().workers, workers);
+        let got = result.entries();
+        assert_eq!(got.len(), expected.len(), "{workers} workers");
+        for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(g.label, e.label, "{workers} workers: rank {rank}");
+            assert_eq!(
+                g.report.total().kg().to_bits(),
+                e.report.total().kg().to_bits(),
+                "{workers} workers: rank {rank} ({})",
+                e.label
+            );
+        }
+        assert_eq!(got, expected.as_slice(), "{workers} workers");
     }
 }
 
@@ -86,22 +137,16 @@ fn batch_is_byte_identical_under_any_worker_count() {
 fn tiny_artifact_cap_still_yields_byte_identical_output() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(150.0));
-    let reference = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    let expected = expected_entries(&m, &plan, &w);
     for cap in [1, 2, 7] {
         let executor = SweepExecutor::serial().artifact_cap(cap);
-        let first = executor.execute_batched(&m, &plan, &w).unwrap();
-        assert_eq!(reference.entries(), first.entries(), "cap {cap} cold");
+        let first = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(expected, first.entries(), "cap {cap} cold");
         // Columns outlive the evicted keyed artifacts, so the rerun is
         // still warm — and still identical.
-        let second = executor.execute_batched(&m, &plan, &w).unwrap();
-        assert_eq!(reference.entries(), second.entries(), "cap {cap} warm");
+        let second = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(expected, second.entries(), "cap {cap} warm");
         assert_eq!(second.stats().cache_hits, plan.len(), "cap {cap} warm");
-        // The per-point path under the same tiny cap agrees too.
-        let per_point = SweepExecutor::serial()
-            .artifact_cap(cap)
-            .execute(&m, &plan, &w)
-            .unwrap();
-        assert_eq!(reference.entries(), per_point.entries(), "cap {cap}");
     }
 }
 
@@ -117,20 +162,14 @@ fn switching_plans_resets_columns_but_not_correctness() {
         .nodes(vec![ProcessNode::N5])
         .plan()
         .unwrap();
-    let ref_a = SweepExecutor::serial().execute(&m, &a, &w).unwrap();
-    let ref_b = SweepExecutor::serial().execute(&m, &b, &w).unwrap();
-    assert_eq!(
-        ref_a.entries(),
-        executor.execute_batched(&m, &a, &w).unwrap().entries()
-    );
-    assert_eq!(
-        ref_b.entries(),
-        executor.execute_batched(&m, &b, &w).unwrap().entries()
-    );
+    let ref_a = expected_entries(&m, &a, &w);
+    let ref_b = expected_entries(&m, &b, &w);
+    assert_eq!(ref_a, executor.execute(&m, &a, &w).unwrap().entries());
+    assert_eq!(ref_b, executor.execute(&m, &b, &w).unwrap().entries());
     // Back to plan A: its columns were dropped at the switch, but the
     // keyed cache still answers every stage — no recomputation.
-    let again = executor.execute_batched(&m, &a, &w).unwrap();
-    assert_eq!(ref_a.entries(), again.entries());
+    let again = executor.execute(&m, &a, &w).unwrap();
+    assert_eq!(ref_a, again.entries());
     assert_eq!(again.stats().cache_hits, a.len());
     assert_eq!(again.stats().stages.misses(), 0);
 }
@@ -138,27 +177,28 @@ fn switching_plans_resets_columns_but_not_correctness() {
 #[test]
 fn oversized_points_drop_identically_on_both_paths() {
     // A huge gate budget on the oldest nodes makes some dies outgrow
-    // the wafer; those points must be dropped, not errored, and the
-    // batch path must drop exactly the same set.
+    // the wafer; those points must be dropped, not errored — exactly
+    // the set the oracle skips — cold and warm.
     let plan = DesignSweep::new(60.0e9).plan().unwrap();
     let (m, w) = (model(), workload(100.0));
-    let staged = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-    assert!(staged.stats().dropped > 0, "test needs oversized points");
+    let expected = expected_entries(&m, &plan, &w);
+    let dropped = plan.len() - expected.len();
+    assert!(dropped > 0, "test needs oversized points");
     let executor = SweepExecutor::serial();
-    let batch = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), batch.entries());
-    assert_eq!(staged.stats().dropped, batch.stats().dropped);
+    let cold = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(expected, cold.entries());
+    assert_eq!(cold.stats().dropped, dropped);
     // Warm rerun: drops are remembered structurally.
-    let warm = executor.execute_batched(&m, &plan, &w).unwrap();
-    assert_eq!(staged.entries(), warm.entries());
-    assert_eq!(warm.stats().dropped, batch.stats().dropped);
+    let warm = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(expected, warm.entries());
+    assert_eq!(warm.stats().dropped, dropped);
     assert_eq!(warm.stats().cache_hits, plan.len());
 }
 
 #[test]
 fn operational_only_axis_change_delta_evals_the_embodied_chain() {
     // Same plan, new grid region: the embodied chain is structurally
-    // unchanged, so a warm batch recomputes *only* the operational
+    // unchanged, so a warm executor recomputes *only* the operational
     // stage — zero embodied/physical/yield misses, one operational
     // miss per ranked point. This is the delta-eval contract the
     // perf_guard floor (`batch_delta_embodied_single_eval_min`) pins.
@@ -166,20 +206,23 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
     let w = workload(254.0);
     let executor = SweepExecutor::serial();
     let reference = executor
-        .execute_batched(&region_model(REGIONS[0]), &plan, &w)
+        .execute(&region_model(REGIONS[0]), &plan, &w)
         .unwrap();
     for region in &REGIONS[1..] {
         let m = region_model(*region);
-        let result = executor.execute_batched(&m, &plan, &w).unwrap();
+        let result = executor.execute(&m, &plan, &w).unwrap();
         let stages = result.stats().stages;
         assert_eq!(stages.embodied.misses, 0, "{region:?}");
         assert_eq!(stages.physical.misses, 0, "{region:?}");
         assert_eq!(stages.yields.misses, 0, "{region:?}");
         assert_eq!(stages.operational.misses as usize, plan.len(), "{region:?}");
         assert!(result.stats().delta_skips > 0, "{region:?}");
-        // And the output still matches a fresh per-point evaluation.
-        let fresh = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-        assert_eq!(fresh.entries(), result.entries(), "{region:?}");
+        // And the output still matches the oracle.
+        assert_eq!(
+            expected_entries(&m, &plan, &w),
+            result.entries(),
+            "{region:?}"
+        );
         assert_ne!(reference.entries(), result.entries(), "{region:?}");
     }
 }
@@ -198,24 +241,22 @@ fn only_fills_missing_embodied_artifacts_go_parallel() {
     let w = workload(254.0);
     let executor = SweepExecutor::new(2);
     let cold = executor
-        .execute_batched(&region_model(REGIONS[0]), &plan, &w)
+        .execute(&region_model(REGIONS[0]), &plan, &w)
         .unwrap();
     assert_eq!(cold.stats().workers, 2, "cold fill");
 
     let m = region_model(REGIONS[1]);
-    let repriced = executor.execute_batched(&m, &plan, &w).unwrap();
+    let repriced = executor.execute(&m, &plan, &w).unwrap();
     assert_eq!(repriced.stats().workers, 1, "re-pricing");
     assert_eq!(repriced.stats().stages.embodied.misses, 0);
-    let fresh = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-    assert_eq!(fresh.entries(), repriced.entries());
+    assert_eq!(expected_entries(&m, &plan, &w), repriced.entries());
 
     // A different plan leaves every embodied slot empty again.
     let other = DesignSweep::new(12.0e9).tier_counts(tiers).plan().unwrap();
     assert!(other.len() >= 256, "{} points", other.len());
-    let switched = executor.execute_batched(&m, &other, &w).unwrap();
+    let switched = executor.execute(&m, &other, &w).unwrap();
     assert_eq!(switched.stats().workers, 2, "plan switch");
-    let fresh = SweepExecutor::serial().execute(&m, &other, &w).unwrap();
-    assert_eq!(fresh.entries(), switched.entries());
+    assert_eq!(expected_entries(&m, &other, &w), switched.entries());
 }
 
 #[test]
@@ -223,7 +264,7 @@ fn ranking_api_matches_materialized_entries() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(254.0));
     let executor = SweepExecutor::serial();
-    let materialized = executor.execute_batched(&m, &plan, &w).unwrap();
+    let materialized = executor.execute(&m, &plan, &w).unwrap();
     let mut ranking = BatchRanking::new();
     executor
         .execute_batched_ranking(&m, &plan, &w, &mut ranking)
@@ -235,18 +276,46 @@ fn ranking_api_matches_materialized_entries() {
         assert_eq!(point.label(), entry.label);
         assert!(ranked.total_kg == entry.report.total().kg());
     }
-    assert!(ranking.stats().batch);
     assert_eq!(ranking.stats().cache_hits, plan.len());
+}
+
+#[test]
+fn cache_stats_are_the_sum_of_every_call() {
+    // One counter set: every stage lookup — column hit or keyed
+    // lookup — is counted once by the call that made it, and the
+    // cache's cumulative stats are exactly the sum of every call's.
+    let plan = table2_plan();
+    let w = workload(254.0);
+    let executor = SweepExecutor::serial();
+    let mut ranking = BatchRanking::new();
+    let mut summed = PipelineStats::default();
+    for _epoch in 0..2 {
+        executor.cache().advance_epoch();
+        for region in [GridRegion::WorldAverage, GridRegion::France] {
+            let m = region_model(region);
+            // Cold or re-priced, then warm, on both call kinds.
+            for _ in 0..2 {
+                let result = executor.execute(&m, &plan, &w).unwrap();
+                summed = summed.merged(&result.stats().stages);
+                executor
+                    .execute_batched_ranking(&m, &plan, &w, &mut ranking)
+                    .unwrap();
+                summed = summed.merged(&ranking.stats().stages);
+            }
+        }
+    }
+    assert!(summed.cross_hits() > 0 && summed.misses() > 0, "{summed:?}");
+    assert_eq!(executor.cache().stats().stages, summed);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Randomized plans × configuration sequences × worker counts:
-    /// every batch execution (including warm reruns mid-sequence) is
-    /// byte-identical to a fresh-process serial per-point sweep.
+    /// every execution (including warm reruns mid-sequence) is
+    /// byte-identical to the direct oracle.
     #[test]
-    fn batch_matches_fresh_per_point_on_random_streams(
+    fn batch_matches_the_direct_oracle_on_random_streams(
         gates in 2.0e9..40.0e9f64,
         node_picks in proptest::collection::vec(0usize..ProcessNode::ALL.len(), 1..3),
         workers in 1usize..9,
@@ -260,13 +329,13 @@ proptest! {
         for (region_idx, tops) in region_picks.iter().zip(&tops_picks) {
             let m = region_model(REGIONS[*region_idx]);
             let w = workload(*tops);
-            let batch = executor.execute_batched(&m, &plan, &w).unwrap();
-            let fresh = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-            prop_assert_eq!(fresh.entries(), batch.entries());
+            let expected = expected_entries(&m, &plan, &w);
+            let result = executor.execute(&m, &plan, &w).unwrap();
+            prop_assert_eq!(expected.as_slice(), result.entries());
             // Immediate warm rerun: columns answer everything, output
             // is unchanged.
-            let warm = executor.execute_batched(&m, &plan, &w).unwrap();
-            prop_assert_eq!(fresh.entries(), warm.entries());
+            let warm = executor.execute(&m, &plan, &w).unwrap();
+            prop_assert_eq!(expected.as_slice(), warm.entries());
             prop_assert_eq!(warm.stats().cache_hits, plan.len());
         }
     }

@@ -4,6 +4,9 @@
 //! the sharded read/write path stays safe and correct under seeded
 //! multi-threaded request streams with pathologically tiny caps.
 
+mod common;
+
+use common::expected_entries;
 use proptest::prelude::*;
 use tdc_core::service::{EvalRequest, EvalResponse, ScenarioSession};
 use tdc_core::sweep::{DesignSweep, SweepExecutor, SweepPlan, SHARD_COUNT};
@@ -55,21 +58,20 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 /// The cap bounds memory, never results: a sweep space wide enough to
-/// overflow a per-shard cap of 1–2 entries must still produce entries
-/// identical to the uncapped executor, cold and warm.
+/// overflow a per-shard cap of 1–2 entries must still produce the
+/// direct oracle's entries, cold and warm.
 #[test]
 fn tiny_caps_never_change_sweep_entries() {
     let plan = plan();
-    let reference = SweepExecutor::serial();
     let tiny = SweepExecutor::serial().artifact_cap(2);
     for (round, region) in REGIONS.iter().enumerate() {
         let workload = mission(4_000.0 + 2_000.0 * round as f64);
         let model = CarbonModel::new(context(*region));
-        let expect = reference.execute(&model, &plan, &workload).unwrap();
+        let expect = expected_entries(&model, &plan, &workload);
         let cold = tiny.execute(&model, &plan, &workload).unwrap();
         let warm = tiny.execute(&model, &plan, &workload).unwrap();
-        assert_eq!(expect.entries(), cold.entries(), "cold under eviction");
-        assert_eq!(expect.entries(), warm.entries(), "warm under eviction");
+        assert_eq!(expect, cold.entries(), "cold under eviction");
+        assert_eq!(expect, warm.entries(), "warm under eviction");
     }
     assert!(
         tiny.cache().stats().evictions > 0,
@@ -312,7 +314,7 @@ proptest! {
 
     /// Eviction transparency on randomized streams: any request order,
     /// any tiny cap, any worker count — session responses equal a
-    /// fresh process, and sweeps equal an uncapped executor.
+    /// fresh process, and sweeps equal the direct oracle.
     #[test]
     fn randomized_streams_under_tiny_caps_equal_fresh_responses(
         cap in 1usize..6,
@@ -337,10 +339,8 @@ proptest! {
                 let EvalResponse::Sweep(result) = got.response else {
                     return Err(TestCaseError::fail("sweep answered non-sweep"));
                 };
-                let fresh = SweepExecutor::serial()
-                    .execute(&CarbonModel::new(context(region)), &plan, &workload)
-                    .expect("plan designs evaluate");
-                prop_assert_eq!(result.entries(), fresh.entries());
+                let fresh = expected_entries(&CarbonModel::new(context(region)), &plan, &workload);
+                prop_assert_eq!(result.entries(), fresh.as_slice());
             } else {
                 #[allow(clippy::cast_precision_loss)]
                 let design = mono(7.0e9 + 1.0e9 * *pick as f64);

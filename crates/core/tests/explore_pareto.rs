@@ -7,6 +7,9 @@
 //!    with the brute-force check on real objective values, and their
 //!    deterministic reports must be identical across 1/2/8 workers.
 
+mod common;
+
+use common::expected_entries;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tdc_core::explore::{
@@ -96,11 +99,8 @@ proptest! {
         let (ctx, w) = (ModelContext::default(), workload(tops));
         let serial = explore::run(&SweepExecutor::serial(), &ctx, &plan, &w, &spec).unwrap();
 
-        // Brute force over the same entries the sweep ranked.
-        let entries = SweepExecutor::serial()
-            .execute(&tdc_core::CarbonModel::new(ctx.clone()), &plan, &w)
-            .unwrap()
-            .into_entries();
+        // Brute force over the entries the direct oracle ranks.
+        let entries = expected_entries(&tdc_core::CarbonModel::new(ctx.clone()), &plan, &w);
         let values: Vec<Vec<f64>> = entries
             .iter()
             .map(|e| objectives.iter().map(|o| o.value(e, &w)).collect())

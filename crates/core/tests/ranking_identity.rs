@@ -9,10 +9,10 @@
 //! streams with a new request epoch (from one of three clients) per
 //! call, every call must:
 //!
-//! * rank every point with a total bit-identical to a fresh serial
-//!   per-point `execute`;
+//! * rank every point with a total bit-identical to the direct
+//!   `CarbonModel::lifecycle` oracle;
 //! * report the same `SweepStats` as a twin executor running
-//!   `execute_batched` on the same stream, on plans without duplicate
+//!   `execute` on the same stream, on plans without duplicate
 //!   designs;
 //! * on plans with duplicate designs, count each duplicate as an
 //!   operational miss: no report is ever stored for a later duplicate
@@ -23,10 +23,13 @@
 //! has no tuple strategies), so every case is reproducible from its
 //! seed.
 
+mod common;
+
+use common::expected_entries;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tdc_core::sweep::{
-    BatchRanking, DesignSweep, EvalCache, SweepExecutor, SweepPlan, SweepResult, SweepStats,
+    BatchRanking, DesignSweep, EvalCache, SweepEntry, SweepExecutor, SweepPlan, SweepStats,
 };
 use tdc_core::{CarbonModel, ModelContext, Workload, WorkloadPhase};
 use tdc_integration::IntegrationTechnology;
@@ -185,19 +188,17 @@ fn ranking_totals_match_fresh_serial_execute_and_stats_match_the_twin() {
             ranking.cache().begin_request(client);
             twin.cache().begin_request(client);
 
-            let fresh = SweepExecutor::serial()
-                .execute(model, &plan, workload)
-                .unwrap_or_else(|e| panic!("{ctx}: generated inputs must price: {e}"));
+            let fresh = expected_entries(model, &plan, workload);
             ranking
                 .execute_batched_ranking(model, &plan, workload, &mut out)
                 .unwrap_or_else(|e| panic!("{ctx}: ranking failed: {e}"));
             let twin_stats = twin
-                .execute_batched(model, &plan, workload)
+                .execute(model, &plan, workload)
                 .unwrap_or_else(|e| panic!("{ctx}: twin failed: {e}"))
                 .stats();
 
-            assert_eq!(out.ranked().len(), fresh.entries().len(), "{ctx}");
-            for (ranked, entry) in out.ranked().iter().zip(fresh.entries()) {
+            assert_eq!(out.ranked().len(), fresh.len(), "{ctx}");
+            for (ranked, entry) in out.ranked().iter().zip(&fresh) {
                 assert_eq!(
                     ranked.total_kg.to_bits(),
                     entry.report.total().kg().to_bits(),
@@ -270,11 +271,10 @@ impl Coverage {
         &mut self,
         plan: &SweepPlan,
         workload: &Workload,
-        fresh: &SweepResult,
+        fresh: &[SweepEntry],
         stats: &SweepStats,
     ) {
         self.stretched |= fresh
-            .entries()
             .iter()
             .any(|e| e.report.operational.runtime_stretch > 1.0);
         self.dropped |= stats.dropped > 0;
@@ -297,27 +297,15 @@ impl Coverage {
 }
 
 /// The fields a ranking call shares with its twin on any plan:
-/// points, outcomes, workers, the batch flag, and as many operational
-/// lookups (duplicates move some from hits to misses). Other stage
+/// points, outcomes, workers, and as many operational lookups
+/// (duplicates move some from hits to misses). Other stage
 /// counters may differ on plans with duplicates: a duplicate priced by
 /// the ranking also resolves its physical and power artifacts, and
 /// parallel fills race duplicates to the keyed store.
 fn assert_common_stats(stats: &SweepStats, twin: &SweepStats, ctx: &str) {
     assert_eq!(
-        (
-            stats.points,
-            stats.evaluated,
-            stats.dropped,
-            stats.workers,
-            stats.batch
-        ),
-        (
-            twin.points,
-            twin.evaluated,
-            twin.dropped,
-            twin.workers,
-            twin.batch
-        ),
+        (stats.points, stats.evaluated, stats.dropped, stats.workers),
+        (twin.points, twin.evaluated, twin.dropped, twin.workers),
         "{ctx}"
     );
     let (op, twin_op) = (stats.stages.operational, twin.stages.operational);

@@ -11,9 +11,13 @@
 //!    evaluating the same request in a fresh process, on randomized
 //!    request streams. Warmth is purely a performance effect.
 
+mod common;
+
+use common::expected_entries;
 use proptest::prelude::*;
+use tdc_core::explore::{ExploreSpec, RefineAxis, RefineSpec};
 use tdc_core::service::{EvalRequest, EvalResponse, ScenarioSession};
-use tdc_core::sweep::{DesignSweep, SweepExecutor, SweepPlan};
+use tdc_core::sweep::{DesignSweep, PipelineStats, SweepPlan};
 use tdc_core::{CarbonModel, ChipDesign, DieSpec, ModelContext, Workload};
 use tdc_integration::{IntegrationTechnology, StackOrientation};
 use tdc_technode::{GridRegion, ProcessNode};
@@ -197,7 +201,7 @@ fn oversized_run_requests_surface_the_fresh_process_error() {
 fn session_stats_accumulate_per_request_tallies() {
     let session = ScenarioSession::serial();
     let design = mono(7.0e9);
-    let mut summed = tdc_core::sweep::PipelineStats::default();
+    let mut summed = PipelineStats::default();
     for (round, region) in REGIONS.iter().enumerate() {
         let evaluated = session
             .evaluate(&EvalRequest::Run {
@@ -214,6 +218,57 @@ fn session_stats_accumulate_per_request_tallies() {
     assert_eq!(stats.stages, summed);
     assert!(stats.entries > 0);
     assert!(stats.stages.cross_hits() > 0);
+}
+
+/// One counter set: a session's stats are its cache's running sum,
+/// so over run, sweep and explore requests that all succeed they are
+/// exactly the sum of the per-request stats — column hits included.
+#[test]
+fn session_stats_are_the_sum_of_run_sweep_and_explore_requests() {
+    let session = ScenarioSession::serial();
+    let plan = plan();
+    let spec = ExploreSpec {
+        baseline: Some("7 nm/2D".to_owned()),
+        refine: Some(RefineSpec::new(RefineAxis::LifetimeYears, 1.0, 20.0)),
+        ..ExploreSpec::default()
+    };
+    let mut summed = PipelineStats::default();
+    for region in [GridRegion::WorldAverage, GridRegion::France] {
+        let requests = [
+            EvalRequest::Run {
+                context: context(region),
+                design: stack(6.0e9),
+                workload: Some(mission(5_000.0)),
+            },
+            EvalRequest::Run {
+                context: context(region),
+                design: mono(9.0e9),
+                workload: None,
+            },
+            EvalRequest::Sweep {
+                context: context(region),
+                plan: plan.clone(),
+                workload: mission(5_000.0),
+            },
+            EvalRequest::Sweep {
+                context: context(region),
+                plan: plan.clone(),
+                workload: mission(5_000.0),
+            },
+            EvalRequest::Explore {
+                context: context(region),
+                plan: plan.clone(),
+                workload: mission(5_000.0),
+                spec: spec.clone(),
+            },
+        ];
+        for request in &requests {
+            summed = summed.merged(&session.evaluate(request).unwrap().stats.stages);
+        }
+    }
+    let stats = session.stats();
+    assert!(summed.hits() > 0 && summed.cross_hits() > 0, "{summed:?}");
+    assert_eq!(stats.stages, summed);
 }
 
 /// Sensitivity requests flow through the session too (bypassing the
@@ -315,10 +370,8 @@ proptest! {
                     let EvalResponse::Sweep(result) = got.response else {
                         return Err(TestCaseError::fail("sweep answered non-sweep"));
                     };
-                    let fresh = SweepExecutor::serial()
-                        .execute(&CarbonModel::new(ctx), &plan, &workload)
-                        .expect("plan designs evaluate");
-                    prop_assert_eq!(result.entries(), fresh.entries());
+                    let fresh = expected_entries(&CarbonModel::new(ctx), &plan, &workload);
+                    prop_assert_eq!(result.entries(), fresh.as_slice());
                 }
             }
         }

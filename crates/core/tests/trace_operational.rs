@@ -3,12 +3,15 @@
 //! The headline property (ISSUE 8 satellite): a *constant-valued*
 //! trace prices operational carbon **byte-identically** to the scalar
 //! `average_utilization` path — over randomized designs, contexts,
-//! worker counts, cold and warm, per-point and batched. Plus: an
+//! worker counts, cold and warm, materialized and ranked. Plus: an
 //! intensity-column trace holding a region's published g/kWh figure
 //! matches that region bitwise, varying traces actually move the
 //! answer, and trace workloads share every workload-independent stage
 //! artifact with scalar ones.
 
+mod common;
+
+use common::expected_entries;
 use proptest::prelude::*;
 use std::sync::Arc;
 use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor, SweepPlan};
@@ -75,26 +78,29 @@ proptest! {
         let traced = base_workload(tops).with_trace(constant_trace(util, &breaks));
         prop_assert_eq!(traced.trace().unwrap().uniform_utilization(), Some(util));
 
-        let reference = SweepExecutor::serial().execute(&model, &plan, &scalar).unwrap();
+        let reference = expected_entries(&model, &plan, &scalar);
         let workers = [0usize, 2, 8][worker_pick];
         let exec = if workers == 0 {
             SweepExecutor::serial()
         } else {
             SweepExecutor::new(workers).parallel_threshold(0)
         };
+        let mut ranking = BatchRanking::new();
         // Round 1 is cold, round 2 answers from the warm artifacts.
         for round in 1..=2 {
-            let per_point = exec.execute(&model, &plan, &traced).unwrap();
-            prop_assert_eq!(reference.entries(), per_point.entries(), "per-point round {}", round);
-            let batched = exec.execute_batched(&model, &plan, &traced).unwrap();
-            prop_assert_eq!(reference.entries(), batched.entries(), "batched round {}", round);
+            let result = exec.execute(&model, &plan, &traced).unwrap();
+            prop_assert_eq!(reference.as_slice(), result.entries(), "round {}", round);
             // Value equality could hide sign/ulp drift; the Debug
             // rendering is shortest-roundtrip, so string equality is
             // bit equality.
             prop_assert_eq!(
-                format!("{:?}", reference.entries()),
-                format!("{:?}", batched.entries())
+                format!("{:?}", reference),
+                format!("{:?}", result.entries())
             );
+            exec.execute_batched_ranking(&model, &plan, &traced, &mut ranking).unwrap();
+            for (ranked, entry) in ranking.ranked().iter().zip(&reference) {
+                prop_assert_eq!(ranked.total_kg.to_bits(), entry.report.total().kg().to_bits());
+            }
         }
     }
 }
@@ -119,18 +125,12 @@ fn uniform_intensity_column_matches_the_region_grid_bitwise() {
         let scalar = base_workload(254.0).with_average_utilization(0.4);
         let model = region_model(region);
         let plan = DesignSweep::new(17.0e9).plan().unwrap();
-        let a = SweepExecutor::serial()
-            .execute(&model, &plan, &scalar)
-            .unwrap();
+        let a = expected_entries(&model, &plan, &scalar);
         let b = SweepExecutor::serial()
             .execute(&model, &plan, &traced)
             .unwrap();
-        assert_eq!(a.entries(), b.entries(), "{region:?}");
-        assert_eq!(
-            format!("{:?}", a.entries()),
-            format!("{:?}", b.entries()),
-            "{region:?}"
-        );
+        assert_eq!(a, b.entries(), "{region:?}");
+        assert_eq!(format!("{a:?}"), format!("{:?}", b.entries()), "{region:?}");
     }
 }
 
@@ -146,15 +146,11 @@ fn varying_traces_move_the_answer_and_rank_identically_everywhere() {
     let model = region_model(GridRegion::WorldAverage);
     let plan = DesignSweep::new(17.0e9).plan().unwrap();
 
-    let scalar_result = SweepExecutor::serial()
-        .execute(&model, &plan, &scalar)
-        .unwrap();
-    let reference = SweepExecutor::serial()
-        .execute(&model, &plan, &traced)
-        .unwrap();
+    let scalar_result = expected_entries(&model, &plan, &scalar);
+    let reference = expected_entries(&model, &plan, &traced);
     assert_ne!(
-        scalar_result.entries()[0].report.total(),
-        reference.entries()[0].report.total(),
+        scalar_result[0].report.total(),
+        reference[0].report.total(),
         "the trace statistics must actually price the mission"
     );
     for workers in [2, 8] {
@@ -163,13 +159,9 @@ fn varying_traces_move_the_answer_and_rank_identically_everywhere() {
         executor
             .execute_batched_ranking(&model, &plan, &traced, &mut ranking)
             .unwrap();
-        let batched = executor.execute_batched(&model, &plan, &traced).unwrap();
-        assert_eq!(reference.entries(), batched.entries(), "{workers} workers");
-        assert_eq!(
-            ranking.ranked().len(),
-            reference.entries().len(),
-            "{workers} workers"
-        );
+        let result = executor.execute(&model, &plan, &traced).unwrap();
+        assert_eq!(reference, result.entries(), "{workers} workers");
+        assert_eq!(ranking.ranked().len(), reference.len(), "{workers} workers");
     }
 }
 

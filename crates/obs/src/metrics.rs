@@ -252,23 +252,22 @@ pub static STAGE_POWER_NS: Histogram = Histogram::new();
 /// See [`STAGE_PHYSICAL_NS`].
 pub static STAGE_OPERATIONAL_NS: Histogram = Histogram::new();
 
-/// Per-point-path `SweepExecutor::execute` calls.
+/// `SweepExecutor` calls (`execute` and ranking calls alike).
 pub static SWEEP_EXECUTE_CALLS: Counter = Counter::new();
-/// Batch-path (`execute_batched*`) calls.
-pub static SWEEP_BATCH_CALLS: Counter = Counter::new();
-/// Batch calls answered entirely by warm stage columns (the
+/// Calls answered entirely by warm stage columns (the
 /// zero-allocation fast path).
 pub static SWEEP_BATCH_WARM_CALLS: Counter = Counter::new();
-/// Plan points processed across both sweep paths.
+/// Plan points processed across all sweep calls.
 pub static SWEEP_POINTS: Counter = Counter::new();
 /// Stage recomputations + keyed lookups skipped by plan-aligned
-/// columns (the batch engine's delta-eval).
+/// columns (the fill kernel's delta-eval).
 pub static SWEEP_DELTA_SKIPS: Counter = Counter::new();
 /// Stage lookups answered structurally from batch columns.
 pub static SWEEP_COLUMN_HITS: Counter = Counter::new();
 
-/// Cumulative artifact-cache traffic, published from the live
-/// `EvalCache` (tdc-core) at snapshot time.
+/// Cumulative stage-lookup traffic — column hits and keyed lookups
+/// alike — published from the live `EvalCache` (tdc-core) at
+/// snapshot time.
 pub static CACHE_HITS: Gauge = Gauge::new();
 /// See [`CACHE_HITS`].
 pub static CACHE_CROSS_HITS: Gauge = Gauge::new();
@@ -353,7 +352,6 @@ pub static CATALOG: &[MetricDef] = &[
     row!("stage.power.ns", histogram STAGE_POWER_NS),
     row!("stage.operational.ns", histogram STAGE_OPERATIONAL_NS),
     row!("sweep.execute.calls", counter SWEEP_EXECUTE_CALLS),
-    row!("sweep.batch.calls", counter SWEEP_BATCH_CALLS),
     row!("sweep.batch.warm_calls", counter SWEEP_BATCH_WARM_CALLS),
     row!("sweep.points", counter SWEEP_POINTS),
     row!("sweep.delta_skips", counter SWEEP_DELTA_SKIPS),
