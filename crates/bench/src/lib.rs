@@ -12,8 +12,6 @@
 use tdc_core::{CarbonModel, ModelContext};
 use tdc_floorplan::PackageModel;
 
-pub mod serve_load;
-
 /// A minimal fixed-width text table renderer (no external deps).
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -196,110 +194,6 @@ pub fn fig5_sweep(strategy: tdc_workloads::SplitStrategy) -> usize {
         table.print();
     }
     invalid_count
-}
-
-/// The exploration-refinement measurement space shared by
-/// `benches/explore.rs` and the `perf_guard` CI smoke — one fixture,
-/// so the recorded bench numbers and the enforced floors can never
-/// drift apart. It mirrors `scenarios/pareto_3d_vs_2d.json`: planar
-/// vs micro-bump 3D vs the (bandwidth-infeasible) 2.5D alternatives
-/// under a 0.6 B/op mission, whose winning design flips at a
-/// service-lifetime crossing near 5.4 years.
-pub mod pareto_space {
-    use tdc_core::explore::{Constraint, ExploreSpec, RefineAxis, RefineSpec};
-    use tdc_core::sweep::{DesignSweep, PipelineStats, SweepExecutor, SweepPlan};
-    use tdc_core::{CarbonModel, ModelContext, Workload};
-    use tdc_integration::IntegrationTechnology;
-    use tdc_technode::ProcessNode;
-    use tdc_units::{Throughput, TimeSpan};
-
-    /// The refined service-lifetime range, in years.
-    pub const LIFETIME_RANGE: (f64, f64) = (2.0, 25.0);
-
-    /// The base workload's calendar lifetime, in years (the anchor
-    /// `Workload::scaled` factors are computed against).
-    pub const BASE_YEARS: f64 = 10.0;
-
-    /// The explored plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fixed design space stops building.
-    #[must_use]
-    pub fn plan() -> SweepPlan {
-        DesignSweep::new(17.0e9)
-            .nodes(vec![ProcessNode::N7])
-            .technologies(vec![
-                None,
-                Some(IntegrationTechnology::MicroBump3d),
-                Some(IntegrationTechnology::Emib),
-                Some(IntegrationTechnology::SiliconInterposer),
-            ])
-            .plan()
-            .expect("plan builds")
-    }
-
-    /// The bandwidth-hungry inference mission.
-    #[must_use]
-    pub fn workload() -> Workload {
-        Workload::fixed(
-            "inference",
-            Throughput::from_tops(254.0),
-            TimeSpan::from_hours(4745.0),
-        )
-        .with_average_utilization(0.15)
-        .with_calendar_lifetime(TimeSpan::from_years(BASE_YEARS))
-        .with_bytes_per_op(0.6)
-    }
-
-    /// The exploration spec: viability constraint, 2D baseline, and
-    /// lifetime refinement over [`LIFETIME_RANGE`].
-    #[must_use]
-    pub fn spec() -> ExploreSpec {
-        ExploreSpec {
-            constraints: vec![Constraint::RequireViable],
-            baseline: Some("7 nm/2D".to_owned()),
-            refine: Some(RefineSpec::new(
-                RefineAxis::LifetimeYears,
-                LIFETIME_RANGE.0,
-                LIFETIME_RANGE.1,
-            )),
-            ..ExploreSpec::default()
-        }
-    }
-
-    /// The reuse comparator: `evaluations` uniform lifetime samples,
-    /// each on a **fresh** executor (the fresh-process-per-scenario
-    /// behaviour), returning the summed per-stage counters. Its warm
-    /// hit rate is the denominator of the `perf_guard` reuse multiple
-    /// and of the assertion at the end of `benches/explore.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sweep fails (the fixed space always evaluates).
-    #[must_use]
-    pub fn cold_exhaustive_stages(evaluations: usize) -> PipelineStats {
-        assert!(evaluations >= 2, "need at least the two range ends");
-        let plan = plan();
-        let base = workload();
-        let mut stages = PipelineStats::default();
-        for i in 0..evaluations {
-            #[allow(clippy::cast_precision_loss)]
-            let years = LIFETIME_RANGE.0
-                + (LIFETIME_RANGE.1 - LIFETIME_RANGE.0) * i as f64 / (evaluations - 1) as f64;
-            let fresh = SweepExecutor::serial();
-            let model = CarbonModel::new(ModelContext::default());
-            let scaled = base.scaled(years / BASE_YEARS);
-            stages = stages.merged(
-                &fresh
-                    .execute(&model, &plan, &scaled)
-                    .expect("sweeps")
-                    .stats()
-                    .stages,
-            );
-        }
-        stages
-    }
 }
 
 #[cfg(test)]

@@ -39,12 +39,11 @@ impl BatchSummary {
 
 /// Reads one scenario file and elaborates it into the request `tdc
 /// batch` would evaluate for it (inferring run vs sweep the way a
-/// user invoking the file alone would). Shared by the batch loop, the
-/// batch-throughput bench, and the CI perf guard, so all three always
-/// evaluate the same work for the same file. Note the session owns
-/// its executor: a scenario's `sweep.workers` field only applies to
-/// single-shot `tdc sweep` (stdout is worker-count-invariant either
-/// way).
+/// user invoking the file alone would). Shared by the batch loop and
+/// the tests, so both evaluate the same work for the same file. Note
+/// the session owns its executor: a scenario's `sweep.workers` field
+/// only applies to single-shot `tdc sweep` (stdout is
+/// worker-count-invariant either way).
 ///
 /// # Errors
 ///

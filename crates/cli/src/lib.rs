@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-mod json;
 pub mod packs;
 pub mod profile;
 pub mod report;
@@ -48,5 +47,5 @@ mod scenario;
 pub mod serve;
 mod table;
 
-pub use json::{JsonError, JsonValue};
 pub use scenario::{RequestKind, Scenario, ScenarioError};
+pub use tdc_registry::json::{JsonError, JsonValue};

@@ -11,11 +11,11 @@
 //!   without evaluating anything; errors carry the file path and,
 //!   for parse failures, the line/column.
 
-use crate::json::JsonValue;
 use crate::report::OutputFormat;
 use crate::table::TextTable;
 use std::fmt::Write as _;
 use std::path::Path;
+use tdc_registry::json::JsonValue;
 use tdc_registry::Registry;
 
 /// CSV-quotes a field when needed (commas, quotes, newlines).

@@ -18,10 +18,10 @@
 //! order, whether or not it moved — a consumer can rely on the key set
 //! without sniffing.
 
-use crate::json::JsonValue;
 use tdc_core::sweep::EvalCache;
 use tdc_obs::metrics::{snapshot, MetricValue};
 use tdc_obs::SpanRecord;
+use tdc_registry::json::JsonValue;
 
 /// Allow-list of u64 → f64 casts: span timestamps and counter values
 /// in any real profile are far below 2^53, where the cast is exact.

@@ -7,7 +7,6 @@
 //! renders exactly the bytes a serial sweep does, because the ranked
 //! entries themselves are identical.
 
-use crate::json::JsonValue;
 use crate::table::TextTable;
 use tdc_core::explore::{ExploreReport, FrontierEntry};
 use tdc_core::sensitivity::SensitivityEntry;
@@ -15,6 +14,7 @@ use tdc_core::service::EvalResponse;
 use tdc_core::sweep::SweepEntry;
 use tdc_core::{ChoiceOutcome, ComparisonReport, EmbodiedBreakdown, LifecycleReport};
 use tdc_integration::IntegrationTechnology;
+use tdc_registry::json::JsonValue;
 use tdc_units::TimeSpan;
 
 /// The output format of a report.

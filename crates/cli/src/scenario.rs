@@ -28,7 +28,6 @@
 //! [`Registry`], after the scenario's packs have loaded. That is what
 //! lets a pack-defined technology appear anywhere a built-in one can.
 
-use crate::json::{JsonError, JsonValue};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -38,6 +37,7 @@ use tdc_core::sweep::DesignSweep;
 use tdc_core::{ChipDesign, DieSpec, ModelContext, ModelError, Workload};
 use tdc_floorplan::PackageModel;
 use tdc_integration::{IntegrationFamily, IntegrationTechnology, StackOrientation};
+use tdc_registry::json::{JsonError, JsonValue};
 use tdc_registry::{Params, Registry, RegistryError};
 use tdc_technode::{ProcessNode, Wafer};
 use tdc_traces::TraceReader;

@@ -48,7 +48,6 @@
 //! responses are deterministic down to the `stats` counters, which is
 //! what the golden-transcript CI check relies on.
 
-use crate::json::JsonValue;
 use crate::report::response_document;
 use crate::scenario::{RequestKind, Scenario, ScenarioError};
 use std::collections::BTreeMap;
@@ -60,6 +59,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tdc_core::service::summary::stages_kv;
 use tdc_core::service::ScenarioSession;
+use tdc_registry::json::JsonValue;
 
 /// What one `tdc serve` session (or one TCP connection) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

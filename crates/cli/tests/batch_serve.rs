@@ -10,6 +10,8 @@
 
 use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::Duration;
 use tdc_cli::batch::{expand_paths, run_batch};
 use tdc_cli::report::{
     render_embodied, render_explore, render_lifecycle, render_response, render_sweep, OutputFormat,
@@ -19,6 +21,7 @@ use tdc_cli::{JsonValue, RequestKind, Scenario};
 use tdc_core::service::ScenarioSession;
 use tdc_core::sweep::SweepExecutor;
 use tdc_core::CarbonModel;
+use tdc_registry::pack::MAX_PACK_BYTES;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
@@ -134,21 +137,34 @@ fn batch_over_checked_in_scenarios_reports_cross_request_warmth() {
         .lines()
         .find(|l| l.starts_with("batch files="))
         .expect("aggregate summary line");
-    // The acceptance criterion: scenarios sharing design geometry
-    // answer from artifacts earlier files computed. `cross` is an
-    // integer token, so no float formatting is involved.
+    // Scenarios sharing design geometry answer from artifacts earlier
+    // files computed: 153 of the batch's 656 stage lookups. `cross` is
+    // an integer token, so no float formatting is involved.
     let cross: u64 = aggregate
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix("cross="))
         .expect("cross= token")
         .parse()
         .expect("integer cross counter");
-    assert!(cross > 0, "no cross-request reuse in: {aggregate}");
+    assert_eq!(cross, 153, "cross-request reuse changed in: {aggregate}");
     assert!(aggregate.contains("failed=0"), "{aggregate}");
     // Per-file lines carry the same stable key=value shape.
     assert!(log
         .lines()
         .any(|l| l.starts_with("batch[1/") && l.contains(" kind=")));
+    // A second pass over the same files is answered wholly from the
+    // warm session: each of its 300 stage lookups hits.
+    let before = session.stats().stages;
+    run_batch(
+        &session,
+        &files,
+        OutputFormat::Csv,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    )
+    .expect("batch re-runs");
+    let warm = session.stats().stages.since(&before);
+    assert_eq!((warm.hits(), warm.misses()), (300, 0), "{warm:?}");
 }
 
 #[test]
@@ -330,6 +346,126 @@ fn over_limit_frame_is_answered_and_the_stream_continues() {
         .and_then(JsonValue::as_str)
         .expect("error message");
     assert!(!message.contains("limit"), "{message}");
+}
+
+/// [`serve_frames`] on its own thread, failing instead of hanging when
+/// the frames are not all answered within `limit`. A thread still
+/// blocked then cannot be joined; the test process ends it.
+fn serve_frames_within(input: String, limit: Duration) -> (Vec<JsonValue>, (u64, u64)) {
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || tx.send(serve_frames(input.as_bytes())));
+    let answered = rx.recv_timeout(limit);
+    assert!(
+        !matches!(answered, Err(mpsc::RecvTimeoutError::Timeout)),
+        "frames not answered within {limit:?}"
+    );
+    // The thread has sent its frames or panicked: join it either way.
+    server
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        .expect("the receiver is alive");
+    answered.expect("frames sent")
+}
+
+/// The `error.path` and `error.message` of an `"ok": false` response
+/// frame.
+fn error_of(frame: &JsonValue) -> (&str, &str) {
+    assert_eq!(frame.get("ok"), Some(&JsonValue::Bool(false)), "{frame:?}");
+    let field = |key| {
+        frame
+            .get("error")
+            .and_then(|e| e.get(key))
+            .and_then(JsonValue::as_str)
+            .expect("error path and message")
+    };
+    (field("path"), field("message"))
+}
+
+/// A fresh temporary directory for one test's files.
+fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tdc-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[cfg(unix)]
+#[test]
+fn fifo_trace_and_pack_paths_are_answered_and_the_stream_continues() {
+    // Opening a FIFO blocks until a writer appears, so a trace or pack
+    // path naming one used to hang its frame forever. Only regular
+    // files are opened: each frame gets an error naming the path, and
+    // the next frame is answered.
+    let dir = test_dir("fifo");
+    let fifo = dir.join("samples.fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo {}", fifo.display());
+    let path = fifo.display().to_string();
+    let quoted = JsonValue::String(path.clone()).render_compact();
+    let input = format!(
+        "{{\"id\": 1, \"command\": \"run\", \"scenario\": {{\"design\": {{\"preset\": \
+         \"epyc-7452\"}}, \"workload\": {{\"name\": \"w\", \"throughput_tops\": 254, \
+         \"active_hours\": 4745, \"trace\": {{\"path\": {quoted}}}}}}}}}\n\
+         {{\"id\": 2, \"command\": \"run\", \"scenario\": {{\"packs\": [{quoted}], \
+         \"design\": {{\"preset\": \"epyc-7452\"}}}}}}\n\
+         {{\"id\": 3, \"command\": \"stats\"}}\n"
+    );
+    let (frames, summary) = serve_frames_within(input, Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(frames.len(), 3);
+    for (frame, field) in frames.iter().zip(["workload.trace.path", "packs[0]"]) {
+        let (at, message) = error_of(frame);
+        assert_eq!(at, field);
+        assert!(
+            message.contains(&path) && message.contains("not a regular file"),
+            "{message}"
+        );
+    }
+    assert_eq!(frames[2].get("id").and_then(JsonValue::as_f64), Some(3.0));
+    assert_eq!(frames[2].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (3, 2));
+}
+
+#[test]
+fn oversized_pack_is_answered_and_the_stream_continues() {
+    // A pack used to be read whole, so a pack path naming an endless
+    // file (`/dev/zero`) got the server OOM-killed. A pack read stops
+    // one byte past the limit: a sparse file far beyond it gets an
+    // error naming the path and the limit, and the next frame is
+    // answered.
+    let dir = test_dir("pack-cap");
+    let pack = dir.join("huge_pack.json");
+    let frames_for = |len: u64| {
+        std::fs::File::create(&pack)
+            .and_then(|file| file.set_len(len))
+            .expect("sparse pack file");
+        let quoted = JsonValue::String(pack.display().to_string()).render_compact();
+        let input = format!(
+            "{{\"id\": 1, \"command\": \"run\", \"scenario\": {{\"packs\": [{quoted}], \
+             \"design\": {{\"preset\": \"epyc-7452\"}}}}}}\n\
+             {{\"id\": 2, \"command\": \"stats\"}}\n"
+        );
+        serve_frames(input.as_bytes())
+    };
+    let (frames, summary) = frames_for(64 * MAX_PACK_BYTES);
+    assert_eq!(frames.len(), 2);
+    let (at, message) = error_of(&frames[0]);
+    assert_eq!(at, "packs[0]");
+    assert!(
+        message.contains(&pack.display().to_string())
+            && message.contains(&MAX_PACK_BYTES.to_string()),
+        "{message}"
+    );
+    assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(2.0));
+    assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (2, 1));
+    // A pack of exactly the limit is read (and fails only to parse).
+    let (frames, _) = frames_for(MAX_PACK_BYTES);
+    let (_, message) = error_of(&frames[0]);
+    assert!(!message.contains("limit"), "{message}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

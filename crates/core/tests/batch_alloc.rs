@@ -10,7 +10,8 @@
 //! strings, is permitted). The same holds for a re-price-only call —
 //! a new use region and utilization, every embodied slot resident —
 //! which prices each point's operational carbon without building,
-//! storing or sharing a report.
+//! storing or sharing a report. Trace ingest, which feeds re-pricing
+//! its utilization and intensity, allocates nothing per sample either.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, so a sibling test running on another thread would
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tdc_core::sweep::{BatchRanking, DesignSweep, SweepExecutor};
 use tdc_core::{CarbonModel, ModelContext, Workload};
 use tdc_technode::{GridRegion, ProcessNode};
+use tdc_traces::TraceReader;
 use tdc_units::{Throughput, TimeSpan};
 
 struct CountingAllocator;
@@ -104,6 +106,19 @@ fn ranking_call_allocations(nodes: Vec<ProcessNode>) -> (u64, u64) {
     (warm, reprice)
 }
 
+/// Allocations of ingesting a constant log of `samples` lines: every
+/// line merges into one segment, and lines stream through the reader's
+/// reused chunk and carry buffers.
+fn constant_trace_ingest_allocations(samples: usize) -> u64 {
+    let log: String = (0..samples).map(|i| format!("{i},0.5,300\n")).collect();
+    let reader = TraceReader::new();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let profile = reader.ingest(log.as_bytes()).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(profile.samples(), samples);
+    allocations
+}
+
 #[test]
 fn warm_batch_ranking_performs_zero_allocations_per_point() {
     let (small, small_reprice) = ranking_call_allocations(vec![ProcessNode::N7]);
@@ -126,6 +141,13 @@ fn warm_batch_ranking_performs_zero_allocations_per_point() {
     assert!(
         large_reprice <= 64,
         "re-price call allocated {large_reprice} times; expected a small constant"
+    );
+    // A 100 000-line log spans many 64 KiB chunks; a 1 000-line log
+    // fits one. Ingest allocates the same for both.
+    assert_eq!(
+        constant_trace_ingest_allocations(1_000),
+        constant_trace_ingest_allocations(100_000),
+        "trace ingest allocations scale with the log"
     );
 
     // With observability recording turned on, the calls must stay

@@ -200,8 +200,7 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
     // Same plan, new grid region: the embodied chain is structurally
     // unchanged, so a warm executor recomputes *only* the operational
     // stage — zero embodied/physical/yield misses, one operational
-    // miss per ranked point. This is the delta-eval contract the
-    // perf_guard floor (`batch_delta_embodied_single_eval_min`) pins.
+    // miss per ranked point.
     let plan = table2_plan();
     let w = workload(254.0);
     let executor = SweepExecutor::serial();
@@ -225,6 +224,53 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
         );
         assert_ne!(reference.entries(), result.entries(), "{region:?}");
     }
+
+    // The whole Table 2 × 4 use regions × 2 lifetimes space computes
+    // embodied exactly once per design, through materializing and
+    // ranking calls alike, and a warm repeat of its 8 configurations
+    // hits every lookup.
+    let plan = DesignSweep::new(17.0e9)
+        .efficiency(Efficiency::from_tops_per_watt(2.74))
+        .plan()
+        .unwrap();
+    let space: Vec<(CarbonModel, Workload)> = REGIONS
+        .iter()
+        .flat_map(|&region| {
+            [5.0, 10.0].map(|years| {
+                let w = Workload::fixed(
+                    "inference",
+                    Throughput::from_tops(254.0),
+                    TimeSpan::from_years(years) * (1.3 / 24.0),
+                )
+                .with_average_utilization(0.15);
+                (region_model(region), w)
+            })
+        })
+        .collect();
+    let n = plan.len() as u64;
+    let executor = SweepExecutor::serial();
+    for (m, w) in &space {
+        executor.execute(m, &plan, w).unwrap();
+    }
+    let cold = executor.cache().stats().stages;
+    assert_eq!(cold.embodied.misses, n, "{cold:?}");
+    assert_eq!(cold.operational.misses, 8 * n, "{cold:?}");
+    let ranker = SweepExecutor::serial();
+    let mut ranking = BatchRanking::new();
+    for (m, w) in &space {
+        ranker
+            .execute_batched_ranking(m, &plan, w, &mut ranking)
+            .unwrap();
+    }
+    let ranked = ranker.cache().stats().stages;
+    assert_eq!(ranked.embodied.misses, n, "{ranked:?}");
+    for (m, w) in &space {
+        executor.execute(m, &plan, w).unwrap();
+    }
+    let warm = executor.cache().stats().stages.since(&cold);
+    assert_eq!(warm.misses(), 0, "{warm:?}");
+    // One embodied and one operational hit per point and configuration.
+    assert_eq!(warm.hits(), 16 * n, "{warm:?}");
 }
 
 #[test]

@@ -187,17 +187,6 @@ impl IntegrationTechnology {
             .map(|(_, tech)| *tech)
     }
 
-    /// Parses a scenario-file/CLI token into a technology.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `IntegrationTechnology::resolve_token` (or the \
-                                          model registry's `resolve`) instead"
-    )]
-    #[must_use]
-    pub fn from_token(token: &str) -> Option<Self> {
-        Self::resolve_token(token)
-    }
-
     /// Representative manufacturers/technologies and shipped products,
     /// as listed in Table 1.
     #[must_use]
@@ -304,9 +293,6 @@ mod tests {
                     Some(*tech),
                     "{alias}"
                 );
-                #[allow(deprecated)]
-                let via_shim = IntegrationTechnology::from_token(alias);
-                assert_eq!(via_shim, Some(*tech));
             }
             // The Fig. 5 label always resolves back to its technology.
             assert_eq!(

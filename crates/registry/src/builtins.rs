@@ -1,8 +1,8 @@
 //! The default registrations: every shipped catalog entry, installed
 //! into a fresh [`Registry`] by [`Registry::with_builtins`].
 //!
-//! These are *the same tables* the legacy `from_token` parsers and the
-//! preset grammar read — the factories delegate to
+//! These are *the same tables* the enums' `resolve_token` parsers and
+//! the preset grammar read — the factories delegate to
 //! [`GridRegion::TOKENS`], [`IntegrationTechnology::TOKENS`],
 //! [`TechnologyDb::shipped_defaults`], and the `tdc-workloads`
 //! resolvers — so resolution through the registry is byte-identical to

@@ -5,8 +5,8 @@
 //! listable metadata ([`EntryMeta`]), provenance (built-in vs. pack
 //! file), and a single reject-unknown error shape ([`RegistryError`]).
 //!
-//! The scattered per-enum token parsers (`GridRegion::from_token`,
-//! `IntegrationTechnology::from_token`, the `tdc-workloads` preset
+//! The per-enum token tables (`GridRegion::resolve_token`,
+//! `IntegrationTechnology::resolve_token`, the `tdc-workloads` preset
 //! grammar) are folded in here: [`Registry::with_builtins`] registers
 //! the shipped catalogs as the default entries, so every scenario that
 //! resolved before resolves identically through the registry — and
@@ -435,8 +435,8 @@ impl Registry {
     }
 
     /// Canonical token form: trimmed, lowercased, with underscores and
-    /// spaces folded to hyphens (the normalization every legacy
-    /// `from_token` parser applied).
+    /// spaces folded to hyphens (the normalization the enums'
+    /// `resolve_token` parsers apply).
     #[must_use]
     pub fn normalize(token: &str) -> String {
         token.trim().to_ascii_lowercase().replace(['_', ' '], "-")
@@ -585,8 +585,8 @@ impl Registry {
         })
     }
 
-    /// [`Registry::create`] with no parameters — the drop-in
-    /// replacement for the legacy `from_token` parsers.
+    /// [`Registry::create`] with no parameters — the registry form of
+    /// the enums' `resolve_token` parsers.
     ///
     /// # Errors
     ///

@@ -56,9 +56,14 @@ use crate::{
     RegistryError, TechnologyModel,
 };
 use std::fmt;
+use std::io::Read as _;
 use std::path::Path;
 use tdc_integration::{InterfaceSpec, IoDensity};
 use tdc_technode::NodeParameters;
+
+/// The most bytes a pack file may hold; [`Registry::load_pack`]
+/// rejects a longer file without reading past the limit.
+pub const MAX_PACK_BYTES: u64 = 1 << 20;
 
 /// Why a pack file could not be loaded or validated. The message
 /// always leads with the file path and, where applicable, the JSON
@@ -240,9 +245,10 @@ fn interface_variables(base: InterfaceSpec) -> impl Fn(&str) -> Option<f64> {
 }
 
 impl Registry {
-    /// Loads a technology-pack file: validates it, registers every
-    /// entry (pack entries may shadow built-ins of the same name, but
-    /// not other packs'), and records the catalog rewrites
+    /// Loads a technology-pack file (a regular file of at most
+    /// [`MAX_PACK_BYTES`]): validates it, registers every entry (pack
+    /// entries may shadow built-ins of the same name, but not other
+    /// packs'), and records the catalog rewrites
     /// [`Registry::apply_packs`] will perform.
     ///
     /// # Errors
@@ -260,9 +266,9 @@ impl Registry {
         // so instead: validate and build every entry *before* touching
         // the registry, then register.
         let display_path = path.display().to_string();
-        let text = std::fs::read_to_string(path).map_err(|e| PackError {
+        let text = read_pack(path).map_err(|message| PackError {
             path: display_path.clone(),
-            message: e.to_string(),
+            message,
         })?;
         let doc = JsonValue::parse(&text).map_err(|e| PackError {
             path: display_path.clone(),
@@ -516,6 +522,26 @@ impl Registry {
     pub fn validate_pack(path: &Path) -> Result<PackSummary, PackError> {
         Registry::with_builtins().load_pack(path)
     }
+}
+
+/// Reads a pack file's text: a regular file only (a FIFO or a device
+/// could block forever or never end, so it is never opened), and at
+/// most [`MAX_PACK_BYTES`] of it.
+fn read_pack(path: &Path) -> Result<String, String> {
+    if !std::fs::metadata(path)
+        .map_err(|e| e.to_string())?
+        .is_file()
+    {
+        return Err("not a regular file".to_owned());
+    }
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(MAX_PACK_BYTES + 1).read_to_end(&mut bytes))
+        .map_err(|e| e.to_string())?;
+    if bytes.len() as u64 > MAX_PACK_BYTES {
+        return Err(format!("file exceeds the {MAX_PACK_BYTES}-byte pack limit"));
+    }
+    String::from_utf8(bytes).map_err(|e| e.to_string())
 }
 
 fn applications_collide(a: &PackApplication, b: &PackApplication) -> bool {

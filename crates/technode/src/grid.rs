@@ -140,17 +140,6 @@ impl GridRegion {
             .map(|(_, _, region)| *region)
     }
 
-    /// Parses a scenario-file/CLI token into a region.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GridRegion::resolve_token` (or the model \
-                                          registry's `resolve`) instead"
-    )]
-    #[must_use]
-    pub fn from_token(token: &str) -> Option<Self> {
-        Self::resolve_token(token)
-    }
-
     /// A short human-readable name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -232,9 +221,6 @@ mod tests {
             assert_eq!(GridRegion::resolve_token(canonical), Some(*region));
             for alias in *aliases {
                 assert_eq!(GridRegion::resolve_token(alias), Some(*region), "{alias}");
-                #[allow(deprecated)]
-                let via_shim = GridRegion::from_token(alias);
-                assert_eq!(via_shim, Some(*region));
             }
         }
         assert_eq!(seen.len(), GridRegion::ALL.len());

@@ -138,14 +138,19 @@ impl TraceReader {
         Ok(profile)
     }
 
-    /// Ingests a trace log from a file.
+    /// Ingests a trace log from a regular file.
     ///
     /// # Errors
     ///
     /// As [`TraceReader::ingest`], plus [`TraceError::Io`] when the
-    /// file cannot be opened.
+    /// path is not a regular file (a FIFO or a device could block the
+    /// caller forever, so it is never opened) or cannot be opened.
     pub fn ingest_path(&self, path: &Path) -> Result<TraceProfile, TraceError> {
-        let file = std::fs::File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| TraceError::Io(e.to_string());
+        if !std::fs::metadata(path).map_err(io)?.is_file() {
+            return Err(TraceError::Io("not a regular file".to_owned()));
+        }
+        let file = std::fs::File::open(path).map_err(io)?;
         self.ingest(std::io::BufReader::with_capacity(self.chunk_bytes, file))
     }
 }
@@ -375,5 +380,10 @@ mod tests {
             .ingest_path(Path::new("/nonexistent/trace.csv"))
             .unwrap_err();
         assert!(matches!(err, TraceError::Io(_)));
+        // A path that exists but is no regular file is never opened.
+        let err = TraceReader::new()
+            .ingest_path(&std::env::temp_dir())
+            .unwrap_err();
+        assert_eq!(err, TraceError::Io("not a regular file".to_owned()));
     }
 }

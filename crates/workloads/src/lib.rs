@@ -29,8 +29,6 @@ mod validation;
 pub use av::{av_workload, AvMissionProfile};
 pub use drive::{DriveSeries, DriveSpec};
 pub use hbm::{hbm_base_die_area, hbm_core_die_area, hbm_stack};
-#[allow(deprecated)]
-pub use presets::{design_preset, preset_context, workload_preset};
 pub use presets::{
     design_preset_context, resolve_design_preset, resolve_workload_preset, DESIGN_PRESET_EXAMPLES,
     WORKLOAD_PRESETS,

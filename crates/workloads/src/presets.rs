@@ -148,36 +148,6 @@ pub fn resolve_workload_preset(name: &str, required: Throughput) -> Option<Workl
     Some(profile.workload(required))
 }
 
-/// Resolves a design preset name into a buildable design.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `resolve_design_preset` (or the model registry's \
-                                      `create`) instead"
-)]
-#[must_use]
-pub fn design_preset(name: &str) -> Option<Result<ChipDesign, ModelError>> {
-    resolve_design_preset(name)
-}
-
-/// The [`ModelContext`] a design preset should be evaluated under.
-#[deprecated(since = "0.1.0", note = "use `design_preset_context` instead")]
-#[must_use]
-pub fn preset_context(name: &str) -> ModelContext {
-    design_preset_context(name)
-}
-
-/// Resolves a workload preset for a platform that must sustain
-/// `required` throughput.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `resolve_workload_preset` (or the model registry's \
-                                      `create`) instead"
-)]
-#[must_use]
-pub fn workload_preset(name: &str, required: Throughput) -> Option<Workload> {
-    resolve_workload_preset(name, required)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,23 +202,5 @@ mod tests {
         let car = resolve_workload_preset("av-private-car", tops).unwrap();
         let taxi = resolve_workload_preset("AV-Robotaxi", tops).unwrap();
         assert!(car.mission_time() < taxi.mission_time());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate() {
-        assert_eq!(
-            design_preset("epyc-7452").map(|r| r.map(|d| format!("{d:?}"))),
-            resolve_design_preset("epyc-7452").map(|r| r.map(|d| format!("{d:?}")))
-        );
-        assert_eq!(
-            preset_context("lakefield-d2w"),
-            design_preset_context("lakefield-d2w")
-        );
-        let tops = Throughput::from_tops(10.0);
-        assert_eq!(
-            workload_preset("av-robotaxi", tops).map(|w| format!("{w:?}")),
-            resolve_workload_preset("av-robotaxi", tops).map(|w| format!("{w:?}"))
-        );
     }
 }

@@ -161,7 +161,5 @@ pub mod prelude {
         av_workload, candidate_designs, design_preset_context, hbm_stack, resolve_design_preset,
         resolve_workload_preset, AvMissionProfile, DriveSeries, SplitStrategy,
     };
-    #[allow(deprecated)]
-    pub use tdc_workloads::{design_preset, preset_context, workload_preset};
     pub use tdc_yield::{AssemblyFlow, StackingFlow};
 }
