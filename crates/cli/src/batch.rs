@@ -40,10 +40,7 @@ impl BatchSummary {
 /// Reads one scenario file and elaborates it into the request `tdc
 /// batch` would evaluate for it (inferring run vs sweep the way a
 /// user invoking the file alone would). Shared by the batch loop and
-/// the tests, so both evaluate the same work for the same file. Note
-/// the session owns its executor: a scenario's `sweep.workers` field
-/// only applies to single-shot `tdc sweep` (stdout is
-/// worker-count-invariant either way).
+/// the tests, so both evaluate the same work for the same file.
 ///
 /// # Errors
 ///

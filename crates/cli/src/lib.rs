@@ -19,14 +19,13 @@
 //!     r#"{
 //!       "name": "demo",
 //!       "workload": {"throughput_tops": 100, "active_hours": 10000},
-//!       "sweep": {"gate_count": 10e9, "nodes_nm": [7], "workers": 2}
+//!       "sweep": {"gate_count": 10e9, "nodes_nm": [7]}
 //!     }"#,
 //! )?;
 //! let model = CarbonModel::new(scenario.build_context()?);
 //! let workload = scenario.build_workload()?.expect("sweep needs a workload");
 //! let plan = scenario.build_sweep()?.plan()?;
-//! let result = SweepExecutor::new(scenario.sweep_workers().unwrap_or(0))
-//!     .execute(&model, &plan, &workload)?;
+//! let result = SweepExecutor::default().execute(&model, &plan, &workload)?;
 //! let report = render_sweep(&scenario.name, result.entries(), OutputFormat::Csv);
 //! assert!(report.starts_with("rank,label,"));
 //! # Ok(())

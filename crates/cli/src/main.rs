@@ -12,8 +12,8 @@
 //! tdc packs       [pack.json...]      list registered models (with any packs loaded)
 //! tdc packs check <pack.json...>      validate technology-pack files without evaluating
 //!
-//! options: --format table|json|csv   --out <path>   --workers <n>   --serial
-//!          --repeat <n>   --max-inflight <n>   --listen <addr>
+//! options: --format table|json|csv   --out <path>   --repeat <n>
+//!          --max-inflight <n>   --listen <addr>
 //!          --baseline <scenario.json>   --profile <file>
 //!          --metrics-addr <addr>
 //! ```
@@ -65,9 +65,6 @@ OPTIONS:
     --format <table|json|csv>   Output format (default: table; not `serve`)
     --out <path>                Write the report to a file instead of stdout
                                 (`run`/`sweep`/`explore`/`sensitivity` only)
-    --workers <n>               Sweep worker threads (0 = one per core; overrides
-                                the scenario; `sweep`/`explore`/`batch`/`serve`)
-    --serial                    Shorthand for --workers 1
     --repeat <n>                Execute the sweep n times on one warm executor,
                                 reporting per-stage cache hit-rates per round
                                 (`sweep` only; the report is from the last round)
@@ -101,7 +98,6 @@ struct Options {
     files: Vec<String>,
     format: Option<OutputFormat>,
     out: Option<String>,
-    workers: Option<usize>,
     repeat: usize,
     max_inflight: usize,
     listen: Option<String>,
@@ -144,7 +140,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
         files: Vec::new(),
         format: None,
         out: None,
-        workers: None,
         repeat: 1,
         max_inflight: 1,
         listen: None,
@@ -165,11 +160,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
             "--out" => {
                 options.out = Some(iter.next().ok_or("--out needs a path")?);
             }
-            "--workers" => {
-                let token = iter.next().ok_or("--workers needs a count")?;
-                options.workers = Some(parse_count(&token, "worker count")?);
-            }
-            "--serial" => options.workers = Some(1),
             "--repeat" => {
                 let token = iter.next().ok_or("--repeat needs a count")?;
                 let n = parse_count(&token, "repeat count")?;
@@ -234,10 +224,6 @@ const OPTION_GATES: &[(&str, &[&str])] = &[
         &["run", "sweep", "explore", "sensitivity", "batch", "packs"],
     ),
     ("--out", &["run", "sweep", "explore", "sensitivity"]),
-    (
-        "--workers/--serial",
-        &["sweep", "explore", "batch", "serve"],
-    ),
     ("--repeat", &["sweep"]),
     ("--max-inflight", &["serve"]),
     ("--listen", &["serve"]),
@@ -274,7 +260,6 @@ fn validate(options: &Options) -> Result<(), String> {
     };
     check(options.format.is_some(), "--format")?;
     check(options.out.is_some(), "--out")?;
-    check(options.workers.is_some(), "--workers/--serial")?;
     check(options.repeat != 1, "--repeat")?;
     check(options.max_inflight != 1, "--max-inflight")?;
     check(options.listen.is_some(), "--listen")?;
@@ -387,15 +372,11 @@ fn cmd_sweep(options: &Options) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .plan()
         .map_err(|e| e.to_string())?;
-    let workers = options
-        .workers
-        .or_else(|| scenario.sweep_workers())
-        .unwrap_or(0);
     // One executor for every round, so `--repeat` exercises (and
     // reports) the per-stage artifact cache warming up. Each round is
     // an epoch, so round ≥ 2 warmth shows up as cross-request hits —
     // the same accounting `tdc batch`/`tdc serve` report.
-    let executor = SweepExecutor::new(workers);
+    let executor = SweepExecutor::default();
     let mut result = None;
     for round in 1..=options.repeat {
         executor.cache().advance_epoch();
@@ -403,9 +384,8 @@ fn cmd_sweep(options: &Options) -> Result<(), String> {
             .execute(&model, &plan, &workload)
             .map_err(|e| e.to_string())?;
         // Bookkeeping goes to stderr so stdout is byte-identical for
-        // any worker count (and any repeat count). Trace counters are
-        // appended after the stable tokens — the line only ever grows
-        // at its end.
+        // any repeat count. Trace counters are appended after the
+        // stable tokens — the line only ever grows at its end.
         let trace_kv = workload.trace().map_or_else(String::new, |t| {
             format!(
                 " trace_segments={} trace_hits={}",
@@ -430,8 +410,8 @@ fn cmd_sweep(options: &Options) -> Result<(), String> {
 /// One sweep round's bookkeeping in the stable machine-parseable
 /// `key=value` format shared with the `batch`/`serve` summaries (see
 /// [`tdc_core::service::summary`]): point totals first, then the
-/// per-stage counters. `batch=1` is a constant token kept so existing
-/// greps of the line keep matching.
+/// per-stage counters. `workers=1` and `batch=1` are constant tokens
+/// kept so existing greps of the line keep matching.
 fn sweep_stats_line(stats: &tdc_core::sweep::SweepStats, round: usize, rounds: usize) -> String {
     let head = if rounds > 1 {
         format!("sweep[{round}/{rounds}]")
@@ -439,11 +419,10 @@ fn sweep_stats_line(stats: &tdc_core::sweep::SweepStats, round: usize, rounds: u
         "sweep".to_owned()
     };
     format!(
-        "{head} points={} ranked={} dropped={} workers={} batch=1 delta_skips={} warm_points={}/{} {}",
+        "{head} points={} ranked={} dropped={} workers=1 batch=1 delta_skips={} warm_points={}/{} {}",
         stats.points,
         stats.evaluated,
         stats.dropped,
-        stats.workers,
         stats.delta_skips,
         stats.cache_hits,
         stats.cache_hits + stats.cache_misses,
@@ -465,15 +444,11 @@ fn cmd_explore(options: &Options) -> Result<(), String> {
         .plan()
         .map_err(|e| e.to_string())?;
     let spec = scenario.build_explore().map_err(|e| e.to_string())?;
-    let workers = options
-        .workers
-        .or_else(|| scenario.sweep_workers())
-        .unwrap_or(0);
-    let executor = SweepExecutor::new(workers);
+    let executor = SweepExecutor::default();
     let result = tdc_core::explore::run(&executor, &context, &plan, &workload, &spec)
         .map_err(|e| e.to_string())?;
-    // Bookkeeping on stderr, stdout worker-count-invariant — the same
-    // split as `tdc sweep` (and what the CI smoke byte-diff relies on).
+    // Bookkeeping on stderr, the report on stdout — the same split as
+    // `tdc sweep`.
     let report = result.report();
     eprintln!(
         "{}",
@@ -495,7 +470,8 @@ fn cmd_explore(options: &Options) -> Result<(), String> {
 }
 
 /// The `tdc explore` stderr summary, in the stable `key=value` format
-/// shared with `sweep`/`batch`/`serve`.
+/// shared with `sweep`/`batch`/`serve` (`workers=1` is a constant
+/// token, like the sweep line's).
 fn explore_stats_line(
     stats: &ExploreStats,
     frontier: usize,
@@ -504,11 +480,10 @@ fn explore_stats_line(
 ) -> String {
     format!(
         "explore points={} ranked={} dropped={} frontier={frontier} dominated={dominated} \
-         infeasible={infeasible} workers={} {}",
+         infeasible={infeasible} workers=1 {}",
         stats.points,
         stats.evaluated,
         stats.dropped,
-        stats.workers,
         stages_kv(&stats.stages),
     )
 }
@@ -545,7 +520,7 @@ fn cmd_sensitivity(options: &Options) -> Result<(), String> {
 fn cmd_batch(options: &Options) -> Result<(), String> {
     let obs = tdc_obs::span("cmd.batch");
     let files = tdc_cli::batch::expand_paths(&options.files)?;
-    let session = ScenarioSession::new(options.workers.unwrap_or(0));
+    let session = ScenarioSession::default();
     let stdout = std::io::stdout();
     let stderr = std::io::stderr();
     let summary = tdc_cli::batch::run_batch(
@@ -568,7 +543,7 @@ fn cmd_batch(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_serve(options: &Options) -> Result<(), String> {
-    let session = std::sync::Arc::new(ScenarioSession::new(options.workers.unwrap_or(0)));
+    let session = std::sync::Arc::new(ScenarioSession::default());
     let metrics = match &options.metrics_addr {
         Some(addr) => Some(tdc_cli::serve::MetricsServer::start(
             addr,
@@ -726,8 +701,6 @@ mod tests {
         for tokens in [
             &["explore", "s.json", "--format", "csv"][..],
             &["explore", "s.json", "--out", "/tmp/x"][..],
-            &["explore", "s.json", "--workers", "8"][..],
-            &["explore", "s.json", "--serial"][..],
         ] {
             assert!(parse(tokens).is_ok(), "{tokens:?}");
         }
@@ -741,7 +714,6 @@ mod tests {
                 &["explore", "s.json", "--baseline", "b.json"][..],
                 "--baseline",
             ),
-            (&["run", "s.json", "--workers", "2"][..], "--workers"),
             (
                 &["sweep", "s.json", "--baseline", "b.json"][..],
                 "--baseline",
@@ -755,6 +727,17 @@ mod tests {
         ] {
             let err = parse(tokens).unwrap_err();
             assert!(err.contains(fragment), "{tokens:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn worker_options_are_unknown() {
+        for tokens in [
+            &["sweep", "s.json", "--workers", "8"][..],
+            &["sweep", "s.json", "--serial"][..],
+        ] {
+            let err = parse(tokens).unwrap_err();
+            assert!(err.starts_with("unknown option `--"), "{tokens:?}: {err}");
         }
     }
 

@@ -3,8 +3,8 @@
 //!
 //! All renderers are pure `&data -> String` functions, so they are
 //! trivially testable and — crucially for the sweep path — produce
-//! **byte-identical output for identical inputs**: a parallel sweep
-//! renders exactly the bytes a serial sweep does, because the ranked
+//! **byte-identical output for identical inputs**: a warm sweep
+//! renders exactly the bytes a cold one does, because the ranked
 //! entries themselves are identical.
 
 use crate::table::TextTable;
@@ -389,7 +389,7 @@ fn objective_value(v: f64) -> String {
 /// The full JSON document of a `tdc explore` — exactly what
 /// `--format json` prints (pretty) and a `tdc serve` response embeds
 /// (compact). Only the deterministic report half is rendered, so the
-/// document is byte-identical for any worker count.
+/// document is byte-identical whether the store was cold or warm.
 #[must_use]
 pub fn explore_document(scenario: &str, report: &ExploreReport) -> JsonValue {
     let objective_labels: Vec<JsonValue> = report

@@ -17,7 +17,7 @@
 //! * `context` — overrides of the model configuration (fab/use grid,
 //!   wafer, yield model, power model, ablation knobs). Optional;
 //! * `sweep` — the design-space axes (`tdc sweep`): gate budget,
-//!   nodes, technologies, tier counts, workers. Optional;
+//!   nodes, technologies, tier counts. Optional;
 //! * `explore` — the exploration layer over the sweep plan
 //!   (`tdc explore`): objectives, constraints, Eq. 2 baseline, and
 //!   adaptive refinement. Optional; requires a `sweep` block.
@@ -1205,7 +1205,9 @@ impl Scenario {
         Ok(spec)
     }
 
-    /// Worker-thread request of the `sweep` block, if any.
+    /// The `sweep` block's `workers` field, if any. The field is
+    /// still parsed and validated but does nothing: every fill runs on
+    /// the calling thread. Kept only because perfbench still reads it.
     #[must_use]
     pub fn sweep_workers(&self) -> Option<usize> {
         self.sweep.as_ref().and_then(|s| s.workers)

@@ -608,6 +608,18 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
+/// Sets an accepted connection up and returns a second handle to read
+/// it through. Reads time out every [`STOP_POLL`] so a blocked
+/// connection can check the server-stop flag, and `TCP_NODELAY` is on:
+/// one response frame per request frame is the pathological case for
+/// Nagle + delayed ACK (~40 ms per closed-loop round trip on loopback),
+/// so responses must go out immediately.
+fn prepare_socket(stream: &TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_read_timeout(Some(STOP_POLL))?;
+    stream.set_nodelay(true)?;
+    stream.try_clone()
+}
+
 /// Serves one accepted connection: registers a session client id,
 /// runs the frame loop with stop-flag polling, and reports whether
 /// this connection requested a server-scope shutdown.
@@ -622,14 +634,7 @@ fn handle_connection(
         tdc_obs::metrics::SERVE_CONNECTIONS.inc();
     }
     let mut summary = ServeSummary::default();
-    // One response frame per request frame is the pathological case
-    // for Nagle + delayed ACK (~40 ms per closed-loop round trip on
-    // loopback), so responses must go out immediately.
-    let setup = stream
-        .set_read_timeout(Some(STOP_POLL))
-        .and_then(|()| stream.set_nodelay(true))
-        .and_then(|()| stream.try_clone());
-    let reader = match setup {
+    let reader = match prepare_socket(&stream) {
         Ok(reader) => reader,
         Err(e) => return (client, summary, false, Err(e)),
     };
@@ -889,4 +894,27 @@ fn answer_scrape(mut stream: TcpStream, session: &ScenarioSession) -> std::io::R
         body.len()
     );
     stream.write_all(response.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_send_without_delay_and_poll_the_stop_flag() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let reader = prepare_socket(&stream).unwrap();
+        for socket in [&stream, &reader] {
+            assert!(socket.nodelay().unwrap(), "Nagle would delay responses");
+            // The kernel rounds the timeout up to its clock tick.
+            let timeout = socket.read_timeout().unwrap().expect("reads time out");
+            let tick = Duration::from_millis(10);
+            assert!(
+                STOP_POLL <= timeout && timeout <= STOP_POLL + tick,
+                "{timeout:?}"
+            );
+        }
+    }
 }

@@ -51,7 +51,7 @@ fn fresh_process_output(file: &Path, format: OutputFormat) -> String {
                 .expect("sweep builds")
                 .plan()
                 .expect("plan builds");
-            let result = SweepExecutor::serial()
+            let result = SweepExecutor::default()
                 .execute(&model, &plan, &workload)
                 .expect("sweep evaluates");
             render_sweep(&scenario.name, result.entries(), format)
@@ -68,7 +68,7 @@ fn fresh_process_output(file: &Path, format: OutputFormat) -> String {
                 .expect("plan builds");
             let context = scenario.build_context().expect("context builds");
             let result = tdc_core::explore::run(
-                &SweepExecutor::serial(),
+                &SweepExecutor::default(),
                 &context,
                 &plan,
                 &workload,
@@ -104,7 +104,7 @@ fn batch_stdout_is_byte_identical_to_fresh_process_runs() {
         for file in &files {
             expected.push_str(&fresh_process_output(file, format));
         }
-        let session = ScenarioSession::serial();
+        let session = ScenarioSession::default();
         let mut stdout = Vec::new();
         let mut stderr = Vec::new();
         let summary =
@@ -121,7 +121,7 @@ fn batch_stdout_is_byte_identical_to_fresh_process_runs() {
 #[test]
 fn batch_over_checked_in_scenarios_reports_cross_request_warmth() {
     let files = scenario_files();
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     run_batch(
@@ -175,7 +175,7 @@ fn batch_failures_are_reported_and_do_not_stop_the_batch() {
     let bad = dir.join("b_bad.json");
     std::fs::write(&good, r#"{"design": {"preset": "epyc-7452"}}"#).expect("writes");
     std::fs::write(&bad, r#"{"design": {"preset": "warp-core"}}"#).expect("writes");
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     let summary = run_batch(
@@ -217,7 +217,7 @@ fn serve_session_matches_the_golden_transcript() {
     let input = std::fs::read_to_string(data.join("serve_session_input.jsonl")).expect("input");
     let expected =
         std::fs::read_to_string(data.join("serve_session_expected.jsonl")).expect("golden");
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     let summary = serve(&session, input.as_bytes(), &mut stdout, &mut stderr, 1).expect("serves");
@@ -263,7 +263,7 @@ fn deeply_nested_frame_is_answered_and_the_stream_continues() {
         "{}\n{{\"id\": 2, \"command\": \"run\", \"scenario\": {{\"design\": {{\"preset\": \"epyc-7452\"}}}}}}\n",
         "[".repeat(200_000)
     );
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     let summary = serve(&session, input.as_bytes(), &mut stdout, &mut stderr, 1).expect("serves");
@@ -292,7 +292,7 @@ fn deeply_nested_frame_is_answered_and_the_stream_continues() {
 /// Serves `input` on a fresh serial session and returns the parsed
 /// response frames plus the summary's (frames, errors).
 fn serve_frames(input: &[u8]) -> (Vec<JsonValue>, (u64, u64)) {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     let summary = serve(&session, input, &mut stdout, &mut stderr, 1).expect("serves");
@@ -429,6 +429,53 @@ fn fifo_trace_and_pack_paths_are_answered_and_the_stream_continues() {
 }
 
 #[test]
+fn file_errors_name_the_line_and_never_echo_file_bytes() {
+    // A frame can name any regular file on the server's host as a
+    // trace or pack. An error about the file's content gives the path,
+    // the line and the rule it broke, never the bytes it read: a
+    // trace's first field, an out-of-range value, a pack's first byte.
+    let dir = test_dir("file-echo");
+    let files = [
+        ("marker.csv", "MARKER-9f2c,0.5\n1,0.5\n", "line 1", "MARKER"),
+        ("range.csv", "0,0.5\n1,98765\n", "line 2", "98765"),
+        ("marker.json", "~pack~\n", "line 1, column 1", "~"),
+    ];
+    let mut input = String::new();
+    for (id, (name, content, _, _)) in files.iter().enumerate() {
+        let path = dir.join(name);
+        std::fs::write(&path, content).expect("temp file");
+        let quoted = JsonValue::String(path.display().to_string()).render_compact();
+        let scenario = if name.ends_with(".csv") {
+            format!(
+                "{{\"design\": {{\"preset\": \"epyc-7452\"}}, \"workload\": {{\"name\": \
+                 \"w\", \"throughput_tops\": 254, \"active_hours\": 4745, \"trace\": \
+                 {{\"path\": {quoted}}}}}}}"
+            )
+        } else {
+            format!("{{\"packs\": [{quoted}], \"design\": {{\"preset\": \"epyc-7452\"}}}}")
+        };
+        input.push_str(&format!(
+            "{{\"id\": {id}, \"command\": \"run\", \"scenario\": {scenario}}}\n"
+        ));
+    }
+    input.push_str("{\"id\": 9, \"command\": \"stats\"}\n");
+    let (frames, summary) = serve_frames(input.as_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(frames.len(), 4);
+    for (frame, (name, _, line, echo)) in frames.iter().zip(&files) {
+        let (_, message) = error_of(frame);
+        assert!(
+            message.contains(&dir.join(name).display().to_string()) && message.contains(line),
+            "{message}"
+        );
+        assert!(!message.contains(echo), "{message}");
+    }
+    assert_eq!(frames[3].get("id").and_then(JsonValue::as_f64), Some(9.0));
+    assert_eq!(frames[3].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (4, 3));
+}
+
+#[test]
 fn oversized_pack_is_answered_and_the_stream_continues() {
     // A pack used to be read whole, so a pack path naming an endless
     // file (`/dev/zero`) got the server OOM-killed. A pack read stops
@@ -471,38 +518,37 @@ fn oversized_pack_is_answered_and_the_stream_continues() {
 #[test]
 fn overflowing_workload_frame_is_answered_and_the_stream_continues() {
     // Every number here is finite, but the bandwidth stretch of a
-    // 1 MB/op workload pushes 1e308 active hours past `f64::MAX`. The
-    // operational stage must reject the phase by name instead of
-    // panicking, so the server answers this frame and the next one.
+    // 1 MB/op workload pushes 1e308 active hours past `f64::MAX`, and
+    // a 2D design drawing 3.6e303 W for 1e308 h uses infinite energy.
+    // The operational stage must reject the phase by name instead of
+    // panicking or answering `null` totals, so the server answers
+    // these frames and the next one.
     let input = "{\"id\": 1, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
                  \"epyc-7452\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 254, \
                  \"active_hours\": 1e308, \"bytes_per_op\": 1e6}}}\n\
                  {\"id\": 2, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
+                 \"orin-2d\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 1e308, \
+                 \"active_hours\": 1e308}}}\n\
+                 {\"id\": 3, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
                  \"epyc-7452\"}}}\n";
-    let session = ScenarioSession::serial();
-    let mut stdout = Vec::new();
-    let mut stderr = Vec::new();
-    let summary = serve(&session, input.as_bytes(), &mut stdout, &mut stderr, 1).expect("serves");
-    let frames: Vec<JsonValue> = String::from_utf8(stdout)
-        .expect("utf8")
-        .lines()
-        .map(|l| JsonValue::parse(l).expect("frame parses"))
-        .collect();
-    assert_eq!(frames.len(), 2);
-    assert_eq!(frames[0].get("id").and_then(JsonValue::as_f64), Some(1.0));
-    assert_eq!(frames[0].get("ok"), Some(&JsonValue::Bool(false)));
-    let message = frames[0]
-        .get("error")
-        .and_then(|e| e.get("message"))
-        .and_then(JsonValue::as_str)
-        .expect("error message");
-    assert!(
-        message.contains("workload phase `w`") && message.contains("must be finite"),
-        "{message}"
-    );
-    assert_eq!(frames[1].get("id").and_then(JsonValue::as_f64), Some(2.0));
-    assert_eq!(frames[1].get("ok"), Some(&JsonValue::Bool(true)));
-    assert_eq!((summary.frames, summary.errors), (2, 1));
+    let (frames, summary) = serve_frames(input.as_bytes());
+    assert_eq!(frames.len(), 3);
+    for (frame, id) in frames.iter().zip([1.0, 2.0]) {
+        assert_eq!(frame.get("id").and_then(JsonValue::as_f64), Some(id));
+        assert_eq!(frame.get("ok"), Some(&JsonValue::Bool(false)));
+        let message = frame
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(JsonValue::as_str)
+            .expect("error message");
+        assert!(
+            message.contains("workload phase `w`") && message.contains("must be finite"),
+            "{message}"
+        );
+    }
+    assert_eq!(frames[2].get("id").and_then(JsonValue::as_f64), Some(3.0));
+    assert_eq!(frames[2].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (3, 2));
 }
 
 #[test]
@@ -515,7 +561,7 @@ fn serve_orders_responses_under_concurrency() {
         ));
     }
     input.push_str("{\"id\": 7, \"command\": \"shutdown\"}\n");
-    let session = ScenarioSession::new(1);
+    let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     serve(&session, input.as_bytes(), &mut stdout, &mut stderr, 4).expect("serves");
@@ -542,7 +588,7 @@ fn serve_responses_match_single_shot_json_documents() {
     let request = scenario
         .build_request(RequestKind::Run)
         .expect("request builds");
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let evaluated = session.evaluate(&request).expect("evaluates");
     let single_shot = render_response(&scenario.name, &evaluated.response, OutputFormat::Json);
 
@@ -550,7 +596,7 @@ fn serve_responses_match_single_shot_json_documents() {
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     serve(
-        &ScenarioSession::serial(),
+        &ScenarioSession::default(),
         input.as_bytes(),
         &mut stdout,
         &mut stderr,

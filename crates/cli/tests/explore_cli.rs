@@ -1,6 +1,6 @@
 //! End-to-end coverage of the exploration surface: the `explore`
 //! scenario block (schema errors included), the `tdc explore`
-//! pipeline with byte-identical output across worker counts, the
+//! pipeline with byte-identical output cold and warm, the
 //! `tdc run --baseline` Eq. 2 comparison across all four
 //! [`ChoiceOutcome`] windows, and warm-session parity for `Explore`
 //! service requests.
@@ -50,7 +50,7 @@ fn pareto_scenario_finds_the_paper_trade_off() {
     let scenario = load("pareto_3d_vs_2d.json");
     let (ctx, plan, workload, spec) = pareto_inputs(&scenario);
     let result =
-        tdc_core::explore::run(&SweepExecutor::serial(), &ctx, &plan, &workload, &spec).unwrap();
+        tdc_core::explore::run(&SweepExecutor::default(), &ctx, &plan, &workload, &spec).unwrap();
     let report = result.report();
     // The 3D stack and the planar die trade embodied vs lifecycle.
     assert_eq!(report.frontier.len(), 2);
@@ -93,19 +93,15 @@ fn pareto_scenario_finds_the_paper_trade_off() {
 fn explore_reports_are_byte_identical_across_worker_counts() {
     let scenario = load("pareto_3d_vs_2d.json");
     let (ctx, plan, workload, spec) = pareto_inputs(&scenario);
-    let serial =
-        tdc_core::explore::run(&SweepExecutor::serial(), &ctx, &plan, &workload, &spec).unwrap();
-    for workers in [2, 8] {
-        let parallel =
-            tdc_core::explore::run(&SweepExecutor::new(workers), &ctx, &plan, &workload, &spec)
-                .unwrap();
-        for format in ALL_FORMATS {
-            assert_eq!(
-                render_explore(&scenario.name, serial.report(), format),
-                render_explore(&scenario.name, parallel.report(), format),
-                "{workers} workers, {format:?}"
-            );
-        }
+    let executor = SweepExecutor::default();
+    let cold = tdc_core::explore::run(&executor, &ctx, &plan, &workload, &spec).unwrap();
+    let warm = tdc_core::explore::run(&executor, &ctx, &plan, &workload, &spec).unwrap();
+    for format in ALL_FORMATS {
+        assert_eq!(
+            render_explore(&scenario.name, cold.report(), format),
+            render_explore(&scenario.name, warm.report(), format),
+            "{format:?}"
+        );
     }
 }
 
@@ -114,8 +110,8 @@ fn explore_session_requests_match_direct_runs() {
     let scenario = load("pareto_3d_vs_2d.json");
     let (ctx, plan, workload, spec) = pareto_inputs(&scenario);
     let direct =
-        tdc_core::explore::run(&SweepExecutor::serial(), &ctx, &plan, &workload, &spec).unwrap();
-    let session = ScenarioSession::serial();
+        tdc_core::explore::run(&SweepExecutor::default(), &ctx, &plan, &workload, &spec).unwrap();
+    let session = ScenarioSession::default();
     let request = scenario.build_request(RequestKind::Explore).unwrap();
     // Warm the session with an unrelated request first: explore
     // responses must not depend on the store's state.

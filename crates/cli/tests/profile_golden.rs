@@ -39,7 +39,7 @@ fn two_point_serial_sweep_profile_is_byte_stable() {
         Throughput::from_tops(254.0),
         TimeSpan::from_hours(10_000.0),
     );
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     {
         // Mirrors `cmd_sweep`: the command span wraps the execution so
         // the document has a single root.

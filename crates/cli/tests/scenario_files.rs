@@ -2,7 +2,7 @@
 //! under `scenarios/` (one per documented workload family, see
 //! `docs/SCENARIOS.md`) parses, elaborates, and evaluates through the
 //! same code paths the `tdc` binary drives — and the sweep report is
-//! byte-identical whether evaluated serially or on 8 workers.
+//! byte-identical whether evaluated cold or warm.
 
 use tdc_cli::report::{
     render_embodied, render_lifecycle, render_sensitivity, render_sweep, OutputFormat,
@@ -85,28 +85,24 @@ fn av_drive_family_runs_lifecycle() {
 #[test]
 fn av_drive_sweep_is_byte_identical_serial_vs_parallel() {
     let scenario = load("av_drive.json");
-    assert_eq!(scenario.sweep_workers(), Some(8));
     let model = CarbonModel::new(scenario.build_context().unwrap());
     let workload = scenario.build_workload().unwrap().unwrap();
     let plan = scenario.build_sweep().unwrap().plan().unwrap();
     assert!(plan.len() >= 40, "5 nodes x 9 technologies, minus drops");
 
-    let serial = SweepExecutor::serial()
-        .execute(&model, &plan, &workload)
-        .unwrap();
-    let parallel = SweepExecutor::new(8)
-        .execute(&model, &plan, &workload)
-        .unwrap();
-    assert_eq!(serial.entries(), parallel.entries());
+    let executor = SweepExecutor::default();
+    let cold = executor.execute(&model, &plan, &workload).unwrap();
+    let warm = executor.execute(&model, &plan, &workload).unwrap();
+    assert_eq!(cold.entries(), warm.entries());
     for format in ALL_FORMATS {
         assert_eq!(
-            render_sweep(&scenario.name, serial.entries(), format),
-            render_sweep(&scenario.name, parallel.entries(), format),
+            render_sweep(&scenario.name, cold.entries(), format),
+            render_sweep(&scenario.name, warm.entries(), format),
             "{format:?} report must be byte-identical"
         );
     }
     // The ranked list is ascending in life-cycle total.
-    for pair in serial.entries().windows(2) {
+    for pair in cold.entries().windows(2) {
         assert!(pair[0].report.total() <= pair[1].report.total());
     }
 }
@@ -127,7 +123,7 @@ fn mixed_axes_family_sweeps_tier_counts_and_warms_the_staged_cache() {
     // Same warm-executor flow as `tdc sweep --repeat 2`: the second
     // round answers every point from the per-stage artifact store and
     // renders byte-identical reports.
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let cold = executor.execute(&model, &plan, &workload).unwrap();
     assert_eq!(cold.stats().stages.hits(), 0);
     let warm = executor.execute(&model, &plan, &workload).unwrap();

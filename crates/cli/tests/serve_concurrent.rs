@@ -80,7 +80,7 @@ fn fresh_replay(stream_lines: &[String]) -> Vec<String> {
     let mut stdout = Vec::new();
     let mut sink = Vec::new();
     serve(
-        &ScenarioSession::serial(),
+        &ScenarioSession::default(),
         input.as_bytes(),
         &mut stdout,
         &mut sink,
@@ -188,7 +188,7 @@ fn concurrent_tcp_clients_equal_fresh_serial_replays() {
         .collect();
     let expected: Vec<Vec<String>> = streams.iter().map(|s| fresh_replay(s)).collect();
 
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let (responses, summary, stderr) = with_server(&session, 1, |addr| {
         let responses = std::thread::scope(|scope| {
             let handles: Vec<_> = streams
@@ -261,7 +261,7 @@ fn parse_connection_line(line: &str) -> Option<(u64, u64, u64)> {
 #[test]
 fn concurrent_connection_stats_lines_never_tear() {
     const CLIENTS: u64 = 8;
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let ((), summary, stderr) = with_server(&session, 1, |addr| {
         std::thread::scope(|scope| {
             for c in 0..CLIENTS {
@@ -310,7 +310,7 @@ fn concurrent_connection_stats_lines_never_tear() {
 /// RST/EOF) must not take the server or its other clients down.
 #[test]
 fn client_disconnect_mid_request_leaves_other_clients_served() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let ((), summary, _stderr) = with_server(&session, 1, |addr| {
         let survivor_frame = &random_stream(7, 1)[0];
         let mut survivor = Client::connect(addr);
@@ -340,7 +340,7 @@ fn client_disconnect_mid_request_leaves_other_clients_served() {
 /// on its line position and the same connection keeps serving.
 #[test]
 fn malformed_frames_mid_stream_answer_errors_and_keep_the_connection() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let ((), summary, _stderr) = with_server(&session, 1, |addr| {
         let good = &random_stream(11, 1)[0];
         let mut client = Client::connect(addr);
@@ -378,7 +378,7 @@ fn malformed_frames_mid_stream_answer_errors_and_keep_the_connection() {
 /// the next frame's answer both arrive within a 10 s read timeout.
 #[test]
 fn huge_frame_is_skipped_in_linear_time_and_the_connection_continues() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let ((), summary, _stderr) = with_server(&session, 1, |addr| {
         let mut client = Client::connect(addr);
         client
@@ -404,7 +404,7 @@ fn huge_frame_is_skipped_in_linear_time_and_the_connection_continues() {
 /// drain is graceful, not abortive.
 #[test]
 fn server_shutdown_drains_inflight_frames_on_other_connections() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let ((), summary, _stderr) = with_server(&session, 1, |addr| {
         let stream_lines = random_stream(23, 3);
         let mut pipelined = Client::connect(addr);
@@ -430,7 +430,7 @@ fn server_shutdown_drains_inflight_frames_on_other_connections() {
 /// concurrency (`--max-inflight > 1`) preserves response order.
 #[test]
 fn connection_shutdown_is_local_and_inflight_responses_stay_ordered() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let ((), _summary, _stderr) = with_server(&session, 4, |addr| {
         let mut leaver = Client::connect(addr);
         assert!(ok_frame(

@@ -1,7 +1,7 @@
 //! End-to-end coverage of trace-backed scenarios: the checked-in
 //! `av_trace.json` + `traces/av_day.csv` pair, the synthetic
-//! generator's determinism, worker-count invariance of the sweep
-//! report, and the path-named schema errors of the `trace` block.
+//! generator's determinism, cold/warm invariance of the sweep report,
+//! and the path-named schema errors of the `trace` block.
 
 use std::sync::Arc;
 use tdc_cli::batch::load_request;
@@ -36,18 +36,14 @@ fn av_trace_family_sweeps_identically_on_any_worker_count() {
     assert!(trace.segments() < trace.samples(), "constant runs merge");
     let model = CarbonModel::new(scenario.build_context().unwrap());
     let plan = scenario.build_sweep().unwrap().plan().unwrap();
-    let serial = SweepExecutor::serial()
-        .execute(&model, &plan, &workload)
-        .unwrap();
-    let parallel = SweepExecutor::new(8)
-        .parallel_threshold(0)
-        .execute(&model, &plan, &workload)
-        .unwrap();
-    assert_eq!(serial.entries(), parallel.entries());
+    let executor = SweepExecutor::default();
+    let cold = executor.execute(&model, &plan, &workload).unwrap();
+    let warm = executor.execute(&model, &plan, &workload).unwrap();
+    assert_eq!(cold.entries(), warm.entries());
     for format in [OutputFormat::Table, OutputFormat::Json, OutputFormat::Csv] {
         assert_eq!(
-            render_sweep(&scenario.name, serial.entries(), format),
-            render_sweep(&scenario.name, parallel.entries(), format),
+            render_sweep(&scenario.name, cold.entries(), format),
+            render_sweep(&scenario.name, warm.entries(), format),
             "{format:?}"
         );
     }

@@ -27,10 +27,10 @@
 //!   mostly cache hits.
 //!
 //! Results split into a deterministic [`ExploreReport`] — identical
-//! for any worker count, which is what lets `tdc explore` render
-//! byte-identical output serially and in parallel — and
-//! [`ExploreStats`] cache/worker bookkeeping (reported on stderr, like
-//! every other `tdc` surface).
+//! whether the executor's store is cold or warm, which is what lets
+//! `tdc explore` render byte-identical output — and [`ExploreStats`]
+//! cache bookkeeping (reported on stderr, like every other `tdc`
+//! surface).
 //!
 //! ```
 //! use tdc_core::explore::{self, ExploreSpec, Objective};
@@ -54,7 +54,7 @@
 //!     ..ExploreSpec::default()
 //! };
 //! let result = explore::run(
-//!     &SweepExecutor::serial(),
+//!     &SweepExecutor::default(),
 //!     &ModelContext::default(),
 //!     &plan,
 //!     &workload,
@@ -181,7 +181,8 @@ pub struct BaselineSummary {
 }
 
 /// The deterministic half of an exploration result: everything `tdc
-/// explore` renders to stdout. Identical for any worker count.
+/// explore` renders to stdout. Identical whether the store was cold or
+/// warm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// The objectives, in report-column order.
@@ -198,8 +199,8 @@ pub struct ExploreReport {
     pub refine: Option<RefineReport>,
 }
 
-/// Cache/worker bookkeeping of one exploration (stderr material: the
-/// per-stage counters are *not* worker-count-invariant).
+/// Cache bookkeeping of one exploration (stderr material: the
+/// per-stage counters depend on the store's warmth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExploreStats {
     /// Points in the explored plan.
@@ -208,8 +209,6 @@ pub struct ExploreStats {
     pub evaluated: usize,
     /// Points dropped as unbuildable (dies outgrow the wafer).
     pub dropped: usize,
-    /// Worker threads used by the base sweep.
-    pub workers: usize,
     /// Per-stage cache counters of the whole exploration (base sweep +
     /// refinement).
     pub stages: PipelineStats,
@@ -226,7 +225,7 @@ pub struct ExploreResult {
 }
 
 impl ExploreResult {
-    /// The deterministic report (worker-count-invariant).
+    /// The deterministic report (independent of the store's warmth).
     #[must_use]
     pub fn report(&self) -> &ExploreReport {
         &self.report
@@ -487,7 +486,6 @@ pub fn run(
             points: base_stats.points,
             evaluated: base_stats.evaluated,
             dropped: base_stats.dropped,
-            workers: base_stats.workers,
             stages: base_stats.stages.merged(&refine_stages),
             refine_stages,
         },
@@ -526,7 +524,7 @@ mod tests {
     #[test]
     fn frontier_accounts_for_every_feasible_point() {
         let result = run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -550,7 +548,7 @@ mod tests {
     #[test]
     fn frontier_members_are_mutually_non_dominated() {
         let result = run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -568,7 +566,7 @@ mod tests {
     #[test]
     fn baseline_ranking_attaches_decisions() {
         let result = run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -596,7 +594,7 @@ mod tests {
             ..ExploreSpec::default()
         };
         let err = run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -611,7 +609,7 @@ mod tests {
         let mut bad = ExploreSpec::default();
         bad.objectives.clear();
         assert!(run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -638,7 +636,7 @@ mod tests {
     #[test]
     fn constraints_shrink_the_feasible_set() {
         let open = run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -650,7 +648,7 @@ mod tests {
             ..ExploreSpec::default()
         };
         let closed = run(
-            &SweepExecutor::serial(),
+            &SweepExecutor::default(),
             &ModelContext::default(),
             &plan(),
             &workload(),
@@ -668,7 +666,7 @@ mod tests {
             refine: Some(RefineSpec::new(RefineAxis::LifetimeYears, 1.0, 10.0)),
             ..spec()
         };
-        let executor = SweepExecutor::serial();
+        let executor = SweepExecutor::default();
         let result = run(
             &executor,
             &ModelContext::default(),
@@ -713,7 +711,7 @@ mod tests {
             }),
             ..spec()
         };
-        let executor = SweepExecutor::serial();
+        let executor = SweepExecutor::default();
         let result = run(
             &executor,
             &ModelContext::default(),
@@ -740,10 +738,10 @@ mod tests {
             ..spec()
         };
         let (ctx, p, w) = (ModelContext::default(), plan(), workload());
-        let serial = run(&SweepExecutor::serial(), &ctx, &p, &w, &refined).unwrap();
-        for workers in [2, 8] {
-            let parallel = run(&SweepExecutor::new(workers), &ctx, &p, &w, &refined).unwrap();
-            assert_eq!(serial.report(), parallel.report(), "{workers} workers");
-        }
+        // One executor, run cold and then warm: the report is the same.
+        let executor = SweepExecutor::default();
+        let cold = run(&executor, &ctx, &p, &w, &refined).unwrap();
+        let warm = run(&executor, &ctx, &p, &w, &refined).unwrap();
+        assert_eq!(cold.report(), warm.report());
     }
 }

@@ -42,8 +42,8 @@ fn lex_cmp(a: &[f64], b: &[f64]) -> Ordering {
 
 /// Indices of the Pareto-minimal points of `values`, sorted by
 /// (objective vector lexicographically, index) — a **stable** order
-/// that depends only on the values themselves, never on evaluation or
-/// worker order. Points with identical objective vectors are all kept
+/// that depends only on the values themselves, never on evaluation
+/// order. Points with identical objective vectors are all kept
 /// (neither dominates the other).
 #[must_use]
 pub fn frontier_indices(values: &[Vec<f64>]) -> Vec<usize> {

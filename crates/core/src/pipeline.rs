@@ -770,7 +770,9 @@ impl<'a> UsePhase<'a> {
     /// Returns [`ModelError::InvalidParameter`] naming the phase when
     /// its power or its stretched duration is not finite (a huge
     /// active time times the bandwidth stretch can overflow) or is
-    /// negative — the conditions [`tdc_power::AppPhase::new`] asserts.
+    /// negative — the conditions [`tdc_power::AppPhase::new`] asserts —
+    /// or when its energy or carbon overflows (a finite power times a
+    /// finite duration can).
     fn carbon_and_energy(&self) -> Result<(Co2Mass, Energy), ModelError> {
         let workload = self.workload;
         let trace_pricing = workload.trace().map(|t| t.pricing());
@@ -823,6 +825,15 @@ impl<'a> UsePhase<'a> {
             let phase_energy = p * duration;
             carbon += (ci_use * phase_energy).kg();
             energy += phase_energy.kwh();
+            if !(carbon.is_finite() && energy.is_finite()) {
+                return Err(ModelError::InvalidParameter(format!(
+                    "workload phase `{}` draws {:e} W for {:e} h; use-phase energy and \
+                     carbon must be finite",
+                    phase.name,
+                    p.watts(),
+                    duration.hours()
+                )));
+            }
         }
         Ok((Co2Mass::from_kg(carbon), Energy::from_kwh(energy)))
     }
@@ -838,8 +849,8 @@ impl<'a> UsePhase<'a> {
 /// # Errors
 ///
 /// Propagates power-model and bandwidth-constraint failures, and
-/// returns [`ModelError::InvalidParameter`] when a phase's power or
-/// stretched duration is not finite.
+/// returns [`ModelError::InvalidParameter`] when a phase's power,
+/// stretched duration, energy or carbon is not finite.
 pub fn operational_report(
     ctx: &ModelContext,
     design: &ChipDesign,
@@ -1055,6 +1066,27 @@ mod tests {
         assert!(rejects(
             operational_carbon(&ctx, &design, &phys, &power, &huge, &pm).map(|_| ())
         ));
+
+        // A 2D design (no bandwidth stretch) drawing a finite power
+        // for a finite time whose product overflows: the phase energy,
+        // and with it the carbon, is infinite.
+        let design = ChipDesign::monolithic_2d(die("d", 17.0e9));
+        let phys = physical_profile(&ctx, &design);
+        let power = power_profile(&ctx, &design, &phys).unwrap();
+        let draining = Workload::fixed(
+            "w",
+            Throughput::from_tops(1e308),
+            TimeSpan::from_hours(1e308),
+        );
+        for r in [
+            operational_report(&ctx, &design, &phys, &power, &draining, &pm).map(|_| ()),
+            operational_carbon(&ctx, &design, &phys, &power, &draining, &pm).map(|_| ()),
+            CarbonModel::new(ctx.clone())
+                .lifecycle(&design, &draining)
+                .map(|_| ()),
+        ] {
+            assert!(rejects(r));
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct Evaluated {
 /// use tdc_units::{Throughput, TimeSpan};
 ///
 /// # fn main() -> Result<(), tdc_core::ModelError> {
-/// let session = ScenarioSession::serial();
+/// let session = ScenarioSession::default();
 /// let design = ChipDesign::monolithic_2d(
 ///     DieSpec::builder("d", ProcessNode::N7).gate_count(8.0e9).build()?,
 /// );
@@ -105,22 +105,18 @@ pub struct ScenarioSession {
 }
 
 impl ScenarioSession {
-    /// Creates a session whose sweeps run on `workers` threads (`0` =
-    /// one per available core). `run`/`sensitivity` requests always
-    /// evaluate on the calling thread.
+    /// The same session as [`default`](Self::default): the worker
+    /// count is ignored. Kept only because perfbench still calls it.
     #[must_use]
-    pub fn new(workers: usize) -> Self {
-        Self {
-            executor: SweepExecutor::new(workers),
-            requests: AtomicU64::new(0),
-            clients: AtomicU64::new(0),
-        }
+    pub fn new(_workers: usize) -> Self {
+        Self::default()
     }
 
-    /// A session whose sweeps run serially.
+    /// The same session as [`default`](Self::default). Kept only
+    /// because perfbench still calls it.
     #[must_use]
     pub fn serial() -> Self {
-        Self::new(1)
+        Self::default()
     }
 
     /// Creates a session whose cache keeps at most `cap` artifacts per
@@ -129,9 +125,9 @@ impl ScenarioSession {
     /// bounds memory, never results: byte-identity under tiny caps is
     /// tested in `crates/core/tests/batch_sweep.rs`).
     #[must_use]
-    pub fn with_artifact_cap(workers: usize, cap: usize) -> Self {
+    pub fn with_artifact_cap(cap: usize) -> Self {
         Self {
-            executor: SweepExecutor::new(workers).artifact_cap(cap),
+            executor: SweepExecutor::default().artifact_cap(cap),
             requests: AtomicU64::new(0),
             clients: AtomicU64::new(0),
         }

@@ -28,9 +28,8 @@
 //! plan, and without a workload stops after the embodied head.
 //!
 //! **Counting.** Every stage lookup — a column hit or a keyed lookup —
-//! is counted once, in the fill worker's plain [`PipelineStats`]. A
-//! call's stats are its workers' merged counts, and every call adds
-//! them (failed calls included) to the running sum
+//! is counted once, in the call's plain [`PipelineStats`], and every
+//! call adds its counts (failed calls included) to the running sum
 //! [`EvalCache::stats`] reports.
 //!
 //! Ranking calls ([`SweepExecutor::execute_batched_ranking`]) read
@@ -55,24 +54,20 @@
 //! artifacts instead of cloning them, so a ranking call that only
 //! re-prices (every embodied slot resident) is one allocation-free
 //! pass over the embodied, physical and power columns into the totals
-//! column. A fill that must compute embodied artifacts for at least
-//! the executor's parallel threshold of points shards the point range
-//! into contiguous chunks, queued and stolen by scoped workers
-//! ([`chunk_size`] indices per chunk), so parallel fills pay
-//! synchronization once per chunk instead of once per point. A fill
-//! that only re-prices runs on the calling thread: the operational
-//! stage alone is too little work per point to pay for spawning
-//! workers.
+//! column. Every fill runs on the calling thread: a cold point's five
+//! stages cost a few microseconds, too little to pay for spawning
+//! threads, and the keyed store stays thread-safe for the concurrent
+//! calls of a shared session.
 //!
-//! Output is byte-identical for any worker count: totals are computed
-//! by one floating-point expression ([`pipeline::lifecycle_total`],
-//! whose operational term [`pipeline::operational_carbon`] reproduces
-//! bit for bit) and ranked by (total, plan index).
+//! Totals are computed by one floating-point expression
+//! ([`pipeline::lifecycle_total`], whose operational term
+//! [`pipeline::operational_carbon`] reproduces bit for bit) and ranked
+//! by (total, plan index).
 
 use super::cache::{
     EmbodiedOutcome, EvalCache, PipelineStats, PointLookup, StageCounters, StageTags, Stamp,
 };
-use super::executor::{chunk_size, SweepExecutor, SweepStats};
+use super::executor::{SweepExecutor, SweepStats};
 use super::plan::{SweepPlan, SweepPoint};
 use super::SweepEntry;
 use crate::design::ChipDesign;
@@ -235,7 +230,7 @@ fn columns_limit(cap: usize, len: usize) -> usize {
     (cap / len.max(1)).max(1)
 }
 
-/// Everything a fill worker reads, shared immutably across threads.
+/// Everything a fill reads.
 struct FillCtx<'a> {
     cache: &'a EvalCache,
     tags: &'a StageTags,
@@ -257,10 +252,9 @@ struct FillCtx<'a> {
     op_col: Stamp,
 }
 
-/// Counts one column hit on the stage `stage` picks, attributing
-/// cross-request and cross-client reuse exactly like the keyed store's
-/// `StageCell::lookup` does: the column was last written under `col`,
-/// the reader runs under `now`.
+/// Counts one column hit on the stage `stage` picks, attributed like a
+/// keyed-store hit: the column was last written under `col`, the
+/// reader runs under `now`.
 fn count_col_hit(
     out: &mut FillOut,
     stage: impl FnOnce(&mut PipelineStats) -> &mut StageCounters,
@@ -268,20 +262,13 @@ fn count_col_hit(
     now: Stamp,
 ) {
     out.delta_skips += 1;
-    let counters = stage(&mut out.stats);
-    counters.hits += 1;
-    if col.epoch < now.epoch {
-        counters.cross_hits += 1;
-    }
-    if col.client != now.client {
-        counters.client_hits += 1;
-    }
+    stage(&mut out.stats).count_hits(1, col, now);
 }
 
-/// Per-worker fill bookkeeping, merged after the scope joins.
+/// One fill's bookkeeping.
 #[derive(Default)]
 struct FillOut {
-    /// Every stage lookup this worker made, column hits and keyed
+    /// Every stage lookup this fill made, column hits and keyed
     /// lookups alike.
     stats: PipelineStats,
     /// The subset of `stats`' hits answered by a stage column.
@@ -295,49 +282,18 @@ struct FillOut {
     wrote_power: bool,
     wrote_op: bool,
     wrote_totals: bool,
-    /// Lowest-indexed genuine model error: the reported error does
-    /// not depend on which worker met it.
-    error: Option<(usize, ModelError)>,
+    /// The lowest-indexed genuine model error.
+    error: Option<ModelError>,
 }
 
-impl FillOut {
-    fn merge(&mut self, other: FillOut) {
-        self.stats = self.stats.merged(&other.stats);
-        self.delta_skips += other.delta_skips;
-        self.evaluated += other.evaluated;
-        self.dropped += other.dropped;
-        self.point_hits += other.point_hits;
-        self.point_misses += other.point_misses;
-        self.wrote_phys |= other.wrote_phys;
-        self.wrote_emb |= other.wrote_emb;
-        self.wrote_power |= other.wrote_power;
-        self.wrote_op |= other.wrote_op;
-        self.wrote_totals |= other.wrote_totals;
-        if let Some((i, e)) = other.error {
-            if self.error.as_ref().is_none_or(|(j, _)| i < *j) {
-                self.error = Some((i, e));
-            }
-        }
-    }
-}
-
-/// Mutable views of every column a fill writes, aligned with a run of
-/// plan points. `op` is `None` on ranking calls, which keep no op
-/// column.
+/// Mutable views of every column a fill writes, aligned with the plan's
+/// points. `op` is `None` on ranking calls, which keep no op column.
 struct Slots<'a> {
     phys: &'a mut [Option<Arc<PhysicalProfile>>],
     emb: &'a mut [Option<EmbodiedOutcome>],
     power: &'a mut [Option<Arc<PowerProfile>>],
     op: Option<&'a mut [Option<Arc<OperationalReport>>]>,
     totals: &'a mut [Option<f64>],
-}
-
-/// One contiguous stolen range: the points plus every column's
-/// matching slots.
-struct ChunkTask<'a> {
-    start: usize,
-    points: &'a [SweepPoint],
-    slots: Slots<'a>,
 }
 
 /// Resolves the physical profile for one point, counting at most one
@@ -379,23 +335,21 @@ fn resolve_power<'s>(
     Ok(slot.as_deref().expect("power slot filled above"))
 }
 
-/// Fills point `index`'s missing slots (column → cache → compute per
-/// artifact head) and writes its life-cycle total; `at` is the point's
-/// position in `slots`. Resident artifacts are borrowed, never cloned,
-/// so a re-price that finds every upstream slot filled allocates
-/// nothing. Without a workload only the embodied head runs. Returns
-/// the every-stage-hit flag and whether the point ranked (false =
-/// oversized drop).
+/// Fills point `at`'s missing slots (column → cache → compute per
+/// artifact head) and writes its life-cycle total. Resident artifacts
+/// are borrowed, never cloned, so a re-price that finds every upstream
+/// slot filled allocates nothing. Without a workload only the embodied
+/// head runs. Returns the every-stage-hit flag and whether the point
+/// ranked (false = oversized drop).
 fn eval_slots(
     ctx: &FillCtx<'_>,
-    index: usize,
     at: usize,
     design: &ChipDesign,
     slots: &mut Slots<'_>,
     out: &mut FillOut,
 ) -> Result<(bool, bool), ModelError> {
     let (cache, tags, stamp) = (ctx.cache, ctx.tags, ctx.stamp);
-    let key = ctx.keys[index];
+    let key = ctx.keys[at];
     let point = PointLookup {
         tags,
         model: ctx.model,
@@ -533,112 +487,34 @@ fn eval_slots(
     Ok((all_hit, true))
 }
 
-/// Evaluates one point into its slots, folding the outcome into the
-/// worker-local bookkeeping.
-fn fill_point(
-    ctx: &FillCtx<'_>,
-    index: usize,
-    at: usize,
-    design: &ChipDesign,
-    slots: &mut Slots<'_>,
-    out: &mut FillOut,
-) {
-    match eval_slots(ctx, index, at, design, slots, out) {
-        Ok((all_hit, ranked)) => {
-            if all_hit {
-                out.point_hits += 1;
-            } else {
-                out.point_misses += 1;
-            }
-            if ranked {
-                out.evaluated += 1;
-            } else {
-                out.dropped += 1;
-            }
-        }
-        Err(e) => {
-            out.point_misses += 1;
-            if out.error.as_ref().is_none_or(|(j, _)| index < *j) {
-                out.error = Some((index, e));
-            }
-        }
-    }
-}
-
-/// Fills every missing slot, serially or via chunked work-stealing.
-/// Every point is evaluated even when one fails, which is what makes
-/// the reported error (lowest plan index) deterministic under any
-/// worker count.
-fn fill(ctx: &FillCtx<'_>, points: &[SweepPoint], workers: usize, mut slots: Slots<'_>) -> FillOut {
-    if workers <= 1 || points.len() <= 1 {
-        let mut local = FillOut::default();
-        for (i, point) in points.iter().enumerate() {
-            fill_point(ctx, i, i, point.design(), &mut slots, &mut local);
-        }
-        return local;
-    }
-
-    let chunk = chunk_size(points.len(), workers);
-    let mut tasks = Vec::with_capacity(points.len().div_ceil(chunk));
-    let mut start = 0;
-    let mut op_chunks = slots.op.map(|op| op.chunks_mut(chunk));
-    let zipped = points
-        .chunks(chunk)
-        .zip(slots.phys.chunks_mut(chunk))
-        .zip(slots.emb.chunks_mut(chunk))
-        .zip(slots.power.chunks_mut(chunk))
-        .zip(slots.totals.chunks_mut(chunk));
-    for ((((points, phys), emb), power), totals) in zipped {
-        let op = op_chunks
-            .as_mut()
-            .map(|c| c.next().expect("the op column spans the plan"));
-        tasks.push(ChunkTask {
-            start,
-            points,
-            slots: Slots {
-                phys,
-                emb,
-                power,
-                op,
-                totals,
-            },
-        });
-        start += points.len();
-    }
-    let queue = Mutex::new(tasks.into_iter());
-    let locals: Vec<FillOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let queue = &queue;
-            handles.push(scope.spawn(move || {
-                let mut local = FillOut::default();
-                loop {
-                    let stolen = queue.lock().expect("steal queue poisoned").next();
-                    let Some(mut task) = stolen else { break };
-                    for (o, point) in task.points.iter().enumerate() {
-                        fill_point(
-                            ctx,
-                            task.start + o,
-                            o,
-                            point.design(),
-                            &mut task.slots,
-                            &mut local,
-                        );
-                    }
+/// Fills every missing slot, on the calling thread. Every point is
+/// evaluated even when one fails; the reported error is the
+/// lowest-indexed one.
+fn fill(ctx: &FillCtx<'_>, points: &[SweepPoint], mut slots: Slots<'_>) -> FillOut {
+    let mut out = FillOut::default();
+    for (at, point) in points.iter().enumerate() {
+        match eval_slots(ctx, at, point.design(), &mut slots, &mut out) {
+            Ok((all_hit, ranked)) => {
+                if all_hit {
+                    out.point_hits += 1;
+                } else {
+                    out.point_misses += 1;
                 }
-                local
-            }));
+                if ranked {
+                    out.evaluated += 1;
+                } else {
+                    out.dropped += 1;
+                }
+            }
+            Err(e) => {
+                out.point_misses += 1;
+                if out.error.is_none() {
+                    out.error = Some(e);
+                }
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut merged = FillOut::default();
-    for local in locals {
-        merged.merge(local);
     }
-    merged
+    out
 }
 
 /// The execution core shared by [`SweepExecutor::execute`] (which
@@ -698,40 +574,25 @@ pub(crate) fn run(
     let result = if warm {
         // ---- Warm fast path: the embodied head and the totals (plus,
         // on a materializing call, the op head) are column-resident
-        // for this exact configuration. No threads, no keys, no cache
-        // traffic — and no per-point allocations.
+        // for this exact configuration. No keys, no cache traffic —
+        // and no per-point allocations.
         let evaluated = totals_col.slots.iter().filter(|s| s.is_some()).count();
         stats.evaluated = evaluated;
         stats.dropped = n - evaluated;
         stats.cache_hits = n;
-        let mut col = PipelineStats::default();
-        col.embodied.hits = n as u64;
-        if emb_col.stamp.epoch < stamp.epoch {
-            col.embodied.cross_hits = n as u64;
-        }
-        if emb_col.stamp.client != stamp.client {
-            col.embodied.client_hits = n as u64;
-        }
-        col.operational.hits = evaluated as u64;
-        if op_stamp.epoch < stamp.epoch {
-            col.operational.cross_hits = evaluated as u64;
-        }
-        if op_stamp.client != stamp.client {
-            col.operational.client_hits = evaluated as u64;
-        }
-        stats.stages = col;
+        stats
+            .stages
+            .embodied
+            .count_hits(n as u64, emb_col.stamp, stamp);
+        stats
+            .stages
+            .operational
+            .count_hits(evaluated as u64, op_stamp, stamp);
         stats.delta_skips = (n + evaluated) as u64;
         Ok(())
     } else {
         // ---- Fill: compute exactly the missing slots (delta-eval),
-        // consulting the keyed cache at every column miss. Only points
-        // without an embodied artifact count toward the parallel
-        // threshold: re-pricing a resident plan runs the operational
-        // stage alone, too little work per point for spawned workers
-        // to pay for themselves.
-        let pending = emb_col.slots.iter().filter(|s| s.is_none()).count();
-        let workers = exec.resolve_workers(pending);
-        stats.workers = workers;
+        // consulting the keyed cache at every column miss.
         let mut phys_col = state.phys.take(tags.physical, n);
         let mut power_col = state.power.take(tags.power, n);
         let ctx = FillCtx {
@@ -754,7 +615,7 @@ pub(crate) fn run(
             op: op_col.as_mut().map(|c| c.slots.as_mut_slice()),
             totals: &mut totals_col.slots,
         };
-        let merged = fill(&ctx, plan.points(), workers, slots);
+        let merged = fill(&ctx, plan.points(), slots);
         if merged.wrote_phys {
             phys_col.stamp = stamp;
         }
@@ -801,10 +662,7 @@ pub(crate) fn run(
         stats.stages = merged.stats;
         state.phys.store(phys_col, limit);
         state.power.store(power_col, limit);
-        match merged.error {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        merged.error.map_or(Ok(()), Err)
     };
 
     cache.record(&stats.stages);
@@ -915,7 +773,6 @@ pub(crate) fn evaluate_one(
     let outcome = eval_slots(
         &ctx,
         0,
-        0,
         design,
         &mut Slots {
             phys: &mut phys,
@@ -935,56 +792,4 @@ pub(crate) fn evaluate_one(
         operational,
         stats: out.stats,
     })
-}
-
-/// Ignored-by-default profiling harness: breaks a warm batch call
-/// down into its constant-overhead components (stage-tag derivation,
-/// plan key hashing, the ranking loop itself). Run with
-/// `cargo test --release -p tdc-core profile_warm -- --ignored --nocapture`
-/// when chasing per-call overhead — the warm loop is fast enough that
-/// any per-call hashing or formatting dominates it.
-#[cfg(test)]
-mod profile_tests {
-    use super::*;
-    use crate::sweep::DesignSweep;
-    use tdc_units::{Throughput, TimeSpan};
-
-    #[test]
-    #[ignore]
-    fn profile_warm_call_breakdown() {
-        let plan = DesignSweep::new(17.0e9).plan().unwrap();
-        let model = CarbonModel::new(crate::ModelContext::default());
-        let workload = Workload::fixed(
-            "app",
-            Throughput::from_tops(254.0),
-            TimeSpan::from_hours(10_000.0),
-        );
-        let executor = SweepExecutor::serial();
-        let mut ranking = BatchRanking::new();
-        for _ in 0..3 {
-            executor
-                .execute_batched_ranking(&model, &plan, &workload, &mut ranking)
-                .unwrap();
-        }
-        let n = 10_000u32;
-        let t = std::time::Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(EvalCache::stage_tags(&model, Some(&workload)));
-        }
-        eprintln!("stage_tags: {:?}/call", t.elapsed() / n);
-        let t = std::time::Instant::now();
-        for _ in 0..n {
-            for design in plan.designs() {
-                std::hint::black_box(EvalCache::key_for(design));
-            }
-        }
-        eprintln!("plan keys: {:?}/call", t.elapsed() / n);
-        let t = std::time::Instant::now();
-        for _ in 0..n {
-            executor
-                .execute_batched_ranking(&model, &plan, &workload, &mut ranking)
-                .unwrap();
-        }
-        eprintln!("warm ranking: {:?}/call", t.elapsed() / n);
-    }
 }

@@ -49,9 +49,9 @@
 //! least-recently-used quarter of that shard is evicted (recomputing
 //! is always safe, so eviction can never change results — only
 //! recompute costs). The store keeps no hit/miss counters of its own:
-//! every lookup counts into the calling fill worker's plain
+//! every lookup counts into the calling fill's plain
 //! [`PipelineStats`], and [`EvalCache::stats`] reports the running sum
-//! of every call's merged counts, which **survives eviction** (and
+//! of every call's counts, which **survives eviction** (and
 //! [`EvalCache::clear`]), so a long-running session's stats line never
 //! goes backwards mid-stream.
 //! Only non-fatal outcomes are stored: a design whose dies outgrow the
@@ -118,6 +118,20 @@ pub struct StageCounters {
 }
 
 impl StageCounters {
+    /// Counts `n` hits on artifacts stored under `stored`, read under
+    /// `now`: a hit is cross-request when the artifact's epoch is older
+    /// than the reader's, and cross-client when another client stored
+    /// it. Keyed-store and stage-column hits alike count through here.
+    pub(crate) fn count_hits(&mut self, n: u64, stored: Stamp, now: Stamp) {
+        self.hits += n;
+        if stored.epoch < now.epoch {
+            self.cross_hits += n;
+        }
+        if stored.client != now.client {
+            self.client_hits += n;
+        }
+    }
+
     /// Hit fraction in `[0, 1]` (0 when the stage was never consulted).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -215,8 +229,8 @@ impl PipelineStats {
         }
     }
 
-    /// Element-wise sum of two snapshots (used to merge fill workers'
-    /// counts and to accumulate per-call stats).
+    /// Element-wise sum of two snapshots (used to accumulate per-call
+    /// stats).
     #[must_use]
     pub fn merged(&self, other: &PipelineStats) -> PipelineStats {
         let add = |a: StageCounters, b: StageCounters| StageCounters {
@@ -340,8 +354,7 @@ pub(crate) struct Stamp {
 #[derive(Debug)]
 struct Entry<T> {
     value: T,
-    epoch: u64,
-    client: u64,
+    stamp: Stamp,
     last_used: AtomicU64,
 }
 
@@ -427,10 +440,8 @@ impl<T> Default for StageCell<T> {
 
 impl<T: Clone> StageCell<T> {
     /// Looks (`tag`, `key`) up under the shard's *read* lock, counting
-    /// the outcome on `counters`. A hit on an artifact inserted before
-    /// `stamp.epoch` additionally counts as a cross-epoch hit; one
-    /// inserted by a different client as a cross-client hit. Hits bump
-    /// the entry's LRU stamp.
+    /// the outcome on `counters` ([`StageCounters::count_hits`]
+    /// attributes a hit). Hits bump the entry's LRU stamp.
     pub(crate) fn lookup(
         &self,
         tag: u64,
@@ -449,13 +460,7 @@ impl<T: Clone> StageCell<T> {
             self.clock.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        counters.hits += 1;
-        if entry.epoch < stamp.epoch {
-            counters.cross_hits += 1;
-        }
-        if entry.client != stamp.client {
-            counters.client_hits += 1;
-        }
+        counters.count_hits(1, entry.stamp, stamp);
         Some(entry.value.clone())
     }
 
@@ -472,8 +477,7 @@ impl<T: Clone> StageCell<T> {
         }
         let entry = Entry {
             value,
-            epoch: stamp.epoch,
-            client: stamp.client,
+            stamp,
             last_used: AtomicU64::new(now),
         };
         shard.entries.insert((tag, key), entry);
@@ -709,10 +713,10 @@ fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
 /// A thread-safe, sharded, per-stage artifact store for pipeline
 /// evaluations.
 ///
-/// The cache is shared by all workers of a
+/// The cache belongs to a
 /// [`SweepExecutor`](crate::sweep::SweepExecutor) — and, through a
-/// [`ScenarioSession`](crate::service::ScenarioSession), by every
-/// client of a multi-connection server — and survives across
+/// [`ScenarioSession`](crate::service::ScenarioSession), is shared by
+/// every client of a multi-connection server — and survives across
 /// `execute` calls *and configuration changes*: repeated sweeps over
 /// overlapping design spaces skip already-computed points entirely,
 /// and sweeps that vary only downstream axes (a new use-phase grid, a

@@ -6,11 +6,10 @@
 //! delta-evaluates exactly the stages whose context slice changed.
 //! Column misses consult the per-stage [`EvalCache`], so plans (and
 //! successive calls) that share upstream pipeline artifacts never
-//! recompute them. A fill that computes embodied artifacts for at
-//! least the parallel threshold of points splits the plan into chunks
-//! that scoped workers steal from a queue. Totals are ranked by
-//! (life-cycle total, plan index), so the output is **byte-identical
-//! for any worker count**, including the serial fast path.
+//! recompute them. Every fill runs on the calling thread: a point's
+//! stage math takes a few microseconds, too little to pay for
+//! spawning threads. Totals are ranked by (life-cycle total, plan
+//! index), so ties rank deterministically.
 
 use super::batch::{self, BatchEngine, BatchRanking};
 use super::cache::{EvalCache, PipelineStats};
@@ -19,14 +18,6 @@ use super::SweepEntry;
 use crate::error::ModelError;
 use crate::model::CarbonModel;
 use crate::operational::Workload;
-
-/// Plans smaller than this default take the serial fast path no matter
-/// how many workers are configured: below a few hundred points the
-/// per-point cost is small enough that thread spawn + steal
-/// synchronization dominates (the recorded Table 2 numbers show a warm
-/// 99-point sweep at 8 workers losing ~2x to serial).
-/// [`SweepExecutor::parallel_threshold`] overrides it.
-const SMALL_PLAN_THRESHOLD: usize = 256;
 
 /// Bookkeeping of one [`SweepExecutor::execute`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,15 +33,16 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Points that had to run at least one pipeline stage.
     pub cache_misses: usize,
-    /// Worker threads actually used (1 = serial fast path).
+    /// Always 1: every fill runs on the calling thread. Kept only
+    /// because perfbench still reads it.
     pub workers: usize,
     /// Stage recomputations *and* keyed cache lookups skipped because
     /// the stage was answered structurally from the plan's columns.
     pub delta_skips: u64,
     /// Per-stage hit/miss counters of exactly this call's lookups,
-    /// column hits included (counted by the call's own fill workers,
-    /// so the numbers stay correct even when concurrent calls share
-    /// one executor).
+    /// column hits included (counted by the call itself, so the
+    /// numbers stay correct even when concurrent calls share one
+    /// executor).
     pub stages: PipelineStats,
 }
 
@@ -88,7 +80,7 @@ impl SweepResult {
     }
 }
 
-/// Evaluates [`SweepPlan`]s over a worker pool with memoization.
+/// Evaluates [`SweepPlan`]s with memoization, on the calling thread.
 ///
 /// ```
 /// use tdc_core::{CarbonModel, ModelContext, Workload};
@@ -106,7 +98,7 @@ impl SweepResult {
 /// let plan = DesignSweep::new(10.0e9)
 ///     .nodes(vec![ProcessNode::N7])
 ///     .plan()?;
-/// let executor = SweepExecutor::new(4);
+/// let executor = SweepExecutor::default();
 /// let result = executor.execute(&model, &plan, &workload)?;
 /// assert_eq!(result.stats().points, plan.len());
 /// // Re-executing the same plan is answered from the cache.
@@ -116,50 +108,25 @@ impl SweepResult {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SweepExecutor {
-    workers: usize,
-    small_plan_threshold: usize,
     cache: EvalCache,
     engine: BatchEngine,
 }
 
-impl Default for SweepExecutor {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 impl SweepExecutor {
-    /// Creates an executor with `workers` threads (`0` = one per
-    /// available core). Plans smaller than the small-plan threshold
-    /// (default 256 points) run serially regardless — see
-    /// [`parallel_threshold`](Self::parallel_threshold).
+    /// The same executor as [`default`](Self::default): the worker
+    /// count is ignored. Kept only because perfbench still calls it.
     #[must_use]
-    pub fn new(workers: usize) -> Self {
-        Self {
-            workers,
-            small_plan_threshold: SMALL_PLAN_THRESHOLD,
-            cache: EvalCache::new(),
-            engine: BatchEngine::default(),
-        }
+    pub fn new(_workers: usize) -> Self {
+        Self::default()
     }
 
-    /// A single-threaded executor (no threads are spawned at all).
+    /// The same executor as [`default`](Self::default). Kept only
+    /// because perfbench still calls it.
     #[must_use]
     pub fn serial() -> Self {
-        Self::new(1)
-    }
-
-    /// Overrides the minimum plan size (in points) at which the
-    /// configured worker count engages; smaller plans take the serial
-    /// fast path because thread-pool overhead exceeds the work. `0`
-    /// disables the clamp entirely (every multi-point plan may go
-    /// parallel), which is mainly useful for tests and benchmarks.
-    #[must_use]
-    pub fn parallel_threshold(mut self, points: usize) -> Self {
-        self.small_plan_threshold = points;
-        self
+        Self::default()
     }
 
     /// Replaces the executor's cache with one capped at `cap` artifacts
@@ -173,12 +140,6 @@ impl SweepExecutor {
         self
     }
 
-    /// The configured worker count (`0` = auto).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The executor's memoization cache (for statistics inspection or
     /// explicit [`EvalCache::clear`]).
     #[must_use]
@@ -189,21 +150,6 @@ impl SweepExecutor {
     /// The batch engine holding the current plan's stage columns.
     pub(crate) fn engine(&self) -> &BatchEngine {
         &self.engine
-    }
-
-    /// Resolves the thread count for a plan of `points` points. Plans
-    /// below the small-plan threshold always run serially — per-point
-    /// costs there are too small to amortize thread spawn + stealing.
-    pub(crate) fn resolve_workers(&self, points: usize) -> usize {
-        if points < self.small_plan_threshold {
-            return 1;
-        }
-        let configured = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.workers
-        };
-        configured.clamp(1, points.max(1))
     }
 
     /// Evaluates every point of `plan` under (`model`, `workload`)
@@ -219,14 +165,8 @@ impl SweepExecutor {
     ///
     /// # Errors
     ///
-    /// Returns the [`ModelError`] of the lowest-indexed failing point
-    /// (deterministic regardless of worker count). Oversized-die
-    /// points are dropped, not errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (model evaluation itself never
-    /// panics for plan-constructed designs).
+    /// Returns the [`ModelError`] of the lowest-indexed failing point.
+    /// Oversized-die points are dropped, not errors.
     pub fn execute(
         &self,
         model: &CarbonModel,
@@ -303,14 +243,6 @@ impl SweepExecutor {
     }
 }
 
-/// The contiguous index range one chunk covers: small enough that 8
-/// workers rebalance a skewed plan (~8 steals each), large enough that
-/// synchronization is paid once per dozens of points, capped so huge
-/// plans still rebalance.
-pub(crate) fn chunk_size(points: usize, workers: usize) -> usize {
-    (points / (workers * 8).max(1)).clamp(16, 4096)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,48 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree() {
-        let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7, ProcessNode::N5]);
-        let plan = sweep.plan().unwrap();
-        let (m, w) = (model(), workload());
-        let serial = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-        for workers in [2, 3, 8] {
-            let parallel = SweepExecutor::new(workers)
-                .parallel_threshold(0)
-                .execute(&m, &plan, &w)
-                .unwrap();
-            assert_eq!(serial.entries(), parallel.entries(), "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn small_plans_take_the_serial_fast_path() {
-        // The warm-parallel regression fix: a plan below the threshold
-        // never spawns workers (the recorded 99-point Table 2 sweep
-        // ran 304 µs at 8 workers vs 167 µs serial), and the output is
-        // unchanged by the clamp.
-        let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7, ProcessNode::N5]);
-        let plan = sweep.plan().unwrap();
-        let (m, w) = (model(), workload());
-        let clamped = SweepExecutor::new(8).execute(&m, &plan, &w).unwrap();
-        assert_eq!(
-            clamped.stats().workers,
-            1,
-            "below-threshold plan runs serial"
-        );
-        let forced = SweepExecutor::new(8)
-            .parallel_threshold(0)
-            .execute(&m, &plan, &w)
-            .unwrap();
-        assert_eq!(forced.stats().workers, 8, "threshold 0 disables the clamp");
-        assert_eq!(clamped.entries(), forced.entries());
-    }
-
-    #[test]
     fn stats_account_for_every_point() {
         let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7]);
         let plan = sweep.plan().unwrap();
-        let result = SweepExecutor::new(4)
+        let result = SweepExecutor::default()
             .execute(&model(), &plan, &workload())
             .unwrap();
         let s = result.stats();
@@ -381,7 +275,7 @@ mod tests {
         assert_eq!(s.evaluated + s.dropped, s.points);
         assert_eq!(s.cache_hits + s.cache_misses, s.points);
         assert_eq!(s.cache_hits, 0, "fresh executor has a cold cache");
-        assert!(s.workers >= 1);
+        assert_eq!(s.workers, 1);
         // A cold run computes every stage once per point and hits
         // nothing.
         assert_eq!(s.stages.hits(), 0);
@@ -393,7 +287,7 @@ mod tests {
     fn reexecution_is_fully_cached() {
         let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7]);
         let plan = sweep.plan().unwrap();
-        let executor = SweepExecutor::new(2);
+        let executor = SweepExecutor::default();
         let (m, w) = (model(), workload());
         let first = executor.execute(&m, &plan, &w).unwrap();
         let second = executor.execute(&m, &plan, &w).unwrap();
@@ -406,7 +300,7 @@ mod tests {
     fn workload_change_reprices_operations_but_reuses_embodied() {
         let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7]);
         let plan = sweep.plan().unwrap();
-        let executor = SweepExecutor::serial();
+        let executor = SweepExecutor::default();
         let m = model();
         executor.execute(&m, &plan, &workload()).unwrap();
         let other = Workload::fixed(
@@ -425,29 +319,15 @@ mod tests {
         assert_eq!(s.stages.operational.misses as usize, plan.len());
         assert_eq!(s.stages.physical.hits as usize, plan.len());
         // And the results match a fresh, uncached executor exactly.
-        let fresh = SweepExecutor::serial().execute(&m, &plan, &other).unwrap();
+        let fresh = SweepExecutor::default().execute(&m, &plan, &other).unwrap();
         assert_eq!(result.entries(), fresh.entries());
-    }
-
-    #[test]
-    fn auto_worker_count_is_clamped_to_plan_size() {
-        let sweep = DesignSweep::new(8.0e9)
-            .nodes(vec![ProcessNode::N7])
-            .technologies(vec![None]);
-        let plan = sweep.plan().unwrap();
-        assert_eq!(plan.len(), 1);
-        let result = SweepExecutor::new(64)
-            .parallel_threshold(0)
-            .execute(&model(), &plan, &workload())
-            .unwrap();
-        assert_eq!(result.stats().workers, 1);
     }
 
     #[test]
     fn best_respects_viability() {
         let sweep = DesignSweep::new(8.0e9).nodes(vec![ProcessNode::N7]);
         let plan = sweep.plan().unwrap();
-        let result = SweepExecutor::serial()
+        let result = SweepExecutor::default()
             .execute(&model(), &plan, &workload())
             .unwrap();
         let best = result.best().expect("a viable point exists");
@@ -460,8 +340,7 @@ mod tests {
         use crate::design::DieSpec;
         // Three points wrapping the *same* design produce bit-identical
         // life-cycle totals — an exact tie. The ranking must fall back
-        // to the plan index (in the serial path too), never to label
-        // order or worker arrival order.
+        // to the plan index, never to label order, cold or warm.
         let design = crate::design::ChipDesign::monolithic_2d(
             DieSpec::builder("d", ProcessNode::N7)
                 .gate_count(8.0e9)
@@ -484,26 +363,22 @@ mod tests {
             mk(2, "m-third"),
         ]);
         let (m, w) = (model(), workload());
-        let serial = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
-        let labels: Vec<&str> = serial.entries().iter().map(|e| e.label.as_str()).collect();
+        let executor = SweepExecutor::default();
+        let cold = executor.execute(&m, &plan, &w).unwrap();
+        let labels: Vec<&str> = cold.entries().iter().map(|e| e.label.as_str()).collect();
         assert_eq!(
             labels,
             ["z-first", "a-second", "m-third"],
             "tied entries must keep plan order"
         );
-        for workers in [2, 3, 8] {
-            let parallel = SweepExecutor::new(workers)
-                .parallel_threshold(0)
-                .execute(&m, &plan, &w)
-                .unwrap();
-            assert_eq!(serial.entries(), parallel.entries(), "{workers} workers");
-        }
+        let warm = executor.execute(&m, &plan, &w).unwrap();
+        assert_eq!(cold.entries(), warm.entries());
     }
 
     #[test]
     fn empty_plan_executes_cleanly() {
         let plan = DesignSweep::new(8.0e9).nodes(Vec::new()).plan().unwrap();
-        let result = SweepExecutor::new(4)
+        let result = SweepExecutor::default()
             .execute(&model(), &plan, &workload())
             .unwrap();
         assert!(result.entries().is_empty());

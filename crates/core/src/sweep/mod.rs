@@ -10,22 +10,22 @@
 //! * [`SweepPlan`] — the fully-enumerated, deterministically-indexed
 //!   list of [`SweepPoint`]s the builder expands into;
 //! * [`SweepExecutor`] — evaluates a plan through the one fill kernel
-//!   (`batch`), serially or on chunk-stealing worker threads: the plan
-//!   is lowered into per-stage columns that delta-evaluate across
-//!   calls, and every column miss consults [`EvalCache`], which
+//!   (`batch`), on the calling thread: the plan is lowered into
+//!   per-stage columns that delta-evaluate across calls, and every
+//!   column miss consults [`EvalCache`], which
 //!   memoizes every artifact of the staged pipeline (geometry, yield,
 //!   embodied, power, operational) under stage-specific keys, so
 //!   points — and successive `execute` calls — that differ only in
 //!   downstream axes reuse every upstream artifact;
 //! * [`SweepResult`] — the ranked [`SweepEntry`] list plus
 //!   [`SweepStats`] bookkeeping (whole-point and per-stage hits,
-//!   column answers, dropped points, workers). Every stage lookup is
-//!   counted once, by the fill worker that made it;
-//!   [`EvalCache::stats`] sums every call's counts.
+//!   column answers, dropped points). Every stage lookup is counted
+//!   once, by the call that made it; [`EvalCache::stats`] sums every
+//!   call's counts.
 //!
-//! Results are **deterministic regardless of worker count**: entries
-//! are ranked by life-cycle total with the plan index as tie-break, so
-//! a parallel run is byte-for-byte identical to a serial run.
+//! Results are **deterministic**: entries are ranked by life-cycle
+//! total with the plan index as tie-break, so exact ties keep plan
+//! order.
 
 use crate::design::{ChipDesign, DieSpec};
 use crate::error::ModelError;
@@ -280,7 +280,7 @@ impl DesignSweep {
         Ok(SweepPlan::new(points))
     }
 
-    /// Runs the sweep serially, returning entries sorted by life-cycle
+    /// Runs the sweep, returning entries sorted by life-cycle
     /// total (lowest first). Points whose dies outgrow the wafer are
     /// dropped silently (they are unbuildable, not errors of the
     /// caller's making); all other model errors propagate.
@@ -294,25 +294,9 @@ impl DesignSweep {
         model: &CarbonModel,
         workload: &Workload,
     ) -> Result<Vec<SweepEntry>, ModelError> {
-        Ok(SweepExecutor::serial()
+        Ok(SweepExecutor::default()
             .execute(model, &self.plan()?, workload)?
             .into_entries())
-    }
-
-    /// Runs the sweep on `workers` threads (0 = one per available
-    /// core). The returned entries are identical to [`DesignSweep::run`]
-    /// for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`DesignSweep::run`].
-    pub fn run_parallel(
-        &self,
-        model: &CarbonModel,
-        workload: &Workload,
-        workers: usize,
-    ) -> Result<SweepResult, ModelError> {
-        SweepExecutor::new(workers).execute(model, &self.plan()?, workload)
     }
 
     /// Runs the sweep and returns the best *viable* point, if any.

@@ -4,8 +4,7 @@
 //! evaluation, so plans are cheap to construct, inspect, filter, and
 //! hand to a [`SweepExecutor`](crate::sweep::SweepExecutor). The point
 //! index assigned at construction is the determinism anchor: executors
-//! report results in index order no matter how many workers evaluated
-//! them.
+//! rank exact ties in index order.
 
 use super::EvalCache;
 use crate::design::ChipDesign;

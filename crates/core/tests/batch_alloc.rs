@@ -65,7 +65,7 @@ fn ranking_call_allocations(nodes: Vec<ProcessNode>) -> (u64, u64) {
         TimeSpan::from_hours(10_000.0),
     );
     // Serial executor: the warm path must not even spawn threads.
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let mut ranking = BatchRanking::new();
     // Two warm-up calls: the first fills the columns, the second
     // right-sizes the reused output buffer.

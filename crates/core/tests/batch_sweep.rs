@@ -1,10 +1,9 @@
 //! Integration tests for the sweep fill kernel (`sweep::batch`):
 //! byte-identity against the direct `CarbonModel::lifecycle` oracle
-//! (cold, warm, any worker count, tiny artifact caps, plan switches,
-//! oversized drops, the 638-point CI plan), delta-eval accounting when
-//! only downstream axes change, which fills go parallel, one counter
-//! set across calls, and a property test over randomized plans, worker
-//! counts, and configuration sequences.
+//! (cold, warm, tiny artifact caps, plan switches, oversized drops,
+//! the 638-point CI plan), delta-eval accounting when only downstream
+//! axes change, one counter set across calls, and a property test over
+//! randomized plans and configuration sequences.
 
 mod common;
 
@@ -51,7 +50,7 @@ fn batch_is_byte_identical_to_the_direct_oracle_cold_and_warm() {
     let expected = expected_entries(&m, &plan, &w);
     assert_eq!(expected.len(), plan.len(), "Table 2 drops no point");
 
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let cold = executor.execute(&m, &plan, &w).unwrap();
     assert_eq!(expected, cold.entries());
     // Cold stats: nothing warm, every stage computed once per point.
@@ -77,7 +76,6 @@ fn batch_is_byte_identical_to_the_direct_oracle_cold_and_warm() {
     assert_eq!(warm.stats().cache_hits, plan.len());
     assert_eq!(warm.stats().cache_misses, 0);
     assert!(warm.stats().delta_skips > 0);
-    assert_eq!(warm.stats().workers, 1);
 }
 
 #[test]
@@ -85,22 +83,15 @@ fn batch_is_byte_identical_under_any_worker_count() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(100.0));
     let expected = expected_entries(&m, &plan, &w);
-    for workers in [2, 3, 8] {
-        let result = SweepExecutor::new(workers)
-            .parallel_threshold(0)
-            .execute(&m, &plan, &w)
-            .unwrap();
-        assert_eq!(expected, result.entries(), "{workers} workers");
-        assert_eq!(result.stats().workers, workers);
-    }
+    let result = SweepExecutor::default().execute(&m, &plan, &w).unwrap();
+    assert_eq!(expected, result.entries());
 }
 
 #[test]
 fn generated_638_point_plan_matches_the_direct_oracle_at_1_and_8_workers() {
     // The CI smoke plan: all 11 nodes × (the 2D reference + 8
     // technologies × tier counts 2–9), priced in France at 2.74 TOPS/W
-    // for 254 TOPS × 4745 h at 15 % utilization. It clears the
-    // 256-point threshold, so 8 workers really steal chunks.
+    // for 254 TOPS × 4745 h at 15 % utilization.
     let plan = DesignSweep::new(17.0e9)
         .tier_counts((2..=9).collect())
         .efficiency(Efficiency::from_tops_per_watt(2.74))
@@ -115,22 +106,19 @@ fn generated_638_point_plan_matches_the_direct_oracle_at_1_and_8_workers() {
     )
     .with_average_utilization(0.15);
     let expected = expected_entries(&m, &plan, &w);
-    for workers in [1, 8] {
-        let result = SweepExecutor::new(workers).execute(&m, &plan, &w).unwrap();
-        assert_eq!(result.stats().workers, workers);
-        let got = result.entries();
-        assert_eq!(got.len(), expected.len(), "{workers} workers");
-        for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(g.label, e.label, "{workers} workers: rank {rank}");
-            assert_eq!(
-                g.report.total().kg().to_bits(),
-                e.report.total().kg().to_bits(),
-                "{workers} workers: rank {rank} ({})",
-                e.label
-            );
-        }
-        assert_eq!(got, expected.as_slice(), "{workers} workers");
+    let result = SweepExecutor::default().execute(&m, &plan, &w).unwrap();
+    let got = result.entries();
+    assert_eq!(got.len(), expected.len());
+    for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(g.label, e.label, "rank {rank}");
+        assert_eq!(
+            g.report.total().kg().to_bits(),
+            e.report.total().kg().to_bits(),
+            "rank {rank} ({})",
+            e.label
+        );
     }
+    assert_eq!(got, expected.as_slice());
 }
 
 #[test]
@@ -139,7 +127,7 @@ fn tiny_artifact_cap_still_yields_byte_identical_output() {
     let (m, w) = (model(), workload(150.0));
     let expected = expected_entries(&m, &plan, &w);
     for cap in [1, 2, 7] {
-        let executor = SweepExecutor::serial().artifact_cap(cap);
+        let executor = SweepExecutor::default().artifact_cap(cap);
         let first = executor.execute(&m, &plan, &w).unwrap();
         assert_eq!(expected, first.entries(), "cap {cap} cold");
         // Columns outlive the evicted keyed artifacts, so the rerun is
@@ -153,7 +141,7 @@ fn tiny_artifact_cap_still_yields_byte_identical_output() {
 #[test]
 fn switching_plans_resets_columns_but_not_correctness() {
     let (m, w) = (model(), workload(100.0));
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let a = DesignSweep::new(10.0e9)
         .nodes(vec![ProcessNode::N7])
         .plan()
@@ -184,7 +172,7 @@ fn oversized_points_drop_identically_on_both_paths() {
     let expected = expected_entries(&m, &plan, &w);
     let dropped = plan.len() - expected.len();
     assert!(dropped > 0, "test needs oversized points");
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let cold = executor.execute(&m, &plan, &w).unwrap();
     assert_eq!(expected, cold.entries());
     assert_eq!(cold.stats().dropped, dropped);
@@ -203,7 +191,7 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
     // miss per ranked point.
     let plan = table2_plan();
     let w = workload(254.0);
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let reference = executor
         .execute(&region_model(REGIONS[0]), &plan, &w)
         .unwrap();
@@ -248,14 +236,14 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
         })
         .collect();
     let n = plan.len() as u64;
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     for (m, w) in &space {
         executor.execute(m, &plan, w).unwrap();
     }
     let cold = executor.cache().stats().stages;
     assert_eq!(cold.embodied.misses, n, "{cold:?}");
     assert_eq!(cold.operational.misses, 8 * n, "{cold:?}");
-    let ranker = SweepExecutor::serial();
+    let ranker = SweepExecutor::default();
     let mut ranking = BatchRanking::new();
     for (m, w) in &space {
         ranker
@@ -275,9 +263,9 @@ fn operational_only_axis_change_delta_evals_the_embodied_chain() {
 
 #[test]
 fn only_fills_missing_embodied_artifacts_go_parallel() {
-    // The worker rule: points whose embodied slot is still empty are
-    // what counts against the 256-point parallel threshold, so a
-    // re-pricing of a resident plan runs on the calling thread.
+    // A cold fill, a re-pricing of the resident plan (no embodied
+    // miss), and a plan switch (every embodied slot empty again) all
+    // match the oracle.
     let tiers = vec![2, 3, 4, 6];
     let plan = DesignSweep::new(17.0e9)
         .tier_counts(tiers.clone())
@@ -285,23 +273,19 @@ fn only_fills_missing_embodied_artifacts_go_parallel() {
         .unwrap();
     assert!(plan.len() >= 256, "{} points", plan.len());
     let w = workload(254.0);
-    let executor = SweepExecutor::new(2);
-    let cold = executor
-        .execute(&region_model(REGIONS[0]), &plan, &w)
-        .unwrap();
-    assert_eq!(cold.stats().workers, 2, "cold fill");
+    let executor = SweepExecutor::default();
+    let m = region_model(REGIONS[0]);
+    let cold = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(expected_entries(&m, &plan, &w), cold.entries());
 
     let m = region_model(REGIONS[1]);
     let repriced = executor.execute(&m, &plan, &w).unwrap();
-    assert_eq!(repriced.stats().workers, 1, "re-pricing");
     assert_eq!(repriced.stats().stages.embodied.misses, 0);
     assert_eq!(expected_entries(&m, &plan, &w), repriced.entries());
 
-    // A different plan leaves every embodied slot empty again.
     let other = DesignSweep::new(12.0e9).tier_counts(tiers).plan().unwrap();
     assert!(other.len() >= 256, "{} points", other.len());
     let switched = executor.execute(&m, &other, &w).unwrap();
-    assert_eq!(switched.stats().workers, 2, "plan switch");
     assert_eq!(expected_entries(&m, &other, &w), switched.entries());
 }
 
@@ -309,7 +293,7 @@ fn only_fills_missing_embodied_artifacts_go_parallel() {
 fn ranking_api_matches_materialized_entries() {
     let plan = table2_plan();
     let (m, w) = (model(), workload(254.0));
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let materialized = executor.execute(&m, &plan, &w).unwrap();
     let mut ranking = BatchRanking::new();
     executor
@@ -332,7 +316,7 @@ fn cache_stats_are_the_sum_of_every_call() {
     // cache's cumulative stats are exactly the sum of every call's.
     let plan = table2_plan();
     let w = workload(254.0);
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let mut ranking = BatchRanking::new();
     let mut summed = PipelineStats::default();
     for _epoch in 0..2 {
@@ -357,21 +341,20 @@ fn cache_stats_are_the_sum_of_every_call() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized plans × configuration sequences × worker counts:
-    /// every execution (including warm reruns mid-sequence) is
-    /// byte-identical to the direct oracle.
+    /// Randomized plans × configuration sequences: every execution
+    /// (including warm reruns mid-sequence) is byte-identical to the
+    /// direct oracle.
     #[test]
     fn batch_matches_the_direct_oracle_on_random_streams(
         gates in 2.0e9..40.0e9f64,
         node_picks in proptest::collection::vec(0usize..ProcessNode::ALL.len(), 1..3),
-        workers in 1usize..9,
         region_picks in proptest::collection::vec(0usize..REGIONS.len(), 1..5),
         tops_picks in proptest::collection::vec(20.0..400.0f64, 1..5),
     ) {
         let nodes: Vec<ProcessNode> =
             node_picks.iter().map(|i| ProcessNode::ALL[*i]).collect();
         let plan = DesignSweep::new(gates).nodes(nodes).plan().unwrap();
-        let executor = SweepExecutor::new(workers).parallel_threshold(0);
+        let executor = SweepExecutor::default();
         for (region_idx, tops) in region_picks.iter().zip(&tops_picks) {
             let m = region_model(REGIONS[*region_idx]);
             let w = workload(*tops);

@@ -63,7 +63,7 @@ fn lcg(state: &mut u64) -> u64 {
 #[test]
 fn tiny_caps_never_change_sweep_entries() {
     let plan = plan();
-    let tiny = SweepExecutor::serial().artifact_cap(2);
+    let tiny = SweepExecutor::default().artifact_cap(2);
     for (round, region) in REGIONS.iter().enumerate() {
         let workload = mission(4_000.0 + 2_000.0 * round as f64);
         let model = CarbonModel::new(context(*region));
@@ -83,7 +83,7 @@ fn tiny_caps_never_change_sweep_entries() {
 /// not reset the cumulative hit/miss accounting.
 #[test]
 fn counters_survive_eviction_through_the_session_surface() {
-    let session = ScenarioSession::with_artifact_cap(1, 2);
+    let session = ScenarioSession::with_artifact_cap(2);
     let mut lookups_after_first = 0;
     for i in 0..24 {
         let evaluated = session
@@ -118,7 +118,7 @@ fn counters_survive_eviction_through_the_session_surface() {
 /// and same-client warmth does not.
 #[test]
 fn evaluate_as_attributes_cross_client_hits() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let a = session.register_client();
     let b = session.register_client();
     assert_ne!(a, b, "client ids are unique");
@@ -188,7 +188,7 @@ fn shard_stats_balance_and_publish_to_obs_gauges() {
         }
     };
 
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     run_configurations(&executor);
     let cache = executor.cache();
     let shards = cache.shard_stats();
@@ -220,7 +220,7 @@ fn shard_stats_balance_and_publish_to_obs_gauges() {
 
     // Per-shard evictions attribute LRU pressure to the shard that
     // felt it, and sum to the cell-level aggregate.
-    let tiny = SweepExecutor::serial().artifact_cap(2);
+    let tiny = SweepExecutor::default().artifact_cap(2);
     run_configurations(&tiny);
     let tiny_shards = tiny.cache().shard_stats();
     let evicted: u64 = tiny_shards.iter().map(|s| s.evictions).sum();
@@ -263,7 +263,7 @@ fn shard_stats_balance_and_publish_to_obs_gauges() {
 fn concurrent_clients_with_tiny_caps_answer_fresh_process_values() {
     const THREADS: u64 = 4;
     const REQUESTS: u64 = 30;
-    let session = ScenarioSession::with_artifact_cap(1, 3);
+    let session = ScenarioSession::with_artifact_cap(3);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let session = &session;
@@ -313,16 +313,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Eviction transparency on randomized streams: any request order,
-    /// any tiny cap, any worker count — session responses equal a
-    /// fresh process, and sweeps equal the direct oracle.
+    /// any tiny cap — session responses equal a fresh process, and
+    /// sweeps equal the direct oracle.
     #[test]
     fn randomized_streams_under_tiny_caps_equal_fresh_responses(
         cap in 1usize..6,
         picks in proptest::collection::vec(0usize..5, 4..10),
         region_picks in proptest::collection::vec(0usize..REGIONS.len(), 4..10),
-        workers in 1usize..3,
     ) {
-        let session = ScenarioSession::with_artifact_cap(workers, cap);
+        let session = ScenarioSession::with_artifact_cap(cap);
         let plan = plan();
         for (i, pick) in picks.iter().enumerate() {
             let region = REGIONS[region_picks[i % region_picks.len()]];

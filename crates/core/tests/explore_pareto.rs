@@ -5,7 +5,7 @@
 //!    duplicates included);
 //! 2. explorations over randomized *real* sweep spaces must agree
 //!    with the brute-force check on real objective values, and their
-//!    deterministic reports must be identical across 1/2/8 workers.
+//!    deterministic reports must be identical cold and warm.
 
 mod common;
 
@@ -74,8 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Real sweep spaces: the exploration's frontier must be exactly
-    /// the brute-force-undominated subset of the feasible entries, and
-    /// the deterministic report must not depend on the worker count.
+    /// the brute-force-undominated subset of the feasible entries.
     #[test]
     fn real_explorations_agree_with_brute_force_and_all_worker_counts(
         gates in 4.0e9..30.0e9f64,
@@ -97,7 +96,7 @@ proptest! {
             ..ExploreSpec::default()
         };
         let (ctx, w) = (ModelContext::default(), workload(tops));
-        let serial = explore::run(&SweepExecutor::serial(), &ctx, &plan, &w, &spec).unwrap();
+        let result = explore::run(&SweepExecutor::default(), &ctx, &plan, &w, &spec).unwrap();
 
         // Brute force over the entries the direct oracle ranks.
         let entries = expected_entries(&tdc_core::CarbonModel::new(ctx.clone()), &plan, &w);
@@ -109,19 +108,13 @@ proptest! {
             .into_iter()
             .map(|i| entries[i].label.clone())
             .collect();
-        let got: BTreeSet<String> = serial
+        let got: BTreeSet<String> = result
             .report()
             .frontier
             .iter()
             .map(|f| f.entry.label.clone())
             .collect();
         prop_assert_eq!(got, expected);
-
-        for workers in [2usize, 8] {
-            let parallel =
-                explore::run(&SweepExecutor::new(workers), &ctx, &plan, &w, &spec).unwrap();
-            prop_assert_eq!(serial.report(), parallel.report());
-        }
     }
 }
 
@@ -140,18 +133,14 @@ fn refined_explorations_are_worker_invariant_on_a_warm_executor() {
         ..ExploreSpec::default()
     };
     let ctx = ModelContext::default();
-    let serial_executor = SweepExecutor::serial();
-    let first = explore::run(&serial_executor, &ctx, &plan, &w, &spec).unwrap();
+    let executor = SweepExecutor::default();
+    let first = explore::run(&executor, &ctx, &plan, &w, &spec).unwrap();
     // Second run on the same executor: everything warm, same report.
-    let warm = explore::run(&serial_executor, &ctx, &plan, &w, &spec).unwrap();
+    let warm = explore::run(&executor, &ctx, &plan, &w, &spec).unwrap();
     assert_eq!(first.report(), warm.report());
     assert_eq!(
         warm.stats().stages.misses(),
         0,
         "a fully warm exploration recomputes nothing"
     );
-    for workers in [2usize, 8] {
-        let parallel = explore::run(&SweepExecutor::new(workers), &ctx, &plan, &w, &spec).unwrap();
-        assert_eq!(first.report(), parallel.report(), "{workers} workers");
-    }
 }

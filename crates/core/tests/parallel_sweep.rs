@@ -1,9 +1,7 @@
-//! Integration tests for the parallel sweep executor: determinism
-//! under 1/2/8 workers, cache-hit accounting, and a property test that
-//! parallel and serial sweeps produce identical `SweepEntry` orderings
-//! for arbitrary gate budgets and axis subsets.
+//! Integration tests for the sweep executor: cache-hit accounting,
+//! configuration namespacing, shared artifacts across overlapping
+//! plans, and exact-tie ranking.
 
-use proptest::prelude::*;
 use tdc_core::sweep::{DesignSweep, SweepExecutor};
 use tdc_core::{CarbonModel, ModelContext, Workload};
 use tdc_integration::IntegrationTechnology;
@@ -23,36 +21,6 @@ fn workload(tops: f64) -> Workload {
 }
 
 #[test]
-fn determinism_under_1_2_8_workers() {
-    let sweep = DesignSweep::new(12.0e9).tier_counts(vec![2, 4]);
-    let plan = sweep.plan().unwrap();
-    let (m, w) = (model(), workload(100.0));
-    let reference = SweepExecutor::new(1).execute(&m, &plan, &w).unwrap();
-    assert!(!reference.entries().is_empty());
-    for workers in [2, 8] {
-        // parallel_threshold(0) disables the small-plan serial clamp so
-        // the requested pool size is exercised even on this tiny plan.
-        let result = SweepExecutor::new(workers)
-            .parallel_threshold(0)
-            .execute(&m, &plan, &w)
-            .unwrap();
-        // Full structural equality — labels, designs, and every f64 of
-        // every report — not just the ranking order.
-        assert_eq!(reference.entries(), result.entries(), "{workers} workers");
-        assert_eq!(result.stats().workers, workers.min(plan.len()));
-    }
-}
-
-#[test]
-fn serial_run_and_parallel_run_match_via_builder_api() {
-    let sweep = DesignSweep::new(9.0e9).nodes(vec![ProcessNode::N7, ProcessNode::N12]);
-    let (m, w) = (model(), workload(150.0));
-    let serial = sweep.run(&m, &w).unwrap();
-    let parallel = sweep.run_parallel(&m, &w, 8).unwrap();
-    assert_eq!(serial, parallel.into_entries());
-}
-
-#[test]
 fn cache_hits_are_counted_for_repeated_points() {
     // Two tier counts duplicate nothing (the 2D reference is emitted
     // once), so the first pass is all misses...
@@ -60,7 +28,7 @@ fn cache_hits_are_counted_for_repeated_points() {
         .nodes(vec![ProcessNode::N7])
         .tier_counts(vec![2, 3]);
     let plan = sweep.plan().unwrap();
-    let executor = SweepExecutor::new(2);
+    let executor = SweepExecutor::default();
     let (m, w) = (model(), workload(100.0));
     let first = executor.execute(&m, &plan, &w).unwrap();
     assert_eq!(first.stats().cache_hits, 0);
@@ -100,7 +68,7 @@ fn power_model_parameter_change_invalidates_cache() {
     let fast = CarbonModel::new(ModelContext::default()).with_power_model(Box::new(
         tdc_power::FixedEfficiency::new(tdc_units::Efficiency::from_tops_per_watt(10.0)),
     ));
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let slow_result = executor.execute(&slow, &plan, &w).unwrap();
     let fast_result = executor.execute(&fast, &plan, &w).unwrap();
     assert_eq!(
@@ -120,9 +88,8 @@ fn power_model_parameter_change_invalidates_cache() {
 fn duplicated_axis_entries_tie_exactly_and_rank_byte_identically() {
     // A technology listed twice enumerates two points with identical
     // designs — their life-cycle totals tie bit-for-bit. The ranking's
-    // plan-index tie-break must make serial and every parallel width
-    // byte-identical (this is the regression guard for deterministic
-    // tie handling in the serial path as well as the sharded one).
+    // plan-index tie-break must make a warm re-run and the builder's
+    // `run` byte-identical to the first execution.
     let sweep = DesignSweep::new(10.0e9)
         .nodes(vec![ProcessNode::N7])
         .technologies(vec![
@@ -135,31 +102,28 @@ fn duplicated_axis_entries_tie_exactly_and_rank_byte_identically() {
     let plan = sweep.plan().unwrap();
     assert_eq!(plan.len(), 5);
     let (m, w) = (model(), workload(100.0));
-    let serial = SweepExecutor::serial().execute(&m, &plan, &w).unwrap();
+    let executor = SweepExecutor::default();
+    let cold = executor.execute(&m, &plan, &w).unwrap();
     // The duplicated points really are exact ties…
-    let emib: Vec<_> = serial
+    let emib: Vec<_> = cold
         .entries()
         .iter()
         .filter(|e| e.technology == Some(IntegrationTechnology::Emib))
         .collect();
     assert_eq!(emib.len(), 2);
     assert!(emib[0].report.total().kg() == emib[1].report.total().kg());
-    // …and every worker count ranks the whole list byte-identically.
-    for workers in [2, 3, 8] {
-        let parallel = SweepExecutor::new(workers).execute(&m, &plan, &w).unwrap();
-        assert_eq!(serial.entries(), parallel.entries(), "{workers} workers");
-    }
-    // The builder convenience paths agree too.
+    // …and a warm re-run ranks the whole list byte-identically.
+    let warm = executor.execute(&m, &plan, &w).unwrap();
+    assert_eq!(cold.entries(), warm.entries());
+    // The builder convenience path agrees too.
     let run = sweep.run(&m, &w).unwrap();
-    let run_parallel = sweep.run_parallel(&m, &w, 8).unwrap();
-    assert_eq!(run, run_parallel.into_entries());
-    assert_eq!(run.as_slice(), serial.entries());
+    assert_eq!(run.as_slice(), cold.entries());
 }
 
 #[test]
 fn overlapping_plans_share_the_cache() {
     let (m, w) = (model(), workload(100.0));
-    let executor = SweepExecutor::new(2);
+    let executor = SweepExecutor::default();
     let narrow = DesignSweep::new(10.0e9)
         .nodes(vec![ProcessNode::N7])
         .technologies(vec![None, Some(IntegrationTechnology::HybridBonding3d)])
@@ -174,32 +138,4 @@ fn overlapping_plans_share_the_cache() {
     let result = executor.execute(&m, &wide, &w).unwrap();
     assert_eq!(result.stats().cache_hits, narrow.len());
     assert_eq!(result.stats().cache_misses, wide.len() - narrow.len());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn parallel_and_serial_orderings_are_identical(
-        gates in 2.0e9..40.0e9f64,
-        node_picks in proptest::collection::vec(0usize..ProcessNode::ALL.len(), 1..4),
-        workers in 2usize..9,
-        tops in 20.0..400.0f64,
-    ) {
-        let nodes: Vec<ProcessNode> =
-            node_picks.iter().map(|i| ProcessNode::ALL[*i]).collect();
-        let sweep = DesignSweep::new(gates).nodes(nodes);
-        let (m, w) = (model(), workload(tops));
-        let serial = sweep.run(&m, &w).unwrap();
-        let parallel = sweep.run_parallel(&m, &w, workers).unwrap();
-        let parallel_entries = parallel.into_entries();
-        prop_assert_eq!(serial.len(), parallel_entries.len());
-        // Identical ordering: same label sequence, same totals, and
-        // full structural equality.
-        for (s, p) in serial.iter().zip(&parallel_entries) {
-            prop_assert_eq!(&s.label, &p.label);
-            prop_assert!((s.report.total().kg() - p.report.total().kg()).abs() == 0.0);
-        }
-        prop_assert_eq!(serial, parallel_entries);
-    }
 }

@@ -5,9 +5,9 @@
 //! `OperationalReport`. Over seeded random plans (duplicated axis
 //! entries, oversized drops, designs with and without a measured
 //! efficiency), workloads (multi-phase, trace-backed, 2.5D designs
-//! stretched by the bandwidth limit), worker counts and configuration
-//! streams with a new request epoch (from one of three clients) per
-//! call, every call must:
+//! stretched by the bandwidth limit) and configuration streams with a
+//! new request epoch (from one of three clients) per call, every call
+//! must:
 //!
 //! * rank every point with a total bit-identical to the direct
 //!   `CarbonModel::lifecycle` oracle;
@@ -169,9 +169,8 @@ fn ranking_totals_match_fresh_serial_execute_and_stats_match_the_twin() {
     for case in 0..CASES {
         let mut rng = Rng(0x5EED_0000 + case);
         let plan = random_plan(&mut rng, case);
-        let workers = 1 + rng.below(3);
-        let ranking = SweepExecutor::new(workers).parallel_threshold(0);
-        let twin = SweepExecutor::new(workers).parallel_threshold(0);
+        let ranking = SweepExecutor::default();
+        let twin = SweepExecutor::default();
         let pool: Vec<(CarbonModel, Workload)> = (0..2 + rng.below(3))
             .map(|_| random_config(&mut rng, &traces))
             .collect();
@@ -180,7 +179,7 @@ fn ranking_totals_match_fresh_serial_execute_and_stats_match_the_twin() {
         for call in 0..CALLS_PER_CASE {
             let pick = rng.below(pool.len());
             let (model, workload) = &pool[pick];
-            let ctx = format!("case {case} call {call} ({workers} workers)");
+            let ctx = format!("case {case} call {call}");
             // Each call is a new request epoch from one of three
             // clients, so warm hits are attributed across requests and
             // clients on both executors.
@@ -232,14 +231,9 @@ fn ranking_totals_match_fresh_serial_execute_and_stats_match_the_twin() {
                 unique_calls += usize::from(dups == 0);
                 assert_eq!((op.hits, op.misses), (0, evaluated), "{ctx}");
                 // The twin's duplicates hit the report their first
-                // occurrence stored — every one of them on a serial
-                // fill, where no worker races the first occurrence to
-                // the keyed store.
+                // occurrence stored.
                 let extra = op.misses - twin_stats.stages.operational.misses;
-                assert!(extra <= dups as u64, "{ctx}: {extra} > {dups}");
-                if stats.workers == 1 {
-                    assert_eq!(extra, dups as u64, "{ctx}");
-                }
+                assert_eq!(extra, dups as u64, "{ctx}");
             }
         }
     }
@@ -260,7 +254,6 @@ fn ranking_totals_match_fresh_serial_execute_and_stats_match_the_twin() {
 struct Coverage {
     stretched: bool,
     dropped: bool,
-    parallel: bool,
     traced: bool,
     multi_phase: bool,
     power_model: bool,
@@ -278,7 +271,6 @@ impl Coverage {
             .iter()
             .any(|e| e.report.operational.runtime_stretch > 1.0);
         self.dropped |= stats.dropped > 0;
-        self.parallel |= stats.workers > 1;
         self.traced |= workload.trace().is_some();
         self.multi_phase |= workload.phases().len() > 1;
         self.power_model |= plan
@@ -287,25 +279,19 @@ impl Coverage {
     }
 
     fn all(&self) -> bool {
-        self.stretched
-            && self.dropped
-            && self.parallel
-            && self.traced
-            && self.multi_phase
-            && self.power_model
+        self.stretched && self.dropped && self.traced && self.multi_phase && self.power_model
     }
 }
 
 /// The fields a ranking call shares with its twin on any plan:
-/// points, outcomes, workers, and as many operational lookups
-/// (duplicates move some from hits to misses). Other stage
-/// counters may differ on plans with duplicates: a duplicate priced by
-/// the ranking also resolves its physical and power artifacts, and
-/// parallel fills race duplicates to the keyed store.
+/// points, outcomes, and as many operational lookups (duplicates move
+/// some from hits to misses). Other stage counters may differ on plans
+/// with duplicates: a duplicate priced by the ranking also resolves
+/// its physical and power artifacts.
 fn assert_common_stats(stats: &SweepStats, twin: &SweepStats, ctx: &str) {
     assert_eq!(
-        (stats.points, stats.evaluated, stats.dropped, stats.workers),
-        (twin.points, twin.evaluated, twin.dropped, twin.workers),
+        (stats.points, stats.evaluated, stats.dropped),
+        (twin.points, twin.evaluated, twin.dropped),
         "{ctx}"
     );
     let (op, twin_op) = (stats.stages.operational, twin.stages.operational);

@@ -80,7 +80,7 @@ fn plan() -> SweepPlan {
 /// must show zero embodied-stage recomputation.
 #[test]
 fn second_run_request_with_shared_geometry_recomputes_no_embodied_stage() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let design = stack(6.0e9);
     let first = session
         .evaluate(&EvalRequest::Run {
@@ -118,7 +118,7 @@ fn second_run_request_with_shared_geometry_recomputes_no_embodied_stage() {
 
 #[test]
 fn second_sweep_request_with_shared_geometry_recomputes_no_embodied_stage() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let plan = plan();
     session
         .evaluate(&EvalRequest::Sweep {
@@ -145,7 +145,7 @@ fn second_sweep_request_with_shared_geometry_recomputes_no_embodied_stage() {
 /// path shares the store.
 #[test]
 fn embodied_only_and_lifecycle_requests_share_the_store() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let design = mono(9.0e9);
     let ctx = ModelContext::default();
     let first = session
@@ -176,7 +176,7 @@ fn embodied_only_and_lifecycle_requests_share_the_store() {
 /// outcome is cached.
 #[test]
 fn oversized_run_requests_surface_the_fresh_process_error() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let design = ChipDesign::monolithic_2d(
         DieSpec::builder("huge", ProcessNode::N28)
             .gate_count(60.0e9)
@@ -199,7 +199,7 @@ fn oversized_run_requests_surface_the_fresh_process_error() {
 
 #[test]
 fn session_stats_accumulate_per_request_tallies() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let design = mono(7.0e9);
     let mut summed = PipelineStats::default();
     for (round, region) in REGIONS.iter().enumerate() {
@@ -225,7 +225,7 @@ fn session_stats_accumulate_per_request_tallies() {
 /// exactly the sum of the per-request stats — column hits included.
 #[test]
 fn session_stats_are_the_sum_of_run_sweep_and_explore_requests() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let plan = plan();
     let spec = ExploreSpec {
         baseline: Some("7 nm/2D".to_owned()),
@@ -275,7 +275,7 @@ fn session_stats_are_the_sum_of_run_sweep_and_explore_requests() {
 /// store) and match the fresh-process report exactly.
 #[test]
 fn sensitivity_requests_match_fresh_reports() {
-    let session = ScenarioSession::serial();
+    let session = ScenarioSession::default();
     let design = stack(6.0e9);
     let workload = mission(9_000.0);
     let evaluated = session
@@ -305,11 +305,10 @@ proptest! {
         design_picks in proptest::collection::vec(0usize..3, 3..7),
         region_picks in proptest::collection::vec(0usize..REGIONS.len(), 3..7),
         hour_scale in 1.0..4.0f64,
-        workers in 1usize..4,
     ) {
         let designs = [mono(8.0e9), mono(11.0e9), stack(5.5e9)];
         let plan = plan();
-        let session = ScenarioSession::new(workers);
+        let session = ScenarioSession::default();
         for i in 0..kinds.len() {
             let region = REGIONS[region_picks[i % region_picks.len()]];
             let design = designs[design_picks[i % design_picks.len()]].clone();

@@ -823,13 +823,12 @@ proptest! {
         gates in 4.0e9..20.0e9f64,
         region_picks in proptest::collection::vec(0usize..REGIONS.len(), 2..4),
         hour_scale in 1.0..4.0f64,
-        workers in 1usize..5,
     ) {
         let plan = DesignSweep::new(gates)
             .nodes(vec![ProcessNode::N7, ProcessNode::N5])
             .plan()
             .expect("plan builds");
-        let executor = SweepExecutor::new(workers);
+        let executor = SweepExecutor::default();
         for (round, pick) in region_picks.iter().enumerate() {
             let ctx = ModelContext::builder()
                 .use_region(REGIONS[*pick])
@@ -867,7 +866,7 @@ fn operational_axis_sweep_computes_embodied_once_per_distinct_geometry() {
     // Every point in this plan is a distinct geometry (2D + 8 distinct
     // technologies).
     assert_eq!(plan.len(), 9);
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     let regions = [
         GridRegion::WorldAverage,
         GridRegion::France,

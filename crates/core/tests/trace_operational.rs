@@ -2,8 +2,8 @@
 //!
 //! The headline property (ISSUE 8 satellite): a *constant-valued*
 //! trace prices operational carbon **byte-identically** to the scalar
-//! `average_utilization` path — over randomized designs, contexts,
-//! worker counts, cold and warm, materialized and ranked. Plus: an
+//! `average_utilization` path — over randomized designs and contexts,
+//! cold and warm, materialized and ranked. Plus: an
 //! intensity-column trace holding a region's published g/kWh figure
 //! matches that region bitwise, varying traces actually move the
 //! answer, and trace workloads share every workload-independent stage
@@ -70,7 +70,6 @@ proptest! {
         node_picks in proptest::collection::vec(0usize..ProcessNode::ALL.len(), 1..3),
         region in 0usize..REGIONS.len(),
         breaks in proptest::collection::vec(0.5..100.0f64, 1..6),
-        worker_pick in 0usize..3,
     ) {
         let plan = small_plan(&node_picks);
         let model = region_model(REGIONS[region]);
@@ -79,12 +78,7 @@ proptest! {
         prop_assert_eq!(traced.trace().unwrap().uniform_utilization(), Some(util));
 
         let reference = expected_entries(&model, &plan, &scalar);
-        let workers = [0usize, 2, 8][worker_pick];
-        let exec = if workers == 0 {
-            SweepExecutor::serial()
-        } else {
-            SweepExecutor::new(workers).parallel_threshold(0)
-        };
+        let exec = SweepExecutor::default();
         let mut ranking = BatchRanking::new();
         // Round 1 is cold, round 2 answers from the warm artifacts.
         for round in 1..=2 {
@@ -126,7 +120,7 @@ fn uniform_intensity_column_matches_the_region_grid_bitwise() {
         let model = region_model(region);
         let plan = DesignSweep::new(17.0e9).plan().unwrap();
         let a = expected_entries(&model, &plan, &scalar);
-        let b = SweepExecutor::serial()
+        let b = SweepExecutor::default()
             .execute(&model, &plan, &traced)
             .unwrap();
         assert_eq!(a, b.entries(), "{region:?}");
@@ -137,8 +131,8 @@ fn uniform_intensity_column_matches_the_region_grid_bitwise() {
 #[test]
 fn varying_traces_move_the_answer_and_rank_identically_everywhere() {
     // A genuinely time-varying trace must not collapse onto the scalar
-    // path — and the batch ranking must stay byte-identical for any
-    // worker count with a trace attached.
+    // path — and the batch ranking must stay byte-identical to the
+    // materialized entries with a trace attached.
     let trace = Arc::new(synth::profile(SynthKind::Diurnal, 5_000, 7, true));
     assert!(trace.uniform_utilization().is_none());
     let traced = base_workload(254.0).with_trace(Arc::clone(&trace));
@@ -153,16 +147,14 @@ fn varying_traces_move_the_answer_and_rank_identically_everywhere() {
         reference[0].report.total(),
         "the trace statistics must actually price the mission"
     );
-    for workers in [2, 8] {
-        let executor = SweepExecutor::new(workers).parallel_threshold(0);
-        let mut ranking = BatchRanking::new();
-        executor
-            .execute_batched_ranking(&model, &plan, &traced, &mut ranking)
-            .unwrap();
-        let result = executor.execute(&model, &plan, &traced).unwrap();
-        assert_eq!(reference, result.entries(), "{workers} workers");
-        assert_eq!(ranking.ranked().len(), reference.len(), "{workers} workers");
-    }
+    let executor = SweepExecutor::default();
+    let mut ranking = BatchRanking::new();
+    executor
+        .execute_batched_ranking(&model, &plan, &traced, &mut ranking)
+        .unwrap();
+    let result = executor.execute(&model, &plan, &traced).unwrap();
+    assert_eq!(reference, result.entries());
+    assert_eq!(ranking.ranked().len(), reference.len());
 }
 
 #[test]
@@ -174,7 +166,7 @@ fn trace_pricing_is_integrated_once_and_hit_per_point_after() {
     let model = region_model(GridRegion::WorldAverage);
     let plan = DesignSweep::new(17.0e9).plan().unwrap();
     assert_eq!(trace.pricing_hits(), 0);
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     executor.execute(&model, &plan, &traced).unwrap();
     let cold_hits = trace.pricing_hits();
     assert!(
@@ -191,7 +183,7 @@ fn trace_workloads_share_workload_independent_artifacts_with_scalar_ones() {
     // answer the trace-backed sweep warm.
     let model = region_model(GridRegion::WorldAverage);
     let plan = DesignSweep::new(17.0e9).plan().unwrap();
-    let executor = SweepExecutor::serial();
+    let executor = SweepExecutor::default();
     executor
         .execute(
             &model,

@@ -46,8 +46,23 @@ pub struct JsonError {
     pub line: usize,
     /// 1-based column of the offending byte.
     pub column: usize,
-    /// What went wrong.
+    /// What went wrong, without quoting the input.
     pub message: String,
+    /// The input the message is about (an unexpected character, a
+    /// malformed number, a repeated key), quoted after it on display.
+    pub found: Option<String>,
+}
+
+impl JsonError {
+    /// The same error without its quoted input: what a caller reports
+    /// about a file it read, so no byte of the file is echoed back.
+    #[must_use]
+    pub fn without_input(self) -> Self {
+        Self {
+            found: None,
+            ..self
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -56,7 +71,11 @@ impl fmt::Display for JsonError {
             f,
             "JSON error at line {}, column {}: {}",
             self.line, self.column, self.message
-        )
+        )?;
+        match &self.found {
+            Some(found) => write!(f, " `{found}`"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -298,6 +317,11 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn error(&self, message: impl Into<String>) -> JsonError {
+        self.error_at(message, None)
+    }
+
+    /// An error about the input `found`, quoted on display.
+    fn error_at(&self, message: impl Into<String>, found: Option<String>) -> JsonError {
         let mut line = 1;
         let mut column = 1;
         for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
@@ -312,6 +336,7 @@ impl Parser<'_> {
             line,
             column,
             message: message.into(),
+            found,
         }
     }
 
@@ -343,7 +368,7 @@ impl Parser<'_> {
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.parse_literal("null", JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.error(format!("unexpected character `{}`", c as char))),
+            Some(c) => Err(self.error_at("unexpected character", Some((c as char).to_string()))),
             None => Err(self.error("unexpected end of input")),
         }
     }
@@ -398,7 +423,7 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         text.parse::<f64>()
             .map(JsonValue::Number)
-            .map_err(|_| self.error(format!("invalid number `{text}`")))
+            .map_err(|_| self.error_at("invalid number", Some(text.to_owned())))
     }
 
     fn parse_string(&mut self) -> Result<String, JsonError> {
@@ -508,7 +533,7 @@ impl Parser<'_> {
             self.skip_whitespace();
             let key = self.parse_string()?;
             if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.error(format!("duplicate key `{key}`")));
+                return Err(self.error_at("duplicate key", Some(key)));
             }
             self.skip_whitespace();
             self.expect(b':')?;
@@ -584,10 +609,10 @@ mod tests {
         assert!(err.message.contains("true"));
         assert!(JsonValue::parse("[1, 2").is_err());
         assert!(JsonValue::parse("{} extra").is_err());
-        assert!(JsonValue::parse(r#"{"k": 1, "k": 2}"#)
-            .unwrap_err()
-            .message
-            .contains("duplicate"));
+        let err = JsonValue::parse(r#"{"k": 1, "k": 2}"#).unwrap_err();
+        assert!(err.to_string().ends_with(": duplicate key `k`"), "{err}");
+        let err = err.without_input();
+        assert!(err.to_string().ends_with(": duplicate key"), "{err}");
     }
 
     #[test]

@@ -254,8 +254,9 @@ impl Registry {
     /// # Errors
     ///
     /// A [`PackError`] naming the file and the JSON line/column or
-    /// field path of the first problem. The registry is left unchanged
-    /// on error.
+    /// field path of the first problem; a JSON syntax error never
+    /// quotes the file's bytes. The registry is left unchanged on
+    /// error.
     pub fn load_pack(&mut self, path: &Path) -> Result<PackSummary, PackError> {
         let _obs = tdc_obs::span("pack.load");
         if tdc_obs::enabled() {
@@ -272,7 +273,7 @@ impl Registry {
         })?;
         let doc = JsonValue::parse(&text).map_err(|e| PackError {
             path: display_path.clone(),
-            message: e.to_string(),
+            message: e.without_input().to_string(),
         })?;
 
         let mut loader = Loader {

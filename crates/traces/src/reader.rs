@@ -19,7 +19,8 @@ pub enum TraceError {
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
-        /// What is wrong with it.
+        /// The rule the line broke. It never quotes the line's bytes or
+        /// values, so an answer never echoes a file's content.
         message: String,
     },
     /// Fewer than two samples: a trace needs at least one interval.
@@ -199,22 +200,16 @@ impl LineParser {
             return self.err("expected 2 or 3 comma-separated columns");
         }
         if !t.is_finite() {
-            return self.err(format!("timestamp must be finite, got {t}"));
+            return self.err("timestamp must be finite");
         }
-        if let Some(prev) = self.prev_t {
-            if t <= prev {
-                return self.err(format!(
-                    "timestamps must be strictly increasing ({t} after {prev})"
-                ));
-            }
+        if self.prev_t.is_some_and(|prev| t <= prev) {
+            return self.err("timestamps must be strictly increasing");
         }
         if !(0.0..=1.0).contains(&util) {
-            return self.err(format!("utilization must be in [0, 1], got {util}"));
+            return self.err("utilization must be in [0, 1]");
         }
-        if let Some(g) = intensity {
-            if !(g.is_finite() && g >= 0.0) {
-                return self.err(format!("intensity must be non-negative, got {g}"));
-            }
+        if intensity.is_some_and(|g| !(g.is_finite() && g >= 0.0)) {
+            return self.err("intensity must be finite and non-negative");
         }
         let builder = self
             .builder
@@ -245,7 +240,7 @@ impl LineParser {
     fn parse_field(&self, field: &str, name: &str) -> Result<f64, TraceError> {
         field.trim().parse::<f64>().map_err(|_| TraceError::Parse {
             line: self.line,
-            message: format!("{name}: expected a number, got `{}`", field.trim()),
+            message: format!("{name}: expected a number"),
         })
     }
 
@@ -342,17 +337,16 @@ mod tests {
         let err = TraceReader::new()
             .ingest("0,0.5\n1,oops\n".as_bytes())
             .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "line 2: utilization: expected a number, got `oops`"
-        );
+        assert_eq!(err.to_string(), "line 2: utilization: expected a number");
         let err = TraceReader::new()
             .ingest("# header\n0,0.5\n0,0.5\n".as_bytes())
             .unwrap_err();
-        assert!(err.to_string().starts_with("line 3:"), "{err}");
-        assert!(err.to_string().contains("strictly increasing"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "line 3: timestamps must be strictly increasing"
+        );
         let err = TraceReader::new().ingest("0,1.5\n".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("[0, 1]"), "{err}");
+        assert_eq!(err.to_string(), "line 1: utilization must be in [0, 1]");
         let err = TraceReader::new()
             .ingest("0,0.5,100\n1,0.5\n".as_bytes())
             .unwrap_err();

@@ -1,10 +1,9 @@
-//! Parallel design-space exploration: shard the full (node ×
-//! technology × tier) space across worker threads, memoize repeated
-//! points, and get a ranking that is byte-identical to the serial
-//! path.
+//! Design-space ranking: price the full (node × technology × tier)
+//! space, rank it by life-cycle carbon, and answer a re-execution from
+//! the memoized stage artifacts.
 //!
 //! ```text
-//! cargo run --example parallel_sweep
+//! cargo run --example sweep_ranking
 //! ```
 
 use threed_carbon::prelude::*;
@@ -26,12 +25,12 @@ fn main() -> Result<(), ModelError> {
     let plan = sweep.plan()?;
     println!("plan: {} points", plan.len());
 
-    let executor = SweepExecutor::new(0); // one worker per core
+    let executor = SweepExecutor::default();
     let result = executor.execute(&model, &plan, &workload)?;
     let stats = result.stats();
     println!(
-        "evaluated {} ({} dropped as unbuildable) on {} workers\n",
-        stats.evaluated, stats.dropped, stats.workers
+        "evaluated {} ({} dropped as unbuildable)\n",
+        stats.evaluated, stats.dropped
     );
 
     println!("top 10 by life-cycle carbon:");
@@ -58,9 +57,10 @@ fn main() -> Result<(), ModelError> {
         again.entries() == result.entries(),
     );
 
-    // And the serial path produces the same entries, bit for bit.
-    let serial = sweep.run(&model, &workload)?;
-    assert_eq!(serial.as_slice(), result.entries());
-    println!("serial path matches: {}", !serial.is_empty());
+    // And the builder's one-call path produces the same entries, bit
+    // for bit.
+    let run = sweep.run(&model, &workload)?;
+    assert_eq!(run.as_slice(), result.entries());
+    println!("builder path matches: {}", !run.is_empty());
     Ok(())
 }
