@@ -9,10 +9,15 @@
 //!   "version": 1,
 //!   "spans":   [ { name, thread, start_ns, end_ns, duration_ns,
 //!                  children: [...] }, ... ],    // roots, in record order
+//!   "dropped_spans": N,                         // only when N > 0
 //!   "metrics": { "<catalog name>": <counter/gauge value or
 //!                 histogram {count,sum,max,p50,p90,p99}>, ... }
 //! }
 //! ```
+//!
+//! `dropped_spans` counts the spans the recorder refused at
+//! [`tdc_obs::MAX_SPANS`]; it is present exactly when the span tree is
+//! truncated.
 //!
 //! Every metric in [`tdc_obs::metrics::CATALOG`] appears, in catalog
 //! order, whether or not it moved — a consumer can rely on the key set
@@ -83,11 +88,14 @@ pub fn metrics_json() -> JsonValue {
     )
 }
 
-/// Builds the profile document from an explicit span list plus the
-/// current global metric snapshot. Spans whose parent index does not
-/// resolve (recorder clipped at [`tdc_obs::MAX_SPANS`]) become roots.
+/// Builds the profile document from an explicit span list, the number
+/// of spans the recorder dropped at [`tdc_obs::MAX_SPANS`]
+/// ([`tdc_obs::dropped_spans`]), and the current global metric
+/// snapshot. Spans whose parent index does not resolve (their parent
+/// was dropped) become roots, and a non-zero `dropped_spans` is
+/// reported as a top-level member of that name.
 #[must_use]
-pub fn document(spans: &[SpanRecord]) -> JsonValue {
+pub fn document(spans: &[SpanRecord], dropped_spans: u64) -> JsonValue {
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
     let mut roots = Vec::new();
     for (index, span) in spans.iter().enumerate() {
@@ -100,11 +108,15 @@ pub fn document(spans: &[SpanRecord]) -> JsonValue {
         .iter()
         .map(|&root| span_node(spans, &children, root))
         .collect();
-    JsonValue::Object(vec![
+    let mut members = vec![
         ("version".to_owned(), JsonValue::Number(1.0)),
         ("spans".to_owned(), JsonValue::Array(span_values)),
-        ("metrics".to_owned(), metrics_json()),
-    ])
+    ];
+    if dropped_spans > 0 {
+        members.push(("dropped_spans".to_owned(), num_u64(dropped_spans)));
+    }
+    members.push(("metrics".to_owned(), metrics_json()));
+    JsonValue::Object(members)
 }
 
 /// Drains the span recorder, publishes `cache`'s counters into the
@@ -117,7 +129,36 @@ pub fn write_profile(path: &str, cache: Option<&EvalCache>) -> Result<(), String
     if let Some(cache) = cache {
         cache.publish_obs();
     }
+    // Taking the spans resets the dropped count, so read it first.
+    let dropped = tdc_obs::dropped_spans();
     let spans = tdc_obs::take_spans();
-    let text = document(&spans).render();
+    let text = document(&spans, dropped).render();
     std::fs::write(path, text).map_err(|e| format!("cannot write profile `{path}`: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dropped_spans_member_appears_exactly_when_spans_were_dropped() {
+        let keys = |doc: &JsonValue| match doc {
+            JsonValue::Object(members) => {
+                members.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
+            }
+            other => panic!("profile document is not an object: {other:?}"),
+        };
+        let complete = document(&[], 0);
+        assert_eq!(keys(&complete), ["version", "spans", "metrics"]);
+        assert_eq!(complete.get("dropped_spans"), None);
+        let truncated = document(&[], 3);
+        assert_eq!(
+            keys(&truncated),
+            ["version", "spans", "dropped_spans", "metrics"]
+        );
+        assert_eq!(
+            truncated.get("dropped_spans"),
+            Some(&JsonValue::Number(3.0))
+        );
+    }
 }

@@ -47,8 +47,9 @@ fn two_point_serial_sweep_profile_is_byte_stable() {
         executor.execute(&model, &plan, &workload).unwrap();
     }
     executor.cache().publish_obs();
+    let dropped = tdc_obs::dropped_spans();
     let spans = tdc_obs::take_spans();
-    let rendered = tdc_cli::profile::document(&spans).render();
+    let rendered = tdc_cli::profile::document(&spans, dropped).render();
 
     // All five pipeline stages must report a timing series.
     for stage in [

@@ -1,16 +1,18 @@
 //! The model's configuration surface ([`ModelContext`]).
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use tdc_floorplan::{PackageModel, PackagingProfile};
 use tdc_integration::IntegrationCatalog;
 use tdc_power::{BandwidthConstraint, PowerModelChoice};
 use tdc_technode::{GridRegion, NodeParameters, TechnologyDb, Wafer};
-use tdc_units::CarbonIntensity;
+use tdc_units::{CarbonIntensity, Fingerprint};
 use tdc_wirelength::BeolEstimator;
 use tdc_yield::DieYieldModel;
 
 /// Which die-yield formula the model uses (Eq. 15 by default; Poisson
 /// and Murphy for ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DieYieldChoice {
     /// The paper's negative binomial with the *node's* clustering α.
     #[default]
@@ -214,61 +216,88 @@ impl ModelContext {
         ModelContextBuilder { ctx: self.clone() }
     }
 
-    // ---- Per-stage cache fingerprints ---------------------------------
-    //
-    // Each staged-pipeline artifact is a pure function of the design
-    // plus a *slice* of this context; the sweep cache keys each stage
-    // by exactly the slices it (and its upstream stages) read. The
-    // slices are deliberately conservative — a field may appear in a
-    // broader slice than strictly necessary (over-invalidation is
-    // merely slow) — but an input a stage reads MUST appear in its
-    // slice (under-invalidation would serve stale artifacts).
+    /// The bit fingerprints of the context slices the pipeline stages
+    /// read, one hash per slice (see [`SliceHashes`]).
+    ///
+    /// Each staged-pipeline artifact is a pure function of the design
+    /// plus a *slice* of this context; the sweep cache keys each stage
+    /// by exactly the slices it (and its upstream stages) read. The
+    /// slices are deliberately conservative — a field may appear in a
+    /// broader slice than strictly necessary (over-invalidation is
+    /// merely slow) — but an input a stage reads MUST appear in its
+    /// slice (under-invalidation would serve stale artifacts). The
+    /// context is destructured exhaustively, so a new field does not
+    /// compile until it is assigned a slice.
+    pub(crate) fn slice_hashes(&self) -> SliceHashes {
+        let ModelContext {
+            tech_db,
+            catalog,
+            wafer,
+            fab_region,
+            use_region,
+            die_yield,
+            beol,
+            package,
+            packaging,
+            bandwidth,
+            beol_carbon_fraction,
+            tsv_keepout,
+            m3d_sequential_fraction,
+            beol_adjustment_enabled,
+            bandwidth_constraint_enabled,
+            // The operational tag hashes the instantiated plug-in's own
+            // fingerprint instead, which also covers a model swapped in
+            // by `CarbonModel::with_power_model`.
+            power_model: _,
+        } = self;
+        let mut geometry = DefaultHasher::new();
+        tech_db.fingerprint(&mut geometry);
+        beol.fingerprint(&mut geometry);
+        tsv_keepout.fingerprint(&mut geometry);
+        catalog.fingerprint(&mut geometry);
+        package.fingerprint(&mut geometry);
+        let mut yields = DefaultHasher::new();
+        die_yield.hash(&mut yields);
+        let mut fab = DefaultHasher::new();
+        fab_region.hash(&mut fab);
+        wafer.fingerprint(&mut fab);
+        beol_carbon_fraction.fingerprint(&mut fab);
+        beol_adjustment_enabled.fingerprint(&mut fab);
+        m3d_sequential_fraction.fingerprint(&mut fab);
+        packaging.fingerprint(&mut fab);
+        let mut use_phase = DefaultHasher::new();
+        use_region.hash(&mut use_phase);
+        bandwidth.fingerprint(&mut use_phase);
+        bandwidth_constraint_enabled.fingerprint(&mut use_phase);
+        SliceHashes {
+            geometry: geometry.finish(),
+            yields: yields.finish(),
+            fab: fab.finish(),
+            use_phase: use_phase.finish(),
+        }
+    }
+}
 
+/// One hash per context slice a pipeline stage reads (see
+/// [`ModelContext::slice_hashes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SliceHashes {
     /// Inputs of the physical (geometry) stage: technology database,
     /// BEOL estimator, TSV keep-out, integration catalog, and package
     /// model. Grid regions, the wafer, yield choices, and the workload
     /// are deliberately absent.
-    pub(crate) fn fingerprint_geometry(&self) -> String {
-        format!(
-            "{:?}|{:?}|{:x}|{:?}|{:?}",
-            self.tech_db,
-            self.beol,
-            self.tsv_keepout.to_bits(),
-            self.catalog,
-            self.package,
-        )
-    }
-
+    pub(crate) geometry: u64,
     /// Additional inputs of the yield stage beyond the geometry slice:
     /// the die-yield model choice (defect densities and bonding step
     /// yields already live in the geometry slice's database/catalog).
-    pub(crate) fn fingerprint_yield(&self) -> String {
-        format!("{:?}", self.die_yield)
-    }
-
+    pub(crate) yields: u64,
     /// Additional inputs of the embodied stage: the fab grid, the
     /// production wafer, the BEOL carbon knobs, the M3D sequential
     /// fraction, and the packaging characterization.
-    pub(crate) fn fingerprint_fab(&self) -> String {
-        format!(
-            "{:?}|{:?}|{:x}|{}|{:x}|{:?}",
-            self.fab_region,
-            self.wafer,
-            self.beol_carbon_fraction.to_bits(),
-            self.beol_adjustment_enabled,
-            self.m3d_sequential_fraction.to_bits(),
-            self.packaging,
-        )
-    }
-
+    pub(crate) fab: u64,
     /// Additional inputs of the operational stage: the use-phase grid
     /// and the bandwidth constraint.
-    pub(crate) fn fingerprint_use(&self) -> String {
-        format!(
-            "{:?}|{:?}|{}",
-            self.use_region, self.bandwidth, self.bandwidth_constraint_enabled,
-        )
-    }
+    pub(crate) use_phase: u64,
 }
 
 /// Builder for [`ModelContext`].

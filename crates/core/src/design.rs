@@ -2,11 +2,12 @@
 
 use crate::error::ModelError;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 use tdc_integration::{
     IntegrationCatalog, IntegrationFamily, IntegrationTechnology, StackOrientation,
 };
 use tdc_technode::ProcessNode;
-use tdc_units::{Area, Efficiency};
+use tdc_units::{Area, Efficiency, Fingerprint};
 use tdc_wirelength::RentParameters;
 use tdc_yield::StackingFlow;
 
@@ -27,6 +28,29 @@ pub struct DieSpec {
     efficiency: Option<Efficiency>,
     rent: Option<RentParameters>,
     compute_share: Option<f64>,
+}
+
+impl Fingerprint for DieSpec {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let DieSpec {
+            name,
+            node,
+            gate_count,
+            area_override,
+            beol_override,
+            efficiency,
+            rent,
+            compute_share,
+        } = self;
+        name.hash(state);
+        node.hash(state);
+        gate_count.fingerprint(state);
+        area_override.fingerprint(state);
+        beol_override.fingerprint(state);
+        efficiency.fingerprint(state);
+        rent.fingerprint(state);
+        compute_share.fingerprint(state);
+    }
 }
 
 impl DieSpec {

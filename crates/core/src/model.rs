@@ -9,17 +9,23 @@ use crate::operational::{OperationalReport, Workload};
 use crate::pipeline;
 use crate::sweep::cache::ContextTags;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tdc_power::PowerModel;
 use tdc_units::{Co2Mass, Ratio, TimeSpan};
 
 /// The full life-cycle result for one design (Eq. 1).
+///
+/// Both halves are shared: a report built from the sweep cache points
+/// at the very artifacts the store and the plan's stage columns hold,
+/// so materializing a result clones two pointers, never a breakdown.
+/// `Arc` is transparent to `Debug`, `Display` and `PartialEq`, which
+/// compare and render the artifacts themselves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LifecycleReport {
     /// Embodied breakdown (Eq. 3).
-    pub embodied: EmbodiedBreakdown,
+    pub embodied: Arc<EmbodiedBreakdown>,
     /// Operational report (Eq. 16).
-    pub operational: OperationalReport,
+    pub operational: Arc<OperationalReport>,
 }
 
 impl LifecycleReport {
@@ -200,8 +206,8 @@ impl CarbonModel {
             &*self.power_model,
         )?;
         Ok(LifecycleReport {
-            embodied,
-            operational,
+            embodied: Arc::new(embodied),
+            operational: Arc::new(operational),
         })
     }
 

@@ -1019,8 +1019,8 @@ mod tests {
             &tdc_power::SurveyedEfficiency::new(),
         )
         .unwrap();
-        assert_eq!(reference.embodied, embodied);
-        assert_eq!(reference.operational, operational);
+        assert_eq!(*reference.embodied, embodied);
+        assert_eq!(*reference.operational, operational);
     }
 
     #[test]

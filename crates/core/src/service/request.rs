@@ -17,6 +17,7 @@ use crate::operational::Workload;
 use crate::sensitivity::SensitivityEntry;
 use crate::sweep::{SweepPlan, SweepResult};
 use crate::EmbodiedBreakdown;
+use std::sync::Arc;
 
 /// One unit of work for a [`ScenarioSession`].
 ///
@@ -83,12 +84,13 @@ pub enum EvalRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalResponse {
     /// Embodied-only evaluation of a [`EvalRequest::Run`] without a
-    /// workload.
-    Embodied(EmbodiedBreakdown),
+    /// workload — the breakdown the session's store holds, shared.
+    Embodied(Arc<EmbodiedBreakdown>),
     /// Full life-cycle evaluation of a [`EvalRequest::Run`].
     Lifecycle(LifecycleReport),
-    /// Ranked result of an [`EvalRequest::Sweep`].
-    Sweep(SweepResult),
+    /// Ranked result of an [`EvalRequest::Sweep`]. Boxed: its
+    /// statistics dwarf the shared-artifact variants.
+    Sweep(Box<SweepResult>),
     /// Sorted tornado entries of an [`EvalRequest::Sensitivity`].
     Sensitivity(Vec<SensitivityEntry>),
     /// Frontier report of an [`EvalRequest::Explore`]. Only the

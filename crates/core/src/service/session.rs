@@ -8,6 +8,7 @@ use crate::sweep::batch;
 use crate::sweep::cache::{EmbodiedOutcome, PipelineStats};
 use crate::sweep::SweepExecutor;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Reuse accounting of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -191,12 +192,12 @@ impl ScenarioSession {
                 let response = match (&one.embodied, &one.operational, workload) {
                     (EmbodiedOutcome::Report(embodied), Some(operational), Some(_)) => {
                         EvalResponse::Lifecycle(LifecycleReport {
-                            embodied: (**embodied).clone(),
-                            operational: (**operational).clone(),
+                            embodied: Arc::clone(embodied),
+                            operational: Arc::clone(operational),
                         })
                     }
                     (EmbodiedOutcome::Report(embodied), _, None) => {
-                        EvalResponse::Embodied((**embodied).clone())
+                        EvalResponse::Embodied(Arc::clone(embodied))
                     }
                     // Oversized: a sweep would drop the point, but
                     // `run` must surface exactly the error a fresh
@@ -204,7 +205,7 @@ impl ScenarioSession {
                     (_, _, Some(workload)) => {
                         EvalResponse::Lifecycle(model.lifecycle(design, workload)?)
                     }
-                    (_, _, None) => EvalResponse::Embodied(model.embodied(design)?),
+                    (_, _, None) => EvalResponse::Embodied(Arc::new(model.embodied(design)?)),
                 };
                 (response, one.stats)
             }
@@ -219,7 +220,7 @@ impl ScenarioSession {
                 // shared keyed cache.
                 let result = self.executor.execute(&model, plan, workload)?;
                 let stages = result.stats().stages;
-                (EvalResponse::Sweep(result), stages)
+                (EvalResponse::Sweep(Box::new(result)), stages)
             }
             EvalRequest::Sensitivity {
                 context,

@@ -22,6 +22,11 @@
 //!   mixing `run`/`sweep` requests in a session) reuses artifacts
 //!   across plan shapes.
 //!
+//! Columns, store and results hold the same artifacts: a materializing
+//! call's [`SweepEntry`] shares its plan point's design and its
+//! columns' embodied and operational artifacts through `Arc` clones,
+//! so building an entry allocates only its label.
+//!
 //! A single design (a session's `run` request) goes through the same
 //! kernel as a one-point plan whose one-slot columns are never stored
 //! ([`evaluate_one`]): it takes no engine lock, evicts no resident
@@ -679,6 +684,7 @@ pub(crate) fn run(
 
     if result.is_ok() {
         out.ranked.clear();
+        out.ranked.reserve(n);
         for (index, slot) in totals_col.slots.iter().enumerate() {
             if let Some(total_kg) = *slot {
                 out.ranked.push(RankedPoint { index, total_kg });
@@ -707,10 +713,10 @@ pub(crate) fn run(
                     label: point.label().to_owned(),
                     node: point.node(),
                     technology: point.technology(),
-                    design: point.design().clone(),
+                    design: Arc::clone(point.shared_design()),
                     report: LifecycleReport {
-                        embodied: (**emb).clone(),
-                        operational: (**op).clone(),
+                        embodied: Arc::clone(emb),
+                        operational: Arc::clone(op),
                     },
                 });
             }

@@ -23,21 +23,36 @@
 //! | [`PowerProfile`] | geometry |
 //! | [`OperationalReport`](crate::OperationalReport) | geometry + use grid + bandwidth + power plug-in + workload |
 //!
+//! The configuration half of a key is the stage's *tag*. A
+//! [`CarbonModel`] hashes each context slice once, straight from its
+//! fields' bit patterns ([`tdc_units::Fingerprint`]: every `f64` as
+//! `to_bits()`, every struct destructured exhaustively), and derives
+//! all five tags from those slice hashes; no context is rendered as
+//! text. The operational tag adds the power plug-in's own short
+//! fingerprint once per model and, per call, the workload's rendering.
+//!
 //! The design half of every key is a 128-bit hash of the *canonical
 //! form of the design* ([`EvalCache::key_for`]) — every die's
-//! [`DieSpec`](crate::DieSpec) (name, process node, gate count / area /
-//! overrides) plus the integration technology, orientation, and bonding
-//! flow — so any two points that would produce the same artifact are
-//! computed once. A [`SweepPlan`](crate::sweep::SweepPlan) computes its
-//! points' keys once and carries them, so executing a plan never
-//! re-hashes its designs.
+//! [`DieSpec`](crate::DieSpec) fingerprint (name, process node, gate
+//! count / area / overrides, in the tags' encoding) plus the
+//! integration technology, orientation, and bonding flow — so any two
+//! points that would produce the same artifact are computed once. A
+//! [`SweepPlan`](crate::sweep::SweepPlan) computes its points' keys
+//! once and carries them, so executing a plan never re-hashes its
+//! designs.
+//!
+//! Artifacts are stored behind `Arc`s, and results share them: a
+//! [`LifecycleReport`](crate::LifecycleReport) built from the store
+//! holds the store's embodied breakdown and operational report
+//! themselves.
 //!
 //! # Shards and eviction
 //!
 //! Each stage's store is split into [`SHARD_COUNT`] shards, routed by
 //! a mix of the configuration tag, each behind its own `RwLock` — warm
 //! lookups take a shared read lock (readers never contend with each
-//! other), and only genuine inserts take a shard's write lock. A
+//! other), and only genuine inserts take a shard's write lock, probing
+//! the shard for an existing entry only when it is at its cap. A
 //! multi-client server hammering the warm path therefore scales reads,
 //! and writers for different configurations rarely touch the same
 //! shard.
@@ -81,6 +96,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use tdc_power::PowerModel;
+use tdc_units::Fingerprint;
 
 /// What a finished embodied evaluation left behind. Only the two
 /// *non-fatal* outcomes are cached.
@@ -465,14 +481,15 @@ impl<T: Clone> StageCell<T> {
     }
 
     /// Inserts under the shard's write lock, evicting the shard's LRU
-    /// quarter first when it is at its share of `cap`.
+    /// quarter first when it is at its share of `cap`. Only a full
+    /// shard probes for an existing entry (replacing one needs no
+    /// room); below the cap the insert is the one hash-map operation.
     pub(crate) fn insert(&self, tag: u64, key: u128, stamp: Stamp, value: T, cap: usize) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shards[shard_of(tag)]
             .write()
             .expect("cache shard poisoned");
-        let exists = shard.entries.contains_key(&(tag, key));
-        if !exists && shard.entries.len() >= per_shard_cap(cap) {
+        if shard.entries.len() >= per_shard_cap(cap) && !shard.entries.contains_key(&(tag, key)) {
             evict_lru(&mut shard);
         }
         let entry = Entry {
@@ -528,10 +545,12 @@ fn hash_str(s: &str) -> u64 {
 }
 
 /// The context-only part of a model's [`StageTags`], derived once per
-/// [`CarbonModel`] (see [`CarbonModel::context_tags`]): every tag but
-/// the operational one, which also hashes the workload, plus that
-/// tag's hasher already fed with its context prefix. Resolving a
-/// call's tags therefore renders the workload and nothing else.
+/// [`CarbonModel`] (see [`CarbonModel::context_tags`]) from the bit
+/// fingerprints of its context slices
+/// ([`ModelContext::slice_hashes`]): every tag but the operational
+/// one, which also hashes the workload, plus that tag's hasher already
+/// fed with its context prefix. Resolving a call's tags therefore
+/// renders the workload and nothing else.
 #[derive(Debug)]
 pub(crate) struct ContextTags {
     physical: u64,
@@ -542,28 +561,33 @@ pub(crate) struct ContextTags {
 }
 
 impl ContextTags {
-    /// Hashes, for each stage, the union of the context slices that
-    /// stage and its upstream stages read — nothing more, which is
-    /// exactly what lets downstream-only changes keep upstream tags
-    /// (and therefore artifacts) stable.
+    /// Hashes, for each stage, a stage byte and the hashes of the
+    /// context slices that stage and its upstream stages read —
+    /// nothing more, which is exactly what lets downstream-only
+    /// changes keep upstream tags (and therefore artifacts) stable.
+    /// The context is hashed from its fields' bits, once per slice;
+    /// only the power plug-in contributes text, its
+    /// [`fingerprint`](PowerModel::fingerprint).
     pub(crate) fn new(ctx: &ModelContext, power_model: &dyn PowerModel) -> Self {
-        let geometry = ctx.fingerprint_geometry();
-        let yields = format!("{geometry}\u{1f}{}", ctx.fingerprint_yield());
-        let embodied = format!("{yields}\u{1f}{}", ctx.fingerprint_fab());
+        let slices = ctx.slice_hashes();
+        let tag = |stage: u8, parts: &[u64]| {
+            let mut hasher = DefaultHasher::new();
+            hasher.write_u8(stage);
+            for &part in parts {
+                hasher.write_u64(part);
+            }
+            hasher.finish()
+        };
         let mut operational = DefaultHasher::new();
-        operational.write(
-            format!(
-                "op\u{1f}{geometry}\u{1f}{}\u{1f}{}\u{1f}",
-                ctx.fingerprint_use(),
-                power_model.fingerprint(),
-            )
-            .as_bytes(),
-        );
+        operational.write_u8(4);
+        operational.write_u64(slices.geometry);
+        operational.write_u64(slices.use_phase);
+        power_model.fingerprint().hash(&mut operational);
         Self {
-            physical: hash_str(&format!("phys\u{1f}{geometry}")),
-            yields: hash_str(&format!("yield\u{1f}{yields}")),
-            embodied: hash_str(&format!("emb\u{1f}{embodied}")),
-            power: hash_str(&format!("power\u{1f}{geometry}")),
+            physical: tag(0, &[slices.geometry]),
+            yields: tag(1, &[slices.geometry, slices.yields]),
+            embodied: tag(2, &[slices.geometry, slices.yields, slices.fab]),
+            power: tag(3, &[slices.geometry]),
             operational,
         }
     }
@@ -576,17 +600,16 @@ impl ContextTags {
     fn resolve(&self, workload: Option<&Workload>) -> StageTags {
         let operational = match workload {
             Some(workload) => {
-                // SipHash reads its input as one byte stream, so
-                // streaming the rendering after the primed prefix and
-                // ending with `str::hash`'s 0xff terminator gives
-                // exactly `hash_str` of the whole tag string.
+                // The rendering streams after the primed prefix and
+                // ends with `str::hash`'s 0xff terminator, which UTF-8
+                // text never contains.
                 let mut hasher = self.operational.clone();
                 let _ = write!(HashWriter(&mut hasher), "{workload:?}");
                 hasher.write_u8(0xff);
                 hasher.finish()
             }
-            // Embodied-only: a sentinel no real workload tag can equal
-            // (real tags always embed the use-grid fingerprint).
+            // Embodied-only: a sentinel tag; the operational stage is
+            // never consulted under it.
             None => hash_str("op\u{1f}\u{1f}embodied-only"),
         };
         StageTags {
@@ -652,23 +675,12 @@ impl Hasher for KeyStream {
     }
 }
 
-/// Hashes an optional numeric field by presence and raw bit pattern,
-/// so distinct values (`+0.0` and `-0.0` included) feed distinct bytes.
-fn hash_bits<H: Hasher>(h: &mut H, value: Option<f64>) {
-    match value {
-        None => h.write_u8(0),
-        Some(v) => {
-            h.write_u8(1);
-            h.write_u64(v.to_bits());
-        }
-    }
-}
-
 /// Feeds the canonical form of a design into `h`: its shape and
-/// integration choices, its die count, and every die spec. Each field
-/// is written with a self-delimiting encoding (strings end in a byte
-/// UTF-8 never uses, options carry a presence byte), so distinct
-/// designs always feed distinct byte streams.
+/// integration choices, its die count, and every die spec's
+/// [`Fingerprint`] — the encoding the context's stage tags use too.
+/// Each field is written self-delimiting (strings end in a byte UTF-8
+/// never uses, options carry a presence byte), so distinct designs
+/// always feed distinct byte streams.
 fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
     match design {
         ChipDesign::Monolithic2d { .. } => h.write_u8(1),
@@ -690,23 +702,7 @@ fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
     }
     h.write_usize(design.dies().len());
     for die in design.dies() {
-        die.name().hash(h);
-        die.node().hash(h);
-        hash_bits(h, die.gate_count());
-        hash_bits(h, die.area_override().map(|a| a.mm2()));
-        hash_bits(h, die.beol_override().map(f64::from));
-        hash_bits(h, die.efficiency().map(|e| e.tops_per_watt()));
-        hash_bits(h, die.compute_share());
-        match die.rent() {
-            None => h.write_u8(0),
-            Some(r) => {
-                h.write_u8(1);
-                hash_bits(h, Some(r.exponent()));
-                hash_bits(h, Some(r.terminals_per_gate()));
-                hash_bits(h, Some(r.fanout()));
-                hash_bits(h, Some(r.external_exponent()));
-            }
-        }
+        die.fingerprint(h);
     }
 }
 
@@ -1053,9 +1049,9 @@ mod tests {
     ) -> (Option<LifecycleReport>, bool, PipelineStats) {
         let one = evaluate_one(cache, m, d, Some(w)).unwrap();
         let report = match (one.embodied, one.operational) {
-            (EmbodiedOutcome::Report(e), Some(op)) => Some(LifecycleReport {
-                embodied: (*e).clone(),
-                operational: (*op).clone(),
+            (EmbodiedOutcome::Report(embodied), Some(operational)) => Some(LifecycleReport {
+                embodied,
+                operational,
             }),
             _ => None,
         };
@@ -1201,28 +1197,212 @@ mod tests {
         assert_eq!(cache.stats().stages.embodied.hits, 1);
     }
 
-    #[test]
-    fn memoized_tags_hash_the_whole_tag_strings() {
-        // The model memo streams the workload after a primed prefix;
-        // the result must equal hashing each whole tag string, so the
-        // stores (and their shard routing) keep the same namespaces.
-        let m = model();
+    /// The text each stage's tag once hashed: the `Debug` rendering of
+    /// the context slices that stage and its upstream stages read, plus
+    /// (operational) the power plug-in's fingerprint and the workload,
+    /// in `StageTags` field order. Test-only oracle for the bit
+    /// fingerprints that replaced it.
+    fn oracle_texts(m: &CarbonModel, w: &Workload) -> [String; 5] {
         let ctx = m.context();
-        let geometry = ctx.fingerprint_geometry();
-        for w in [workload(), workload().with_average_utilization(0.25)] {
-            let tags = EvalCache::stage_tags(&m, Some(&w));
-            assert_eq!(tags.physical, hash_str(&format!("phys\u{1f}{geometry}")));
-            assert_eq!(
-                tags.operational,
-                hash_str(&format!(
-                    "op\u{1f}{geometry}\u{1f}{}\u{1f}{}\u{1f}{w:?}",
-                    ctx.fingerprint_use(),
-                    m.power_model().fingerprint(),
-                ))
-            );
+        let geometry = format!(
+            "{:?}|{:?}|{:x}|{:?}|{:?}",
+            ctx.tech_db(),
+            ctx.beol(),
+            ctx.tsv_keepout().to_bits(),
+            ctx.catalog(),
+            ctx.package(),
+        );
+        let yields = format!("{geometry}\u{1f}{:?}", ctx.die_yield());
+        let embodied = format!(
+            "{yields}\u{1f}{:?}|{:?}|{:x}|{}|{:x}|{:?}",
+            ctx.fab_region(),
+            ctx.wafer(),
+            ctx.beol_carbon_fraction().to_bits(),
+            ctx.beol_adjustment_enabled(),
+            ctx.m3d_sequential_fraction().to_bits(),
+            ctx.packaging(),
+        );
+        let operational = format!(
+            "{geometry}\u{1f}{:?}|{:?}|{}\u{1f}{}\u{1f}{w:?}",
+            ctx.use_region(),
+            ctx.bandwidth(),
+            ctx.bandwidth_constraint_enabled(),
+            m.power_model().fingerprint(),
+        );
+        [geometry.clone(), yields, embodied, geometry, operational]
+    }
+
+    /// Contexts that each change one field of one slice — some to a
+    /// value equal to the default, so equal text occurs too.
+    fn one_field_variants() -> Vec<ModelContext> {
+        use crate::context::DieYieldChoice;
+        use tdc_floorplan::{PackageModel, PackagingProfile};
+        use tdc_integration::{
+            BondingMethod, BondingProcess, IntegrationCatalog, IntegrationTechnology as Tech,
+            InterfaceSpec, IoDensity, SubstrateKind, SubstrateProfile,
+        };
+        use tdc_power::{BandwidthConstraint, PowerModelChoice as Power};
+        use tdc_technode::{NodeParameters, TechnologyDb, Wafer};
+        use tdc_units::{Area, Bandwidth, CarbonPerArea, EnergyPerArea, EnergyPerBit, Length};
+        use tdc_wirelength::{BeolEstimator, RentParameters, WirelengthModel as Wire};
+
+        fn n7_defects(d0: f64) -> TechnologyDb {
+            let mut db = TechnologyDb::default();
+            let n7 = NodeParameters::builder(ProcessNode::N7);
+            db.insert(n7.defect_density_per_cm2(d0).build().unwrap());
+            db
         }
+        fn beol(wirelength: Wire, global_net_fraction: f64) -> BeolEstimator {
+            let rent = RentParameters::default();
+            BeolEstimator::new(rent, wirelength, 0.66, global_net_fraction).unwrap()
+        }
+        fn catalog(edit: fn(&mut IntegrationCatalog)) -> IntegrationCatalog {
+            let mut c = IntegrationCatalog::default();
+            edit(&mut c);
+            c
+        }
+        fn micro_bump_io(c: &mut IntegrationCatalog, io: IoDensity) {
+            let rate = Bandwidth::from_gbps(6.0);
+            let spec = InterfaceSpec::new(rate, EnergyPerBit::from_fj_per_bit(140.0), io, true);
+            c.set_interface(Tech::MicroBump3d, spec);
+        }
+        let b = ModelContext::builder;
+        let shipped_d0 = TechnologyDb::default()
+            .node(ProcessNode::N7)
+            .defect_density_per_cm2();
+        let rent = RentParameters::default().with_exponent(0.5);
+        let hybrid = BondingProcess::new(
+            BondingMethod::HybridBonding,
+            EnergyPerArea::from_kwh_per_cm2(0.22),
+            EnergyPerArea::from_kwh_per_cm2(0.19),
+            0.99,
+            0.97,
+        )
+        .unwrap();
+        let packaging = PackagingProfile::new(CarbonPerArea::from_kg_per_cm2(0.2), 0.99).unwrap();
+        vec![
+            b().build(),
+            // Geometry slice: the first of each pair restates a default.
+            b().tech_db(n7_defects(shipped_d0)).build(),
+            b().tech_db(n7_defects(0.2)).build(),
+            b().beol(beol(Wire::default(), 3.0e-6)).build(),
+            b().beol(beol(Wire::BlockDonath { block_gates: 2.0e6 }, 3.0e-6))
+                .build(),
+            b().beol(beol(Wire::FlatDonath, 3.0e-6)).build(),
+            b().beol(beol(Wire::PowerLaw { k: 1.0 }, 3.0e-6)).build(),
+            b().beol(beol(Wire::Fixed { pitches: 1.0 }, 3.0e-6)).build(),
+            b().beol(beol(Wire::default(), 0.0)).build(),
+            b().beol(beol(Wire::default(), -0.0)).build(),
+            b().beol(BeolEstimator::default().with_rent(rent)).build(),
+            b().tsv_keepout(3.0).build(),
+            b().catalog(catalog(|c| {
+                c.set_interface(
+                    Tech::MicroBump3d,
+                    IntegrationCatalog::shipped_interface(Tech::MicroBump3d),
+                );
+            }))
+            .build(),
+            b().catalog(catalog(|c| {
+                micro_bump_io(
+                    c,
+                    IoDensity::AreaArray {
+                        pitch: Length::from_um(10.0),
+                    },
+                );
+            }))
+            .build(),
+            b().catalog(catalog(|c| {
+                micro_bump_io(
+                    c,
+                    IoDensity::PerEdge {
+                        per_mm_per_layer: 25.0,
+                    },
+                );
+            }))
+            .build(),
+            b().catalog({
+                let mut c = IntegrationCatalog::default();
+                c.set_bonding(Tech::HybridBonding3d, hybrid);
+                c
+            })
+            .build(),
+            b().catalog(catalog(|c| {
+                c.set_substrate(
+                    SubstrateProfile::shipped(SubstrateKind::Rdl).with_scale_factor(1.5),
+                );
+            }))
+            .build(),
+            b().package(PackageModel::mobile()).build(),
+            b().package(PackageModel::new(1.7, Area::from_mm2(-0.0)).unwrap())
+                .build(),
+            // Yield slice.
+            b().die_yield(DieYieldChoice::PaperNegativeBinomial).build(),
+            b().die_yield(DieYieldChoice::Poisson).build(),
+            b().die_yield(DieYieldChoice::Murphy).build(),
+            // Fab slice.
+            b().fab_region(GridRegion::Renewable).build(),
+            b().wafer(Wafer::W200).build(),
+            b().beol_carbon_fraction(0.0).build(),
+            b().beol_carbon_fraction(-0.0).build(),
+            b().beol_adjustment(false).build(),
+            b().m3d_sequential_fraction(0.5).build(),
+            b().packaging(packaging).build(),
+            // Use slice and power plug-in.
+            b().use_region(GridRegion::France).build(),
+            b().bandwidth(BandwidthConstraint::new(0.3).unwrap())
+                .build(),
+            b().bandwidth_constraint(false).build(),
+            b().power_model(Power::AnalyticalCmos).build(),
+            b().power_model(Power::Surveyed { year: Some(2030) })
+                .build(),
+            b().power_model(Power::FixedEfficiency { tops_per_watt: 2.0 })
+                .build(),
+        ]
+    }
+
+    #[test]
+    fn stage_tags_are_exactly_as_fine_as_the_context_text() {
+        // Two configurations share a stage's tag exactly when the text
+        // that stage's tag once hashed is equal: the bit fingerprints
+        // tell apart everything the text did (`-0.0` vs `0.0`, every
+        // wirelength and I/O-density variant, every yield choice, an
+        // override of a single node or catalog entry) and nothing more
+        // (restating a default value keeps every tag, and a change to
+        // a downstream slice keeps every upstream tag, whose text it
+        // leaves equal).
+        const STAGES: [&str; 5] = ["physical", "yields", "embodied", "power", "operational"];
+        let workloads = [workload(), workload().with_average_utilization(0.25)];
+        let mut rows = Vec::new();
+        for (variant, ctx) in one_field_variants().into_iter().enumerate() {
+            let m = CarbonModel::new(ctx);
+            for (wi, w) in workloads.iter().enumerate() {
+                let t = EvalCache::stage_tags(&m, Some(w));
+                let tags = [t.physical, t.yields, t.embodied, t.power, t.operational];
+                rows.push((variant, wi, tags, oracle_texts(&m, w)));
+            }
+        }
+        let mut outcomes = [[false; 2]; 5];
+        for (a, (variant_a, wa, tags_a, text_a)) in rows.iter().enumerate() {
+            for (variant_b, wb, tags_b, text_b) in &rows[a + 1..] {
+                for (stage, label) in STAGES.iter().enumerate() {
+                    let same_text = text_a[stage] == text_b[stage];
+                    assert_eq!(
+                        tags_a[stage] == tags_b[stage],
+                        same_text,
+                        "{label} tag of variant {variant_a}/w{wa} vs {variant_b}/w{wb}"
+                    );
+                    outcomes[stage][usize::from(same_text)] = true;
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|seen| seen[0] && seen[1]),
+            "every stage must see both equal and distinct tags: {outcomes:?}"
+        );
+
+        // Embodied-only evaluations share one operational sentinel.
         assert_eq!(
-            EvalCache::stage_tags(&m, None).operational,
+            EvalCache::stage_tags(&model(), None).operational,
             hash_str("op\u{1f}\u{1f}embodied-only")
         );
     }

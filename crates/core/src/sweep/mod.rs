@@ -32,6 +32,7 @@ use crate::error::ModelError;
 use crate::model::{CarbonModel, LifecycleReport};
 use crate::operational::Workload;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tdc_integration::{IntegrationFamily, IntegrationTechnology, StackOrientation};
 use tdc_technode::ProcessNode;
 use tdc_units::Efficiency;
@@ -57,8 +58,9 @@ pub struct SweepEntry {
     pub node: ProcessNode,
     /// The integration technology (`None` = monolithic 2D).
     pub technology: Option<IntegrationTechnology>,
-    /// The design that was evaluated.
-    pub design: ChipDesign,
+    /// The design that was evaluated, shared with the plan point it
+    /// came from.
+    pub design: Arc<ChipDesign>,
     /// Its life-cycle result.
     pub report: LifecycleReport,
 }
@@ -381,7 +383,7 @@ mod tests {
             .iter()
             .any(|e| e.technology == Some(IntegrationTechnology::MicroBump3d)));
         for e in &entries {
-            if let ChipDesign::Stack3d { orientation, .. } = &e.design {
+            if let ChipDesign::Stack3d { orientation, .. } = &*e.design {
                 assert_eq!(*orientation, StackOrientation::FaceToBack);
             }
         }

@@ -21,7 +21,9 @@ pub struct SweepPoint {
     node: ProcessNode,
     technology: Option<IntegrationTechnology>,
     tiers: u32,
-    design: ChipDesign,
+    /// Shared with every [`SweepEntry`](super::SweepEntry) materialized
+    /// from this point.
+    design: Arc<ChipDesign>,
 }
 
 impl SweepPoint {
@@ -42,7 +44,7 @@ impl SweepPoint {
             node,
             technology,
             tiers,
-            design,
+            design: Arc::new(design),
         }
     }
 
@@ -80,6 +82,11 @@ impl SweepPoint {
     /// The design to evaluate at this point.
     #[must_use]
     pub fn design(&self) -> &ChipDesign {
+        &self.design
+    }
+
+    /// The point's design as the shared pointer entries clone.
+    pub(crate) fn shared_design(&self) -> &Arc<ChipDesign> {
         &self.design
     }
 }

@@ -13,6 +13,12 @@
 //! storing or sharing a report. Trace ingest, which feeds re-pricing
 //! its utilization and intensity, allocates nothing per sample either.
 //!
+//! A warm *materializing* `execute` builds one `SweepEntry` per point,
+//! but its entries share the plan's designs and the pipeline's
+//! artifacts, so the only block it allocates per point is the entry's
+//! label: over the same two plans it may allocate at most one more
+//! block per extra point, on top of a per-call constant.
+//!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, so a sibling test running on another thread would
 //! pollute the measurement. Keeping the binary single-test makes the
@@ -106,6 +112,28 @@ fn ranking_call_allocations(nodes: Vec<ProcessNode>) -> (u64, u64) {
     (warm, reprice)
 }
 
+/// Allocations of one warm materializing `execute` on a fresh plan of
+/// `nodes`, and the plan's length.
+fn execute_call_allocations(nodes: Vec<ProcessNode>) -> (u64, usize) {
+    let plan = DesignSweep::new(17.0e9).nodes(nodes).plan().unwrap();
+    let model = CarbonModel::new(ModelContext::default());
+    let workload = Workload::fixed(
+        "app",
+        Throughput::from_tops(254.0),
+        TimeSpan::from_hours(10_000.0),
+    );
+    let executor = SweepExecutor::default();
+    // The cold call fills the stage columns and the keyed store.
+    executor.execute(&model, &plan, &workload).unwrap();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let warm = executor.execute(&model, &plan, &workload).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(warm.stats().cache_hits, plan.len(), "warm-up failed");
+    assert_eq!(warm.entries().len(), plan.len());
+    (allocations, plan.len())
+}
+
 /// Allocations of ingesting a constant log of `samples` lines: every
 /// line merges into one segment, and lines stream through the reader's
 /// reused chunk and carry buffers.
@@ -141,6 +169,22 @@ fn warm_batch_ranking_performs_zero_allocations_per_point() {
     assert!(
         large_reprice <= 64,
         "re-price call allocated {large_reprice} times; expected a small constant"
+    );
+    // A warm materializing call allocates one block per entry (its
+    // label) and nothing per artifact: entries share the plan's
+    // designs and the store's reports.
+    let (mat_small, small_points) = execute_call_allocations(vec![ProcessNode::N7]);
+    let (mat_large, large_points) = execute_call_allocations(ProcessNode::ALL.to_vec());
+    let extra_points = (large_points - small_points) as u64;
+    assert!(
+        mat_large <= mat_small + extra_points,
+        "warm execute allocated {mat_small} times on {small_points} points and \
+         {mat_large} on {large_points}: more than one block per extra point"
+    );
+    assert!(
+        mat_large <= large_points as u64 + 64,
+        "warm execute allocated {mat_large} times on {large_points} points; \
+         expected one per point plus a small constant"
     );
     // A 100 000-line log spans many 64 KiB chunks; a 1 000-line log
     // fits one. Ingest allocates the same for both.

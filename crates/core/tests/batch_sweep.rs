@@ -302,7 +302,7 @@ fn ranking_api_matches_materialized_entries() {
     assert_eq!(ranking.ranked().len(), materialized.entries().len());
     for (ranked, entry) in ranking.ranked().iter().zip(materialized.entries()) {
         let point = &plan.points()[ranked.index];
-        assert_eq!(point.design(), &entry.design);
+        assert_eq!(point.design(), &*entry.design);
         assert_eq!(point.label(), entry.label);
         assert!(ranked.total_kg == entry.report.total().kg());
     }

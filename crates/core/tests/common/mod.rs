@@ -28,7 +28,7 @@ pub fn expected_entries(
                     label: point.label().to_owned(),
                     node: point.node(),
                     technology: point.technology(),
-                    design: point.design().clone(),
+                    design: point.design().clone().into(),
                     report,
                 },
             )),

@@ -204,7 +204,11 @@ fn ranking_totals_match_fresh_serial_execute_and_stats_match_the_twin() {
                     "{ctx}: point {}",
                     ranked.index
                 );
-                assert_eq!(plan.points()[ranked.index].design(), &entry.design, "{ctx}");
+                assert_eq!(
+                    plan.points()[ranked.index].design(),
+                    &*entry.design,
+                    "{ctx}"
+                );
             }
 
             let stats = out.stats();

@@ -156,7 +156,7 @@ fn embodied_only_and_lifecycle_requests_share_the_store() {
         })
         .unwrap();
     let fresh = CarbonModel::new(ctx.clone()).embodied(&design).unwrap();
-    assert_eq!(first.response, EvalResponse::Embodied(fresh));
+    assert_eq!(first.response, EvalResponse::Embodied(fresh.into()));
 
     let second = session
         .evaluate(&EvalRequest::Run {
@@ -327,7 +327,7 @@ proptest! {
                     let fresh = CarbonModel::new(ctx).embodied(&design);
                     match (got, fresh) {
                         (Ok(g), Ok(f)) => {
-                            prop_assert_eq!(g.response, EvalResponse::Embodied(f));
+                            prop_assert_eq!(g.response, EvalResponse::Embodied(f.into()));
                         }
                         (Err(g), Err(f)) => prop_assert_eq!(g.to_string(), f.to_string()),
                         (g, f) =>

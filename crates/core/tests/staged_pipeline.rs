@@ -609,8 +609,8 @@ mod legacy {
         let embodied = compute_embodied(ctx, design)?;
         let operational = compute_operational(ctx, design, &embodied, workload, power_model)?;
         Ok(LifecycleReport {
-            embodied,
-            operational,
+            embodied: embodied.into(),
+            operational: operational.into(),
         })
     }
 }

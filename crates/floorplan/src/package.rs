@@ -1,8 +1,9 @@
 //! Package-area and packaging-carbon models ([`PackageModel`],
 //! [`PackagingProfile`]) — the paper's Eq. 12.
 
+use core::hash::Hasher;
 use serde::{Deserialize, Serialize};
-use tdc_units::{Area, CarbonPerArea, Co2Mass};
+use tdc_units::{Area, CarbonPerArea, Co2Mass, Fingerprint};
 
 /// Linear empirical package-area model (after Feng et al., "Chiplet
 /// Actuary"): `A_package = scale · A_base + offset`, where `A_base` is
@@ -14,6 +15,14 @@ use tdc_units::{Area, CarbonPerArea, Co2Mass};
 pub struct PackageModel {
     scale: f64,
     offset: Area,
+}
+
+impl Fingerprint for PackageModel {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let PackageModel { scale, offset } = self;
+        scale.fingerprint(state);
+        offset.fingerprint(state);
+    }
 }
 
 impl PackageModel {
@@ -121,6 +130,17 @@ impl Default for PackagingProfile {
             carbon_per_area: CarbonPerArea::from_kg_per_cm2(0.10),
             packaging_yield: 0.99,
         }
+    }
+}
+
+impl Fingerprint for PackagingProfile {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let PackagingProfile {
+            carbon_per_area,
+            packaging_yield,
+        } = self;
+        carbon_per_area.fingerprint(state);
+        packaging_yield.fingerprint(state);
     }
 }
 

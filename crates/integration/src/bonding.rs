@@ -1,8 +1,9 @@
 //! Bonding-process characterization ([`BondingMethod`],
 //! [`BondingProcess`]) — the "bonding related parameters" of Table 2.
 
+use core::hash::{Hash, Hasher};
 use serde::{Deserialize, Serialize};
-use tdc_units::EnergyPerArea;
+use tdc_units::{EnergyPerArea, Fingerprint};
 use tdc_yield::StackingFlow;
 
 /// The physical mechanism joining two dies/wafers.
@@ -53,6 +54,23 @@ pub struct BondingProcess {
     energy_per_area_w2w: EnergyPerArea,
     yield_d2w: f64,
     yield_w2w: f64,
+}
+
+impl Fingerprint for BondingProcess {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let BondingProcess {
+            method,
+            energy_per_area_d2w,
+            energy_per_area_w2w,
+            yield_d2w,
+            yield_w2w,
+        } = self;
+        method.hash(state);
+        energy_per_area_d2w.fingerprint(state);
+        energy_per_area_w2w.fingerprint(state);
+        yield_d2w.fingerprint(state);
+        yield_w2w.fingerprint(state);
+    }
 }
 
 impl BondingProcess {

@@ -7,8 +7,9 @@ use crate::bonding::{BondingMethod, BondingProcess};
 use crate::electrical::{InterfaceSpec, IoDensity};
 use crate::substrate::{SubstrateKind, SubstrateProfile};
 use crate::technology::{IntegrationTechnology, StackOrientation};
+use core::hash::{Hash, Hasher};
 use serde::{Deserialize, Serialize};
-use tdc_units::{Bandwidth, EnergyPerBit, Length};
+use tdc_units::{Bandwidth, EnergyPerBit, Fingerprint, Length};
 use tdc_yield::{AssemblyFlow, StackingFlow};
 
 /// What a technology can physically do (Table 1's capability columns).
@@ -110,6 +111,31 @@ impl Default for IntegrationCatalog {
             interfaces,
             bonding_overrides: Vec::new(),
             substrate_overrides: Vec::new(),
+        }
+    }
+}
+
+impl Fingerprint for IntegrationCatalog {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let IntegrationCatalog {
+            interfaces,
+            bonding_overrides,
+            substrate_overrides,
+        } = self;
+        state.write_usize(interfaces.len());
+        for (tech, spec) in interfaces {
+            tech.hash(state);
+            spec.fingerprint(state);
+        }
+        state.write_usize(bonding_overrides.len());
+        for (tech, process) in bonding_overrides {
+            tech.hash(state);
+            process.fingerprint(state);
+        }
+        state.write_usize(substrate_overrides.len());
+        for (kind, profile) in substrate_overrides {
+            kind.hash(state);
+            profile.fingerprint(state);
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Die-to-die interface electrical parameters ([`InterfaceSpec`]) —
 //! the Fig. 2 annotations.
 
+use core::hash::Hasher;
 use serde::{Deserialize, Serialize};
-use tdc_units::{Area, Bandwidth, EnergyPerBit, Length};
+use tdc_units::{Area, Bandwidth, EnergyPerBit, Fingerprint, Length};
 
 /// How interface I/Os are provisioned on a die.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -21,6 +22,21 @@ pub enum IoDensity {
         /// Connection pitch.
         pitch: Length,
     },
+}
+
+impl Fingerprint for IoDensity {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        match self {
+            IoDensity::PerEdge { per_mm_per_layer } => {
+                state.write_u8(0);
+                per_mm_per_layer.fingerprint(state);
+            }
+            IoDensity::AreaArray { pitch } => {
+                state.write_u8(1);
+                pitch.fingerprint(state);
+            }
+        }
+    }
 }
 
 impl IoDensity {
@@ -56,6 +72,21 @@ pub struct InterfaceSpec {
     energy_per_bit: EnergyPerBit,
     io_density: IoDensity,
     io_power_counted: bool,
+}
+
+impl Fingerprint for InterfaceSpec {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let InterfaceSpec {
+            data_rate,
+            energy_per_bit,
+            io_density,
+            io_power_counted,
+        } = self;
+        data_rate.fingerprint(state);
+        energy_per_bit.fingerprint(state);
+        io_density.fingerprint(state);
+        io_power_counted.fingerprint(state);
+    }
 }
 
 impl InterfaceSpec {

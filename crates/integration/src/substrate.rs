@@ -2,8 +2,9 @@
 //! [`SubstrateProfile`]) — inputs of the paper's `C^{2.5D}_{int}` model
 //! (Eqs. 13–14).
 
+use core::hash::{Hash, Hasher};
 use serde::{Deserialize, Serialize};
-use tdc_units::{CarbonIntensity, CarbonPerArea, EnergyPerArea, Length};
+use tdc_units::{CarbonIntensity, CarbonPerArea, EnergyPerArea, Fingerprint, Length};
 
 /// The manufactured structure that carries 2.5D dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -48,6 +49,27 @@ pub struct SubstrateProfile {
     clustering_alpha: f64,
     scale_factor: f64,
     die_gap: Length,
+}
+
+impl Fingerprint for SubstrateProfile {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let SubstrateProfile {
+            kind,
+            energy_per_area,
+            direct_per_area,
+            defect_density_per_cm2,
+            clustering_alpha,
+            scale_factor,
+            die_gap,
+        } = self;
+        kind.hash(state);
+        energy_per_area.fingerprint(state);
+        direct_per_area.fingerprint(state);
+        defect_density_per_cm2.fingerprint(state);
+        clustering_alpha.fingerprint(state);
+        scale_factor.fingerprint(state);
+        die_gap.fingerprint(state);
+    }
 }
 
 impl SubstrateProfile {

@@ -45,7 +45,9 @@ pub mod metrics;
 mod span;
 
 pub use clock::{now_ns, reset_clock, set_clock, Clock, MockClock, MonotonicClock};
-pub use span::{span, span_timed, spans, take_spans, SpanGuard, SpanRecord, MAX_SPANS};
+pub use span::{
+    dropped_spans, span, span_timed, spans, take_spans, SpanGuard, SpanRecord, MAX_SPANS,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

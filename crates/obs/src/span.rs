@@ -15,11 +15,12 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Hard cap on recorded spans: a runaway instrumentation loop stops
-/// recording instead of growing without bound (the profile document
-/// notes nothing — the cap is far above any scenario in this
-/// repository; coarse per-call spans dominate, per-stage spans only
-/// fire on cache misses).
+/// Hard cap on recorded spans: past it the recorder stops recording
+/// instead of growing without bound. A cold sweep records five stage
+/// spans per point, so one of more than about 13 k points reaches the
+/// cap. Every span refused at the cap is counted ([`dropped_spans`]),
+/// and the `--profile` document reports a non-zero count as its
+/// `"dropped_spans"` member, so a truncated profile says so.
 pub const MAX_SPANS: usize = 65_536;
 
 /// Capacity reserved when recording is enabled, so steady-state span
@@ -53,6 +54,9 @@ impl SpanRecord {
 }
 
 static SPANS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+/// Spans refused at [`MAX_SPANS`] since the recorder was last drained
+/// or cleared; changed only under the `SPANS` lock.
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -84,7 +88,9 @@ pub(crate) fn reserve() {
 /// Clears the recorder (open guards on other threads finish as
 /// no-ops: their indices no longer resolve and are ignored on drop).
 pub(crate) fn clear() {
-    SPANS.lock().expect("obs span recorder poisoned").clear();
+    let mut spans = SPANS.lock().expect("obs span recorder poisoned");
+    spans.clear();
+    DROPPED.store(0, Ordering::Relaxed);
 }
 
 /// An RAII span guard: records its end timestamp (and optionally a
@@ -131,6 +137,7 @@ fn span_with(name: &'static str, timing: Option<&'static Histogram>) -> SpanGuar
     let index = {
         let mut spans = SPANS.lock().expect("obs span recorder poisoned");
         if spans.len() >= MAX_SPANS {
+            DROPPED.fetch_add(1, Ordering::Relaxed);
             INERT
         } else {
             spans.push(SpanRecord {
@@ -190,13 +197,21 @@ pub fn spans() -> Vec<SpanRecord> {
 }
 
 /// Takes every recorded span out of the recorder, leaving it empty
-/// (capacity is retained).
+/// (capacity is retained) and its [`dropped_spans`] count at zero.
 #[must_use]
 pub fn take_spans() -> Vec<SpanRecord> {
     let mut spans = SPANS.lock().expect("obs span recorder poisoned");
     let mut out = Vec::with_capacity(spans.len());
     out.append(&mut spans);
+    DROPPED.store(0, Ordering::Relaxed);
     out
+}
+
+/// How many spans the recorder refused at [`MAX_SPANS`] since it was
+/// last drained ([`take_spans`]) or cleared.
+#[must_use]
+pub fn dropped_spans() -> u64 {
+    DROPPED.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -242,6 +257,21 @@ mod tests {
         assert_eq!(inner.thread, recorded[outer].thread);
         assert!(recorded[outer].end_ns >= inner.end_ns);
         assert!(recorded[outer].start_ns <= inner.start_ns);
+    }
+
+    #[test]
+    fn spans_past_the_cap_are_counted_until_taken() {
+        let _lock = GLOBAL.lock().unwrap();
+        crate::set_enabled(true);
+        let _ = take_spans();
+        for _ in 0..MAX_SPANS + 3 {
+            let _g = span("test.flood");
+        }
+        assert_eq!(dropped_spans(), 3);
+        let recorded = take_spans();
+        crate::set_enabled(false);
+        assert_eq!(recorded.len(), MAX_SPANS);
+        assert_eq!(dropped_spans(), 0, "taking the spans resets the count");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The I/O bandwidth constraint — §3.4 of the paper.
 
 use serde::{Deserialize, Serialize};
-use tdc_units::{Bandwidth, Ratio, Throughput};
+use tdc_units::{Bandwidth, Fingerprint, Ratio, Throughput};
 
 /// Outcome of checking a design against the bandwidth constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,6 +84,15 @@ impl Default for BandwidthConstraint {
         Self {
             degradation_at_half: 0.20,
         }
+    }
+}
+
+impl Fingerprint for BandwidthConstraint {
+    fn fingerprint<H: core::hash::Hasher>(&self, state: &mut H) {
+        let BandwidthConstraint {
+            degradation_at_half,
+        } = self;
+        degradation_at_half.fingerprint(state);
     }
 }
 

@@ -2,8 +2,9 @@
 //! [`TechnologyDb`] registry of shipped defaults.
 
 use crate::node::ProcessNode;
+use core::hash::{Hash, Hasher};
 use serde::{Deserialize, Serialize};
-use tdc_units::{Area, CarbonPerArea, EnergyPerArea, Length};
+use tdc_units::{Area, CarbonPerArea, EnergyPerArea, Fingerprint, Length};
 
 /// Physical and environmental parameters of one process node.
 ///
@@ -200,6 +201,33 @@ impl NodeParameters {
     }
 }
 
+impl Fingerprint for NodeParameters {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let NodeParameters {
+            node,
+            feature_size,
+            beta,
+            max_beol_layers,
+            energy_per_area,
+            gas_per_area,
+            material_per_area,
+            defect_density_per_cm2,
+            clustering_alpha,
+            tsv_diameter,
+        } = self;
+        node.hash(state);
+        feature_size.fingerprint(state);
+        beta.fingerprint(state);
+        max_beol_layers.fingerprint(state);
+        energy_per_area.fingerprint(state);
+        gas_per_area.fingerprint(state);
+        material_per_area.fingerprint(state);
+        defect_density_per_cm2.fingerprint(state);
+        clustering_alpha.fingerprint(state);
+        tsv_diameter.fingerprint(state);
+    }
+}
+
 /// Builder for [`NodeParameters`] (C-BUILDER).
 ///
 /// Starts from the shipped defaults of the chosen node so that callers
@@ -385,6 +413,13 @@ impl Default for TechnologyDb {
                 .map(Self::shipped_defaults)
                 .collect(),
         }
+    }
+}
+
+impl Fingerprint for TechnologyDb {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let TechnologyDb { nodes } = self;
+        nodes.fingerprint(state);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Wafer geometry ([`Wafer`]).
 
 use serde::{Deserialize, Serialize};
-use tdc_units::{Area, Length};
+use tdc_units::{Area, Fingerprint, Length};
 
 /// A silicon wafer of a given diameter.
 ///
@@ -20,6 +20,13 @@ use tdc_units::{Area, Length};
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct Wafer {
     diameter: Length,
+}
+
+impl Fingerprint for Wafer {
+    fn fingerprint<H: core::hash::Hasher>(&self, state: &mut H) {
+        let Wafer { diameter } = self;
+        diameter.fingerprint(state);
+    }
 }
 
 impl Wafer {

@@ -51,6 +51,7 @@ mod macros;
 mod carbon;
 mod compute;
 mod energy;
+mod fingerprint;
 mod geometry;
 mod ratio;
 mod time;
@@ -58,6 +59,7 @@ mod time;
 pub use carbon::{CarbonIntensity, CarbonPerArea, Co2Mass, Co2Rate};
 pub use compute::{Bandwidth, Efficiency, Throughput};
 pub use energy::{Energy, EnergyPerArea, EnergyPerBit, Power};
+pub use fingerprint::Fingerprint;
 pub use geometry::{Area, Length};
 pub use ratio::{PercentDisplay, Ratio};
 pub use time::TimeSpan;

@@ -10,6 +10,7 @@
 /// * `Name::ZERO`, `Name::new`, `Name::canonical_accessor()`
 /// * `Debug`, `Clone`, `Copy`, `PartialEq`, `PartialOrd`, `Default`,
 ///   `Display` (value + unit suffix), serde `Serialize`/`Deserialize`
+/// * [`Fingerprint`](crate::Fingerprint) (the raw value's bit pattern)
 /// * `Add`, `Sub`, `Neg`, `AddAssign`, `SubAssign`, `Sum`
 /// * `Mul<f64>`, `Mul<Name> for f64`, `Div<f64>`
 /// * `Div<Name> for Name` returning the dimensionless `f64` ratio
@@ -104,6 +105,12 @@ macro_rules! quantity {
                 } else {
                     write!(f, "{} {}", self.0, $unit)
                 }
+            }
+        }
+
+        impl crate::Fingerprint for $name {
+            fn fingerprint<H: core::hash::Hasher>(&self, state: &mut H) {
+                crate::Fingerprint::fingerprint(&self.0, state);
             }
         }
 

@@ -4,7 +4,7 @@ use crate::donath::WirelengthModel;
 use crate::rent::RentParameters;
 use serde::{Deserialize, Serialize};
 use tdc_technode::NodeParameters;
-use tdc_units::{Area, Length};
+use tdc_units::{Area, Fingerprint, Length};
 
 /// Estimator for the number of BEOL metal layers a die requires:
 ///
@@ -60,6 +60,21 @@ pub struct RoutingDemand {
     pub raw_layers: f64,
     /// The final clamped integer layer count.
     pub layers: u32,
+}
+
+impl Fingerprint for BeolEstimator {
+    fn fingerprint<H: core::hash::Hasher>(&self, state: &mut H) {
+        let BeolEstimator {
+            rent,
+            wirelength,
+            router_efficiency,
+            global_net_fraction,
+        } = self;
+        rent.fingerprint(state);
+        wirelength.fingerprint(state);
+        router_efficiency.fingerprint(state);
+        global_net_fraction.fingerprint(state);
+    }
 }
 
 impl BeolEstimator {

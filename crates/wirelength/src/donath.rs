@@ -1,7 +1,9 @@
 //! Average-wirelength estimation ([`donath_average_wirelength`],
 //! [`WirelengthModel`]).
 
+use core::hash::Hasher;
 use serde::{Deserialize, Serialize};
+use tdc_units::Fingerprint;
 
 /// Donath's hierarchical estimate of the average interconnect length of
 /// an `n_gates` random-logic block with Rent exponent `p`, in units of
@@ -90,6 +92,26 @@ impl Default for WirelengthModel {
     /// 13–14 of its 15 available metal layers (see `BeolEstimator`).
     fn default() -> Self {
         WirelengthModel::BlockDonath { block_gates: 1.0e6 }
+    }
+}
+
+impl Fingerprint for WirelengthModel {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        match self {
+            WirelengthModel::BlockDonath { block_gates } => {
+                state.write_u8(0);
+                block_gates.fingerprint(state);
+            }
+            WirelengthModel::FlatDonath => state.write_u8(1),
+            WirelengthModel::PowerLaw { k } => {
+                state.write_u8(2);
+                k.fingerprint(state);
+            }
+            WirelengthModel::Fixed { pitches } => {
+                state.write_u8(3);
+                pitches.fingerprint(state);
+            }
+        }
     }
 }
 

@@ -1,6 +1,8 @@
 //! Rent's rule ([`RentParameters`]).
 
+use core::hash::Hasher;
 use serde::{Deserialize, Serialize};
+use tdc_units::Fingerprint;
 
 /// Parameters of Rent's rule `T = t_g · N^p` and the associated wiring
 /// statistics.
@@ -40,6 +42,21 @@ impl Default for RentParameters {
             fanout: 3.0,
             external_exponent: 0.25,
         }
+    }
+}
+
+impl Fingerprint for RentParameters {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let RentParameters {
+            exponent,
+            terminals_per_gate,
+            fanout,
+            external_exponent,
+        } = self;
+        exponent.fingerprint(state);
+        terminals_per_gate.fingerprint(state);
+        fanout.fingerprint(state);
+        external_exponent.fingerprint(state);
     }
 }
 
