@@ -1377,7 +1377,14 @@ impl Scenario {
                     format!("must be positive, got {y}"),
                 );
             }
-            w = w.with_calendar_lifetime(TimeSpan::from_years(y));
+            let lifetime = TimeSpan::from_years(y);
+            if !lifetime.hours().is_finite() {
+                return schema_err(
+                    "workload.calendar_years",
+                    format!("{y} years is not a finite number of hours"),
+                );
+            }
+            w = w.with_calendar_lifetime(lifetime);
         }
         if let Some(trace) = &spec.trace {
             let resolved = self.resolve_path(&trace.path);

@@ -552,6 +552,49 @@ fn overflowing_workload_frame_is_answered_and_the_stream_continues() {
 }
 
 #[test]
+fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
+    // Three frames whose finite numbers used to reach an `assert!`
+    // and abort the server: a calendar life of 1e308 years overflows
+    // its hours, a 5e-324-hour service time makes the lifetime axis
+    // scale by infinity, and a 5e-324-gate die of a 2.5D assembly has
+    // zero area. Each must be answered as an error, and the stats
+    // frame after them must still be answered.
+    let input = "{\"id\": 1, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
+                 \"orin-2d\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 254, \
+                 \"active_hours\": 1000, \"calendar_years\": 1e308}}}\n\
+                 {\"id\": 2, \"command\": \"explore\", \"scenario\": {\"workload\": {\"name\": \
+                 \"w\", \"throughput_tops\": 254, \"active_hours\": 5e-324}, \"sweep\": \
+                 {\"gate_count\": 17e9, \"nodes_nm\": [7], \"technologies\": [\"2d\"]}, \
+                 \"explore\": {\"objectives\": [\"lifecycle\"], \"refine\": {\"axis\": \
+                 \"lifetime_years\", \"min\": 1, \"max\": 10}}}}\n\
+                 {\"id\": 3, \"command\": \"run\", \"scenario\": {\"design\": {\"integration\": \
+                 \"emib\", \"dies\": [{\"node_nm\": 7, \"gate_count\": 5e-324}, {\"node_nm\": 7, \
+                 \"gate_count\": 1e9}]}}}\n\
+                 {\"id\": 4, \"command\": \"stats\"}\n";
+    let (frames, summary) = serve_frames(input.as_bytes());
+    assert_eq!(frames.len(), 4);
+    let expected = [
+        (
+            Some("workload.calendar_years"),
+            "not a finite number of hours",
+        ),
+        (None, "lifetime axis: cannot scale"),
+        (None, "gate count must be finite and at least 1"),
+    ];
+    for (frame, (id, (path, text))) in frames.iter().zip((1..).zip(expected)) {
+        assert_eq!(frame.get("id").and_then(JsonValue::as_f64), Some(id.into()));
+        assert_eq!(frame.get("ok"), Some(&JsonValue::Bool(false)), "{frame:?}");
+        let error = frame.get("error").expect("error object");
+        assert_eq!(error.get("path").and_then(JsonValue::as_str), path);
+        let message = error.get("message").and_then(JsonValue::as_str);
+        assert!(message.is_some_and(|m| m.contains(text)), "{frame:?}");
+    }
+    assert_eq!(frames[3].get("id").and_then(JsonValue::as_f64), Some(4.0));
+    assert_eq!(frames[3].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (4, 3));
+}
+
+#[test]
 fn serve_orders_responses_under_concurrency() {
     let mut input = String::new();
     for id in 1..=6 {

@@ -189,9 +189,10 @@ impl DieSpecBuilder {
             )));
         }
         if let Some(g) = s.gate_count {
-            if !(g.is_finite() && g > 0.0) {
+            // Below one gate the die area can underflow to zero.
+            if !(g.is_finite() && g >= 1.0) {
                 return Err(ModelError::InvalidDesign(format!(
-                    "die `{}`: gate count must be finite and positive, got {g}",
+                    "die `{}`: gate count must be finite and at least 1, got {g}",
                     s.name
                 )));
             }

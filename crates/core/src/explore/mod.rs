@@ -296,7 +296,7 @@ fn run_refinement(
     let mut stages = PipelineStats::default();
     let mut evaluations = 0usize;
     let mut eval = |value: f64| -> Result<Option<String>, ModelError> {
-        let (ctx, w) = refine.axis.configure(value, context, workload);
+        let (ctx, w) = refine.axis.configure(value, context, workload)?;
         let model = CarbonModel::new(ctx);
         let result = executor.execute(&model, plan, &w)?;
         stages = stages.merged(&result.stats().stages);

@@ -16,6 +16,7 @@
 //! floored in CI.
 
 use crate::context::ModelContext;
+use crate::error::ModelError;
 use crate::operational::Workload;
 
 /// The continuous axis a refinement loop walks.
@@ -79,16 +80,29 @@ impl RefineAxis {
 
     /// The (context, workload) configuration at `value` on this axis,
     /// derived from the base configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] when the lifetime axis
+    /// cannot reach `value` from the workload's service time: a
+    /// service time so short that the scale factor is not finite.
     pub(crate) fn configure(
         self,
         value: f64,
         context: &ModelContext,
         workload: &Workload,
-    ) -> (ModelContext, Workload) {
-        match self {
+    ) -> Result<(ModelContext, Workload), ModelError> {
+        Ok(match self {
             RefineAxis::LifetimeYears => {
                 let base_years = workload.service_time().years();
-                (context.clone(), workload.scaled(value / base_years))
+                let factor = value / base_years;
+                if !(factor.is_finite() && factor > 0.0) {
+                    return Err(ModelError::InvalidParameter(format!(
+                        "lifetime axis: cannot scale a {base_years}-year service time \
+                         to {value} years"
+                    )));
+                }
+                (context.clone(), workload.scaled(factor))
             }
             RefineAxis::TsvKeepout => (
                 context.to_builder().tsv_keepout(value).build(),
@@ -102,7 +116,7 @@ impl RefineAxis {
                 context.to_builder().beol_carbon_fraction(value).build(),
                 workload.clone(),
             ),
-        }
+        })
     }
 }
 
@@ -269,7 +283,9 @@ mod tests {
             TimeSpan::from_years(1.0),
         )
         .with_calendar_lifetime(TimeSpan::from_years(5.0));
-        let (ctx2, w2) = RefineAxis::LifetimeYears.configure(10.0, &ctx, &workload);
+        let (ctx2, w2) = RefineAxis::LifetimeYears
+            .configure(10.0, &ctx, &workload)
+            .unwrap();
         // The calendar window lands exactly on the axis value; active
         // time scales with it.
         assert!((w2.calendar_lifetime().unwrap().years() - 10.0).abs() < 1e-9);
@@ -286,12 +302,18 @@ mod tests {
             Throughput::from_tops(100.0),
             TimeSpan::from_years(1.0),
         );
-        let (ctx2, w2) = RefineAxis::TsvKeepout.configure(3.5, &ctx, &workload);
+        let (ctx2, w2) = RefineAxis::TsvKeepout
+            .configure(3.5, &ctx, &workload)
+            .unwrap();
         assert!((ctx2.tsv_keepout() - 3.5).abs() < 1e-12);
         assert_eq!(w2, workload);
-        let (ctx3, _) = RefineAxis::BeolCarbonFraction.configure(0.25, &ctx, &workload);
+        let (ctx3, _) = RefineAxis::BeolCarbonFraction
+            .configure(0.25, &ctx, &workload)
+            .unwrap();
         assert!((ctx3.beol_carbon_fraction() - 0.25).abs() < 1e-12);
-        let (ctx4, _) = RefineAxis::M3dSequentialFraction.configure(0.5, &ctx, &workload);
+        let (ctx4, _) = RefineAxis::M3dSequentialFraction
+            .configure(0.5, &ctx, &workload)
+            .unwrap();
         assert!((ctx4.m3d_sequential_fraction() - 0.5).abs() < 1e-12);
     }
 }

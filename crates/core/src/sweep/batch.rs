@@ -69,9 +69,7 @@
 //! [`pipeline::operational_carbon`] reproduces bit for bit) and ranked
 //! by (total, plan index).
 
-use super::cache::{
-    EmbodiedOutcome, EvalCache, PipelineStats, PointLookup, StageCounters, StageTags, Stamp,
-};
+use super::cache::{EmbodiedOutcome, EvalCache, PipelineStats, StageCounters, StageTags, Stamp};
 use super::executor::{SweepExecutor, SweepStats};
 use super::plan::{SweepPlan, SweepPoint};
 use super::SweepEntry;
@@ -301,32 +299,41 @@ struct Slots<'a> {
     totals: &'a mut [Option<f64>],
 }
 
-/// Resolves the physical profile for one point, counting at most one
-/// lookup per point: the plan column (a structural hit), else the
-/// keyed cache (which computes on miss). `fetched` remembers that this
-/// point already resolved it, so both artifact heads share one lookup.
+/// Resolves the physical profile of one (key, design) point, counting
+/// at most one lookup per point: the plan column (a structural hit),
+/// else the keyed cache (which computes on miss). `fetched` remembers
+/// that this point already resolved it, so both artifact heads share
+/// one lookup.
 fn resolve_phys<'s>(
     ctx: &FillCtx<'_>,
-    point: &PointLookup<'_>,
+    (key, design): (u128, &ChipDesign),
     fetched: &mut bool,
     slot: &'s mut Option<Arc<PhysicalProfile>>,
     out: &mut FillOut,
-) -> &'s PhysicalProfile {
+) -> Result<&'s PhysicalProfile, ModelError> {
     if slot.is_none() {
-        *slot = Some(ctx.cache.physical_or_eval(point, &mut out.stats.physical));
+        let phys = ctx.cache.physical.get_or_insert_with(
+            ctx.tags.physical,
+            key,
+            ctx.stamp,
+            ctx.cap,
+            &mut out.stats.physical,
+            || Ok(pipeline::physical_profile(ctx.model.context(), design).into()),
+        )?;
+        *slot = Some(phys);
         out.wrote_phys = true;
     } else if !*fetched {
         count_col_hit(out, |s| &mut s.physical, ctx.phys_col, ctx.stamp);
     }
     *fetched = true;
-    slot.as_deref().expect("physical slot filled above")
+    Ok(slot.as_deref().expect("physical slot filled above"))
 }
 
-/// Resolves the power profile for one point: the plan column, else
-/// the keyed cache (which computes on miss).
+/// Resolves the power profile of one (key, design) point: the plan
+/// column, else the keyed cache (which computes on miss).
 fn resolve_power<'s>(
     ctx: &FillCtx<'_>,
-    point: &PointLookup<'_>,
+    (key, design): (u128, &ChipDesign),
     phys: &PhysicalProfile,
     slot: &'s mut Option<Arc<PowerProfile>>,
     out: &mut FillOut,
@@ -334,7 +341,15 @@ fn resolve_power<'s>(
     if slot.is_some() {
         count_col_hit(out, |s| &mut s.power, ctx.power_col, ctx.stamp);
     } else {
-        *slot = Some(ctx.cache.power_or_eval(point, phys, &mut out.stats.power)?);
+        let power = ctx.cache.power.get_or_insert_with(
+            ctx.tags.power,
+            key,
+            ctx.stamp,
+            ctx.cap,
+            &mut out.stats.power,
+            || pipeline::power_profile(ctx.model.context(), design, phys).map(Arc::new),
+        )?;
+        *slot = Some(power);
         out.wrote_power = true;
     }
     Ok(slot.as_deref().expect("power slot filled above"))
@@ -355,13 +370,7 @@ fn eval_slots(
 ) -> Result<(bool, bool), ModelError> {
     let (cache, tags, stamp) = (ctx.cache, ctx.tags, ctx.stamp);
     let key = ctx.keys[at];
-    let point = PointLookup {
-        tags,
-        model: ctx.model,
-        design,
-        design_key: key,
-        stamp,
-    };
+    let point = (key, design);
     let mut all_hit = true;
     let mut phys_fetched = false;
 
@@ -378,8 +387,15 @@ fn eval_slots(
                 None => {
                     all_hit = false;
                     let phys =
-                        resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
-                    let yld = cache.yield_or_eval(&point, phys, &mut out.stats.yields)?;
+                        resolve_phys(ctx, point, &mut phys_fetched, &mut slots.phys[at], out)?;
+                    let yld = cache.yields.get_or_insert_with(
+                        tags.yields,
+                        key,
+                        stamp,
+                        ctx.cap,
+                        &mut out.stats.yields,
+                        || pipeline::yield_profile(ctx.model.context(), design, phys).map(Arc::new),
+                    )?;
                     match pipeline::embodied_breakdown(ctx.model.context(), design, phys, &yld) {
                         Ok(b) => {
                             let o = EmbodiedOutcome::Report(Arc::new(b));
@@ -433,8 +449,8 @@ fn eval_slots(
                 None => {
                     all_hit = false;
                     let phys =
-                        resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
-                    let power = resolve_power(ctx, &point, phys, &mut slots.power[at], out)?;
+                        resolve_phys(ctx, point, &mut phys_fetched, &mut slots.phys[at], out)?;
+                    let power = resolve_power(ctx, point, phys, &mut slots.power[at], out)?;
                     let r = Arc::new(pipeline::operational_report(
                         ctx.model.context(),
                         design,
@@ -472,8 +488,8 @@ fn eval_slots(
                 None => {
                     all_hit = false;
                     let phys =
-                        resolve_phys(ctx, &point, &mut phys_fetched, &mut slots.phys[at], out);
-                    let power = resolve_power(ctx, &point, phys, &mut slots.power[at], out)?;
+                        resolve_phys(ctx, point, &mut phys_fetched, &mut slots.phys[at], out)?;
+                    let power = resolve_power(ctx, point, phys, &mut slots.power[at], out)?;
                     pipeline::operational_carbon(
                         ctx.model.context(),
                         design,

@@ -46,27 +46,23 @@
 //! holds the store's embodied breakdown and operational report
 //! themselves.
 //!
-//! # Shards and eviction
+//! # Locking and eviction
 //!
-//! Each stage's store is split into [`SHARD_COUNT`] shards, routed by
-//! a mix of the configuration tag, each behind its own `RwLock` — warm
-//! lookups take a shared read lock (readers never contend with each
-//! other), and only genuine inserts take a shard's write lock, probing
-//! the shard for an existing entry only when it is at its cap. A
-//! multi-client server hammering the warm path therefore scales reads,
-//! and writers for different configurations rarely touch the same
-//! shard.
+//! Each stage's store is one map behind one `RwLock` — warm lookups
+//! take the shared read lock (readers never contend with each other),
+//! and only genuine inserts take the write lock, probing for an
+//! existing entry only when the store is at its cap. A multi-client
+//! server hammering the warm path therefore scales reads.
 //!
 //! Entries persist across configuration changes (that persistence *is*
-//! the reuse); memory stays bounded by per-shard LRU eviction: every
-//! entry carries a last-used stamp from a store-wide access clock, and
-//! when a shard reaches its share of the per-stage artifact cap, the
-//! least-recently-used quarter of that shard is evicted (recomputing
-//! is always safe, so eviction can never change results — only
-//! recompute costs). The store keeps no hit/miss counters of its own:
-//! every lookup counts into the calling fill's plain
-//! [`PipelineStats`], and [`EvalCache::stats`] reports the running sum
-//! of every call's counts, which **survives eviction** (and
+//! the reuse); memory stays bounded by per-stage LRU eviction: every
+//! entry carries a last-used stamp from the stage's access clock, and
+//! when a stage holds the full artifact cap, its least-recently-used
+//! quarter is evicted (recomputing is always safe, so eviction can
+//! never change results — only recompute costs). The store keeps no
+//! hit/miss counters of its own: every lookup counts into the calling
+//! fill's plain [`PipelineStats`], and [`EvalCache::stats`] reports the
+//! running sum of every call's counts, which **survives eviction** (and
 //! [`EvalCache::clear`]), so a long-running session's stats line never
 //! goes backwards mid-stream.
 //! Only non-fatal outcomes are stored: a design whose dies outgrow the
@@ -88,7 +84,7 @@ use crate::design::ChipDesign;
 use crate::error::ModelError;
 use crate::model::CarbonModel;
 use crate::operational::{OperationalReport, Workload};
-use crate::pipeline::{self, PhysicalProfile, PowerProfile, YieldProfile};
+use crate::pipeline::{PhysicalProfile, PowerProfile, YieldProfile};
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -148,17 +144,13 @@ impl StageCounters {
         }
     }
 
-    /// Hit fraction in `[0, 1]` (0 when the stage was never consulted).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.hits as f64 / total as f64
-            }
+    /// `f` applied to each pair of like counters of `self` and `other`.
+    fn zip(self, other: Self, f: fn(u64, u64) -> u64) -> Self {
+        Self {
+            hits: f(self.hits, other.hits),
+            cross_hits: f(self.cross_hits, other.cross_hits),
+            client_hits: f(self.client_hits, other.client_hits),
+            misses: f(self.misses, other.misses),
         }
     }
 }
@@ -179,7 +171,8 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    fn as_array(&self) -> [StageCounters; 5] {
+    /// One counter, summed over all stages.
+    fn sum(&self, counter: fn(&StageCounters) -> u64) -> u64 {
         [
             self.physical,
             self.yields,
@@ -187,114 +180,94 @@ impl PipelineStats {
             self.power,
             self.operational,
         ]
+        .iter()
+        .map(counter)
+        .sum()
+    }
+
+    /// `f` applied to each pair of like counters of `self` and `other`.
+    fn zip(&self, other: &Self, f: fn(u64, u64) -> u64) -> Self {
+        Self {
+            physical: self.physical.zip(other.physical, f),
+            yields: self.yields.zip(other.yields, f),
+            embodied: self.embodied.zip(other.embodied, f),
+            power: self.power.zip(other.power, f),
+            operational: self.operational.zip(other.operational, f),
+        }
+    }
+
+    /// `part` as a fraction of all stage lookups, in `[0, 1]` (0 when
+    /// nothing was ever looked up).
+    fn share_of_lookups(&self, part: u64) -> f64 {
+        let total = self.hits() + self.misses();
+        if total == 0 {
+            0.0
+        } else {
+            #[allow(clippy::cast_precision_loss)]
+            {
+                part as f64 / total as f64
+            }
+        }
     }
 
     /// Lookups answered from the store, summed over all stages.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.as_array().iter().map(|s| s.hits).sum()
+        self.sum(|s| s.hits)
     }
 
     /// Stage executions, summed over all stages.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.as_array().iter().map(|s| s.misses).sum()
+        self.sum(|s| s.misses)
     }
 
     /// Cross-epoch hits (artifacts computed by an earlier request of a
     /// long-lived session), summed over all stages.
     #[must_use]
     pub fn cross_hits(&self) -> u64 {
-        self.as_array().iter().map(|s| s.cross_hits).sum()
+        self.sum(|s| s.cross_hits)
     }
 
     /// Cross-client hits (artifacts another client of a shared session
     /// computed), summed over all stages.
     #[must_use]
     pub fn client_hits(&self) -> u64 {
-        self.as_array().iter().map(|s| s.client_hits).sum()
+        self.sum(|s| s.client_hits)
     }
 
     /// The fraction of all stage lookups answered by artifacts from an
     /// earlier epoch, in `[0, 1]` (0 when nothing was ever looked up).
     #[must_use]
     pub fn cross_hit_rate(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cross_hits() as f64 / total as f64
-            }
-        }
+        self.share_of_lookups(self.cross_hits())
     }
 
     /// The fraction of all stage lookups answered by artifacts a
     /// *different client* inserted, in `[0, 1]`.
     #[must_use]
     pub fn client_hit_rate(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.client_hits() as f64 / total as f64
-            }
-        }
+        self.share_of_lookups(self.client_hits())
     }
 
     /// Element-wise sum of two snapshots (used to accumulate per-call
     /// stats).
     #[must_use]
     pub fn merged(&self, other: &PipelineStats) -> PipelineStats {
-        let add = |a: StageCounters, b: StageCounters| StageCounters {
-            hits: a.hits + b.hits,
-            cross_hits: a.cross_hits + b.cross_hits,
-            client_hits: a.client_hits + b.client_hits,
-            misses: a.misses + b.misses,
-        };
-        PipelineStats {
-            physical: add(self.physical, other.physical),
-            yields: add(self.yields, other.yields),
-            embodied: add(self.embodied, other.embodied),
-            power: add(self.power, other.power),
-            operational: add(self.operational, other.operational),
-        }
+        self.zip(other, |a, b| a + b)
     }
 
     /// Aggregate hit fraction across every stage lookup in `[0, 1]`.
     #[must_use]
     pub fn warm_hit_rate(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.hits() as f64 / total as f64
-            }
-        }
+        self.share_of_lookups(self.hits())
     }
 
     /// The counter deltas accumulated since `earlier` (a snapshot taken
     /// from the same cache).
     #[must_use]
     pub fn since(&self, earlier: &PipelineStats) -> PipelineStats {
-        let diff = |now: StageCounters, then: StageCounters| StageCounters {
-            hits: now.hits.saturating_sub(then.hits),
-            cross_hits: now.cross_hits.saturating_sub(then.cross_hits),
-            client_hits: now.client_hits.saturating_sub(then.client_hits),
-            misses: now.misses.saturating_sub(then.misses),
-        };
-        PipelineStats {
-            physical: diff(self.physical, earlier.physical),
-            yields: diff(self.yields, earlier.yields),
-            embodied: diff(self.embodied, earlier.embodied),
-            power: diff(self.power, earlier.power),
-            operational: diff(self.operational, earlier.operational),
-        }
+        self.zip(earlier, u64::saturating_sub)
     }
 }
 
@@ -309,48 +282,21 @@ pub struct CacheStats {
     pub stages: PipelineStats,
     /// Artifacts currently stored, across all stages.
     pub entries: usize,
-    /// Artifacts evicted by the per-shard LRU policy since
-    /// construction, summed over every stage's shards.
+    /// Artifacts evicted by the per-stage LRU policy since
+    /// construction, summed over the five stages.
     pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Aggregate hit fraction across every stage lookup.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.stages.warm_hit_rate()
-    }
 }
 
 /// Default upper bound on the artifacts one stage retains. Retention
 /// across configurations is the point of the store, but operational
 /// artifacts in particular accumulate one entry per (configuration,
-/// design) pair forever; the cap is divided across the stage's shards,
-/// and a shard reaching its share evicts its least-recently-used
-/// quarter (always safe — misses just recompute) so memory stays
-/// bounded no matter how many scenarios a long-lived executor sees.
-/// The default is far above any scenario space in this repository (the
-/// grid-region bench peaks at 99 × 8 = 792 operational artifacts);
-/// [`EvalCache::with_artifact_cap`] overrides it.
+/// design) pair forever; a stage holding the cap evicts its
+/// least-recently-used quarter (always safe — misses just recompute)
+/// so memory stays bounded no matter how many scenarios a long-lived
+/// executor sees. The default is far above any scenario space in this
+/// repository (the grid-region bench peaks at 99 × 8 = 792 operational
+/// artifacts); [`EvalCache::with_artifact_cap`] overrides it.
 pub(crate) const DEFAULT_ARTIFACT_CAP: usize = 1 << 16;
-
-/// Occupancy and cumulative evictions of one cache shard, summed
-/// across the five stage cells (see [`EvalCache::shard_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Artifacts currently stored in this shard.
-    pub entries: usize,
-    /// Artifacts this shard's LRU policy has evicted since
-    /// construction.
-    pub evictions: u64,
-}
-
-/// How many shards each stage's store splits into. Shard routing
-/// mixes the configuration tag, so different configurations spread
-/// across shards while one configuration's entries stay together
-/// (per-shard LRU then evicts whole-configuration working sets in
-/// recency order rather than scattering holes everywhere).
-pub const SHARD_COUNT: usize = 8;
 
 /// The (epoch, client) identity a lookup or insert runs under —
 /// captured once per evaluation from [`EvalCache::current_stamp`].
@@ -364,9 +310,8 @@ pub(crate) struct Stamp {
 }
 
 /// One stored artifact plus its bookkeeping: the (epoch, client) it
-/// was inserted under and its last-used stamp from the store-wide
-/// access clock (atomic, so warm lookups bump recency under the
-/// shard's *read* lock).
+/// was inserted under and its last-used stamp from the stage's access
+/// clock (atomic, so warm lookups bump recency under the *read* lock).
 #[derive(Debug)]
 struct Entry<T> {
     value: T,
@@ -374,50 +319,21 @@ struct Entry<T> {
     last_used: AtomicU64,
 }
 
-/// One shard of a stage's store: artifacts keyed by (configuration
-/// tag, design key).
+/// What a stage's lock guards: artifacts keyed by (configuration tag,
+/// design key), and how many the LRU policy has evicted.
 #[derive(Debug)]
-struct Shard<T> {
+struct Store<T> {
     entries: HashMap<(u64, u128), Entry<T>>,
-    /// Entries this shard has evicted since construction (maintained
-    /// under the write lock; feeds [`EvalCache::shard_stats`]).
     evictions: u64,
 }
 
-// Manual impl: `derive(Default)` would needlessly require `T: Default`.
-impl<T> Default for Shard<T> {
-    fn default() -> Self {
-        Self {
-            entries: HashMap::new(),
-            evictions: 0,
-        }
-    }
-}
-
-/// Routes a configuration tag to its shard: a multiply-mix so
-/// sequential or low-entropy tags still spread, taking the top bits
-/// (the best-mixed ones) as the index.
-fn shard_of(tag: u64) -> usize {
-    debug_assert!(SHARD_COUNT.is_power_of_two());
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_COUNT.trailing_zeros())) as usize
-    }
-}
-
-/// One shard's share of the per-stage artifact cap (at least 1, so a
-/// pathologically tiny cap still caches the hot artifact).
-fn per_shard_cap(cap: usize) -> usize {
-    cap.div_ceil(SHARD_COUNT).max(1)
-}
-
 /// Evicts the least-recently-used quarter (at least one entry) of a
-/// full shard, adding the dropped entries to the shard's eviction
-/// count. Access-clock stamps are unique, so the quantile threshold
-/// evicts an exact count, and selecting it takes linear time under the
-/// write lock.
-fn evict_lru<T>(shard: &mut Shard<T>) {
-    let mut stamps: Vec<u64> = shard
+/// full store, adding the dropped entries to its eviction count.
+/// Access-clock stamps are unique, so the quantile threshold evicts an
+/// exact count, and selecting it takes linear time under the write
+/// lock.
+fn evict_lru<T>(store: &mut Store<T>) {
+    let mut stamps: Vec<u64> = store
         .entries
         .values()
         .map(|e| e.last_used.load(Ordering::Relaxed))
@@ -427,20 +343,19 @@ fn evict_lru<T>(shard: &mut Shard<T>) {
     }
     let drop_n = (stamps.len() / 4).max(1);
     let threshold = *stamps.select_nth_unstable(drop_n - 1).1;
-    let before = shard.entries.len();
-    shard
+    let before = store.entries.len();
+    store
         .entries
         .retain(|_, e| e.last_used.load(Ordering::Relaxed) > threshold);
-    shard.evictions += (before - shard.entries.len()) as u64;
+    store.evictions += (before - store.entries.len()) as u64;
 }
 
-/// One stage's sharded store. It keeps no hit/miss counters: each
-/// lookup counts into the caller's [`StageCounters`], and evictions
-/// are counted inside the shard that evicted.
+/// One stage's store: one map behind one lock. It keeps no hit/miss
+/// counters: each lookup counts into the caller's [`StageCounters`].
 #[derive(Debug)]
 pub(crate) struct StageCell<T> {
-    shards: [RwLock<Shard<T>>; SHARD_COUNT],
-    /// The store-wide access clock LRU stamps come from.
+    store: RwLock<Store<T>>,
+    /// The access clock LRU stamps come from.
     clock: AtomicU64,
 }
 
@@ -448,16 +363,23 @@ pub(crate) struct StageCell<T> {
 impl<T> Default for StageCell<T> {
     fn default() -> Self {
         Self {
-            shards: std::array::from_fn(|_| RwLock::new(Shard::default())),
+            store: RwLock::new(Store {
+                entries: HashMap::new(),
+                evictions: 0,
+            }),
             clock: AtomicU64::new(0),
         }
     }
 }
 
 impl<T: Clone> StageCell<T> {
-    /// Looks (`tag`, `key`) up under the shard's *read* lock, counting
-    /// the outcome on `counters` ([`StageCounters::count_hits`]
-    /// attributes a hit). Hits bump the entry's LRU stamp.
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Store<T>> {
+        self.store.read().expect("cache stage lock poisoned")
+    }
+
+    /// Looks (`tag`, `key`) up under the *read* lock, counting the
+    /// outcome on `counters` ([`StageCounters::count_hits`] attributes
+    /// a hit). Hits bump the entry's LRU stamp.
     pub(crate) fn lookup(
         &self,
         tag: u64,
@@ -465,10 +387,8 @@ impl<T: Clone> StageCell<T> {
         stamp: Stamp,
         counters: &mut StageCounters,
     ) -> Option<T> {
-        let shard = self.shards[shard_of(tag)]
-            .read()
-            .expect("cache shard poisoned");
-        let Some(entry) = shard.entries.get(&(tag, key)) else {
+        let store = self.read();
+        let Some(entry) = store.entries.get(&(tag, key)) else {
             counters.misses += 1;
             return None;
         };
@@ -480,47 +400,58 @@ impl<T: Clone> StageCell<T> {
         Some(entry.value.clone())
     }
 
-    /// Inserts under the shard's write lock, evicting the shard's LRU
-    /// quarter first when it is at its share of `cap`. Only a full
-    /// shard probes for an existing entry (replacing one needs no
-    /// room); below the cap the insert is the one hash-map operation.
+    /// Inserts under the write lock, evicting the LRU quarter first
+    /// when the store holds `cap` entries. Only a full store probes for
+    /// an existing entry (replacing one needs no room); below the cap
+    /// the insert is the one hash-map operation.
     pub(crate) fn insert(&self, tag: u64, key: u128, stamp: Stamp, value: T, cap: usize) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shards[shard_of(tag)]
-            .write()
-            .expect("cache shard poisoned");
-        if shard.entries.len() >= per_shard_cap(cap) && !shard.entries.contains_key(&(tag, key)) {
-            evict_lru(&mut shard);
+        let mut store = self.store.write().expect("cache stage lock poisoned");
+        if store.entries.len() >= cap && !store.entries.contains_key(&(tag, key)) {
+            evict_lru(&mut store);
         }
         let entry = Entry {
             value,
             stamp,
             last_used: AtomicU64::new(now),
         };
-        shard.entries.insert((tag, key), entry);
+        store.entries.insert((tag, key), entry);
+    }
+
+    /// The artifact at (`tag`, `key`): the stored one, else
+    /// `compute()`'s value, inserted under `cap`. The lookup counts on
+    /// `counters`; an error is returned and never stored.
+    pub(crate) fn get_or_insert_with(
+        &self,
+        tag: u64,
+        key: u128,
+        stamp: Stamp,
+        cap: usize,
+        counters: &mut StageCounters,
+        compute: impl FnOnce() -> Result<T, ModelError>,
+    ) -> Result<T, ModelError> {
+        if let Some(value) = self.lookup(tag, key, stamp, counters) {
+            return Ok(value);
+        }
+        let value = compute()?;
+        self.insert(tag, key, stamp, value.clone(), cap);
+        Ok(value)
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").entries.len())
-            .sum()
+        self.read().entries.len()
     }
 
-    /// Folds this cell's per-shard occupancy and eviction counts into
-    /// `out` (indexed by shard).
-    fn fold_shard_stats(&self, out: &mut [ShardStats; SHARD_COUNT]) {
-        for (shard, slot) in self.shards.iter().zip(out.iter_mut()) {
-            let shard = shard.read().expect("cache shard poisoned");
-            slot.entries += shard.entries.len();
-            slot.evictions += shard.evictions;
-        }
+    fn evictions(&self) -> u64 {
+        self.read().evictions
     }
 
     fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().expect("cache shard poisoned").entries.clear();
-        }
+        self.store
+            .write()
+            .expect("cache stage lock poisoned")
+            .entries
+            .clear();
     }
 }
 
@@ -706,8 +637,7 @@ fn hash_design<H: Hasher>(design: &ChipDesign, h: &mut H) {
     }
 }
 
-/// A thread-safe, sharded, per-stage artifact store for pipeline
-/// evaluations.
+/// A thread-safe, per-stage artifact store for pipeline evaluations.
 ///
 /// The cache belongs to a
 /// [`SweepExecutor`](crate::sweep::SweepExecutor) — and, through a
@@ -756,11 +686,11 @@ impl EvalCache {
     }
 
     /// Creates an empty cache whose per-stage stores retain at most
-    /// about `cap` artifacts each (a cap of 0 is treated as 1). The
-    /// cap is divided across the 8 lock shards; a shard reaching
-    /// its share evicts its least-recently-used quarter — recomputing
-    /// is always safe — so a tiny cap trades recomputation for memory
-    /// without ever changing results.
+    /// `cap` artifacts each (a cap of 0 is treated as 1). A stage
+    /// holding `cap` artifacts evicts its least-recently-used quarter
+    /// before its next insert — recomputing is always safe — so a tiny
+    /// cap trades recomputation for memory without ever changing
+    /// results.
     #[must_use]
     pub fn with_artifact_cap(cap: usize) -> Self {
         Self {
@@ -860,40 +790,22 @@ impl EvalCache {
                 + self.embodied.len()
                 + self.power.len()
                 + self.operational.len(),
-            evictions: self.shard_stats().iter().map(|s| s.evictions).sum(),
+            evictions: self.physical.evictions()
+                + self.yields.evictions()
+                + self.embodied.evictions()
+                + self.power.evictions()
+                + self.operational.evictions(),
         }
     }
 
-    /// Per-shard occupancy and eviction counts, summed across the five
-    /// stage cells (shard `i` of every stage shares index `i`).
-    /// Occupancy reflects the current contents; evictions are
-    /// cumulative since construction (maintained inside each shard, so
-    /// they attribute LRU pressure to the shard that felt it).
-    #[must_use]
-    pub fn shard_stats(&self) -> [ShardStats; SHARD_COUNT] {
-        let mut out = [ShardStats::default(); SHARD_COUNT];
-        self.physical.fold_shard_stats(&mut out);
-        self.yields.fold_shard_stats(&mut out);
-        self.embodied.fold_shard_stats(&mut out);
-        self.power.fold_shard_stats(&mut out);
-        self.operational.fold_shard_stats(&mut out);
-        out
-    }
-
-    /// Publishes this cache's cumulative counters and per-shard
-    /// occupancy/evictions into the global obs gauges
+    /// Publishes this cache's cumulative counters, occupancy and
+    /// evictions into the global obs gauges
     /// (`cache.*` in `tdc_obs::metrics::CATALOG`). Called by the
     /// metric sinks (profile writer, serve metrics frame, exposition
     /// scrape) right before they snapshot, so the published levels
     /// always describe the cache actually serving traffic.
     pub fn publish_obs(&self) {
         use tdc_obs::metrics as m;
-        const {
-            assert!(
-                SHARD_COUNT == m::CACHE_SHARDS,
-                "obs per-shard gauge arrays must match the cache shard count"
-            );
-        }
         let stats = self.stats();
         let to_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
         m::CACHE_HITS.set(to_i64(stats.stages.hits()));
@@ -902,10 +814,6 @@ impl EvalCache {
         m::CACHE_MISSES.set(to_i64(stats.stages.misses()));
         m::CACHE_EVICTIONS.set(to_i64(stats.evictions));
         m::CACHE_ENTRIES.set(to_i64(stats.entries as u64));
-        for (i, shard) in self.shard_stats().iter().enumerate() {
-            m::CACHE_SHARD_ENTRIES[i].set(to_i64(shard.entries as u64));
-            m::CACHE_SHARD_EVICTIONS[i].set(to_i64(shard.evictions));
-        }
     }
 
     /// Drops every stored artifact in every stage (counters are kept).
@@ -916,80 +824,6 @@ impl EvalCache {
         self.power.clear();
         self.operational.clear();
     }
-
-    /// The physical profile of `point`: the keyed store, else
-    /// computed and inserted. The lookup counts on `counters`.
-    pub(crate) fn physical_or_eval(
-        &self,
-        point: &PointLookup<'_>,
-        counters: &mut StageCounters,
-    ) -> Arc<PhysicalProfile> {
-        let (tag, key) = (point.tags.physical, point.design_key);
-        if let Some(p) = self.physical.lookup(tag, key, point.stamp, counters) {
-            return p;
-        }
-        let p = Arc::new(pipeline::physical_profile(
-            point.model.context(),
-            point.design,
-        ));
-        self.physical
-            .insert(tag, key, point.stamp, Arc::clone(&p), self.artifact_cap);
-        p
-    }
-
-    /// The yield profile of `point`: the keyed store, else computed
-    /// from `phys` and inserted.
-    pub(crate) fn yield_or_eval(
-        &self,
-        point: &PointLookup<'_>,
-        phys: &PhysicalProfile,
-        counters: &mut StageCounters,
-    ) -> Result<Arc<YieldProfile>, ModelError> {
-        let (tag, key) = (point.tags.yields, point.design_key);
-        if let Some(y) = self.yields.lookup(tag, key, point.stamp, counters) {
-            return Ok(y);
-        }
-        let y = Arc::new(pipeline::yield_profile(
-            point.model.context(),
-            point.design,
-            phys,
-        )?);
-        self.yields
-            .insert(tag, key, point.stamp, Arc::clone(&y), self.artifact_cap);
-        Ok(y)
-    }
-
-    /// The power profile of `point`: the keyed store, else computed
-    /// from `phys` and inserted.
-    pub(crate) fn power_or_eval(
-        &self,
-        point: &PointLookup<'_>,
-        phys: &PhysicalProfile,
-        counters: &mut StageCounters,
-    ) -> Result<Arc<PowerProfile>, ModelError> {
-        let (tag, key) = (point.tags.power, point.design_key);
-        if let Some(p) = self.power.lookup(tag, key, point.stamp, counters) {
-            return Ok(p);
-        }
-        let p = Arc::new(pipeline::power_profile(
-            point.model.context(),
-            point.design,
-            phys,
-        )?);
-        self.power
-            .insert(tag, key, point.stamp, Arc::clone(&p), self.artifact_cap);
-        Ok(p)
-    }
-}
-
-/// Everything a single point lookup needs, bundled so the per-stage
-/// helpers stay readable.
-pub(crate) struct PointLookup<'a> {
-    pub(crate) tags: &'a StageTags,
-    pub(crate) model: &'a CarbonModel,
-    pub(crate) design: &'a ChipDesign,
-    pub(crate) design_key: u128,
-    pub(crate) stamp: Stamp,
 }
 
 #[cfg(test)]
@@ -1058,13 +892,6 @@ mod tests {
         (report, one.stats.misses() == 0, one.stats)
     }
 
-    /// Evictions of one cell, summed over its shards.
-    fn evictions<T: Clone>(cell: &StageCell<T>) -> u64 {
-        let mut shards = [ShardStats::default(); SHARD_COUNT];
-        cell.fold_shard_stats(&mut shards);
-        shards.iter().map(|s| s.evictions).sum()
-    }
-
     #[test]
     fn second_lookup_hits_every_stage() {
         let cache = EvalCache::new();
@@ -1085,7 +912,7 @@ mod tests {
         assert_eq!(stats.stages.yields, sc(0, 1));
         assert_eq!(stats.stages.power, sc(0, 1));
         assert_eq!(stats.entries, 5);
-        assert!(stats.hit_rate() > 0.0);
+        assert!(stats.stages.warm_hit_rate() > 0.0);
     }
 
     #[test]
@@ -1419,13 +1246,12 @@ mod tests {
 
     #[test]
     fn eviction_is_lru_within_a_shard() {
-        // One tag → one shard. With a cap of 32 the shard's share is
-        // 32 / SHARD_COUNT = 4: filling it and inserting a fifth entry
-        // must evict exactly the least-recently-used quarter (one
-        // entry) — and a lookup decides recency, so touching the
-        // oldest entry redirects eviction to the next-oldest.
+        // Filling a cap-4 store and inserting a fifth entry must evict
+        // exactly the least-recently-used quarter (one entry) — and a
+        // lookup decides recency, so touching the oldest entry
+        // redirects eviction to the next-oldest.
         let cell: StageCell<u8> = StageCell::default();
-        const CAP: usize = 4 * SHARD_COUNT;
+        const CAP: usize = 4;
         let mut counters = StageCounters::default();
         for i in 0..4u8 {
             cell.insert(7, u128::from(i), S0, i, CAP);
@@ -1450,7 +1276,7 @@ mod tests {
             Some(4),
             "new entry stored"
         );
-        assert_eq!(evictions(&cell), 1);
+        assert_eq!(cell.evictions(), 1);
     }
 
     #[test]
@@ -1458,18 +1284,18 @@ mod tests {
         // The cap-and-drop regression: overflowing a stage store must
         // never reset its cumulative hit/miss accounting mid-stream.
         let cell: StageCell<u8> = StageCell::default();
-        const CAP: usize = SHARD_COUNT; // one entry per shard
+        const CAP: usize = 1;
         let mut counters = StageCounters::default();
         cell.insert(3, 0xa, S0, 1, CAP);
         assert_eq!(cell.lookup(3, 0xa, S0, &mut counters), Some(1));
         assert_eq!(cell.lookup(3, 0xdead, S0, &mut counters), None);
         let before = counters;
         assert_eq!(before, sc(1, 1));
-        // Same tag → same shard → every insert beyond the first evicts.
+        // Every insert of a new key into the full store evicts.
         for i in 0..8u8 {
             cell.insert(3, 0x100 + u128::from(i), S0, i, CAP);
         }
-        assert!(evictions(&cell) > 0, "the shard must have overflowed");
+        assert!(cell.evictions() > 0, "the store must have overflowed");
         assert_eq!(
             counters, before,
             "inserts and evictions never touch the hit/miss counters"
@@ -1497,7 +1323,7 @@ mod tests {
             "counters accumulate across evictions"
         );
         assert!(after.stages.hits() >= before.stages.hits());
-        assert!(after.entries <= 5 * SHARD_COUNT);
+        assert!(after.entries <= 5);
     }
 
     #[test]
@@ -1517,13 +1343,13 @@ mod tests {
 
     #[test]
     fn sharded_reads_and_writes_interleave_safely() {
-        // A seeded thread-stress loop over the sharded read/write
-        // path: every stored value is a pure function of its (tag,
-        // key), so any lookup that returns a value for the wrong key —
-        // under any interleaving of reads, writes, and LRU evictions —
-        // fails the assertion. Counters must account for every lookup.
+        // A seeded thread-stress loop over the read/write path: every
+        // stored value is a pure function of its (tag, key), so any
+        // lookup that returns a value for the wrong key — under any
+        // interleaving of reads, writes, and LRU evictions — fails the
+        // assertion. Counters must account for every lookup.
         let cell: StageCell<u64> = StageCell::default();
-        const CAP: usize = 8 * SHARD_COUNT;
+        const CAP: usize = 64;
         let total_lookups = std::sync::atomic::AtomicU64::new(0);
         let summed = std::sync::Mutex::new(StageCounters::default());
         std::thread::scope(|scope| {
@@ -1537,7 +1363,7 @@ mod tests {
                         seed = seed
                             .wrapping_mul(6_364_136_223_846_793_005)
                             .wrapping_add(1_442_695_040_888_963_407);
-                        let tag = seed >> 60; // 16 tags spread over shards
+                        let tag = seed >> 60; // 16 tags
                         let k = (seed >> 32) & 31; // 32 keys per tag
                         let key = u128::from(k);
                         let stamp = Stamp {
@@ -1565,22 +1391,7 @@ mod tests {
             "cumulative counters account for every lookup"
         );
         assert!(c.hits > 0 && c.misses > 0);
-        assert!(
-            cell.len() <= per_shard_cap(CAP) * SHARD_COUNT,
-            "shards stay within their cap share"
-        );
-    }
-
-    #[test]
-    fn shard_routing_spreads_tags() {
-        // Even low-entropy sequential tags must not pile onto one
-        // shard (the routing mixes before taking the top bits).
-        let mut seen = [false; SHARD_COUNT];
-        for tag in 0..64u64 {
-            seen[shard_of(tag)] = true;
-        }
-        assert!(seen.iter().filter(|s| **s).count() >= SHARD_COUNT / 2);
-        assert!((0..1024u64).all(|t| shard_of(t) < SHARD_COUNT));
+        assert!(cell.len() <= CAP, "the store stays within its cap");
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod executor;
 mod plan;
 
 pub use batch::{BatchRanking, RankedPoint};
-pub use cache::{CacheStats, EvalCache, PipelineStats, ShardStats, StageCounters, SHARD_COUNT};
+pub use cache::{CacheStats, EvalCache, PipelineStats, StageCounters};
 pub use executor::{SweepExecutor, SweepResult, SweepStats};
 pub use plan::{SweepPlan, SweepPoint};
 

@@ -1,15 +1,16 @@
-//! Public-surface behaviour of the sharded, LRU-evicting artifact
-//! store: eviction never changes results, counters survive eviction,
-//! cross-client attribution flows through [`ScenarioSession`], and
-//! the sharded read/write path stays safe and correct under seeded
-//! multi-threaded request streams with pathologically tiny caps.
+//! Public-surface behaviour of the LRU-evicting artifact store: one
+//! configuration can fill a stage's whole cap, eviction never changes
+//! results, counters survive eviction, cross-client attribution flows
+//! through [`ScenarioSession`], and the shared read/write path stays
+//! safe and correct under seeded multi-threaded request streams with
+//! pathologically tiny caps.
 
 mod common;
 
 use common::expected_entries;
 use proptest::prelude::*;
 use tdc_core::service::{EvalRequest, EvalResponse, ScenarioSession};
-use tdc_core::sweep::{DesignSweep, SweepExecutor, SweepPlan, SHARD_COUNT};
+use tdc_core::sweep::{DesignSweep, SweepExecutor, SweepPlan};
 use tdc_core::{CarbonModel, ChipDesign, DieSpec, ModelContext, Workload};
 use tdc_technode::{GridRegion, ProcessNode};
 use tdc_units::{Throughput, TimeSpan};
@@ -58,8 +59,8 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 /// The cap bounds memory, never results: a sweep space wide enough to
-/// overflow a per-shard cap of 1–2 entries must still produce the
-/// direct oracle's entries, cold and warm.
+/// overflow a cap of 2 entries per stage must still produce the direct
+/// oracle's entries, cold and warm.
 #[test]
 fn tiny_caps_never_change_sweep_entries() {
     let plan = plan();
@@ -168,14 +169,38 @@ fn evaluate_as_attributes_cross_client_hits() {
     assert!(anon.stats.stages.client_hits() > 0);
 }
 
-/// Per-shard occupancy/eviction introspection and its obs mirror:
-/// `shard_stats` sums to the aggregate stats, spreads many
-/// configurations across shards (routing is by configuration tag, so
-/// balance needs tag diversity, not key diversity), attributes
-/// evictions to the shard that felt the pressure, and `publish_obs`
-/// copies the same numbers into the global `cache.shard*` gauges.
+/// The cap is per stage, and one configuration may fill all of it: a
+/// 23-design plan under a cap of 64 keeps every artifact of every
+/// stage and evicts nothing.
 #[test]
-fn shard_stats_balance_and_publish_to_obs_gauges() {
+fn one_configuration_fills_the_whole_cap() {
+    let plan = DesignSweep::new(8.0e9)
+        .nodes(vec![ProcessNode::N7])
+        .tier_counts(vec![2, 3, 4])
+        .plan()
+        .unwrap();
+    assert_eq!(plan.len(), 23);
+    let executor = SweepExecutor::default().artifact_cap(64);
+    executor
+        .execute(
+            &CarbonModel::new(ModelContext::default()),
+            &plan,
+            &mission(5_000.0),
+        )
+        .unwrap();
+    let stats = executor.cache().stats();
+    assert_eq!(stats.evictions, 0, "{stats:?}");
+    assert_eq!(stats.entries, 5 * plan.len(), "{stats:?}");
+}
+
+/// `publish_obs` copies a cache's stats into the global `cache.*`
+/// gauges: the occupancy and hits of a roomy store, and the evictions
+/// of a tiny-cap one. Each gauge is read right after its publish, and
+/// nothing else in this binary publishes.
+#[test]
+fn publish_obs_mirrors_cache_stats_into_obs_gauges() {
+    use tdc_obs::metrics::{CACHE_ENTRIES, CACHE_EVICTIONS, CACHE_HITS};
+    let gauge = |v: u64| i64::try_from(v).unwrap();
     let run_configurations = |executor: &SweepExecutor| {
         let plan = plan();
         for region in REGIONS {
@@ -190,72 +215,26 @@ fn shard_stats_balance_and_publish_to_obs_gauges() {
 
     let executor = SweepExecutor::default();
     run_configurations(&executor);
-    let cache = executor.cache();
-    let shards = cache.shard_stats();
-    let total: usize = shards.iter().map(|s| s.entries).sum();
-    assert_eq!(
-        total,
-        cache.stats().entries,
-        "shard occupancy must sum to the aggregate entry count"
-    );
-    // Balance: 24 configurations (4 regions x 6 lifetimes) route by
-    // mixed 64-bit tag, so occupancy must spread — no single shard may
-    // hold the majority, and at least half the shards see entries.
-    let populated = shards.iter().filter(|s| s.entries > 0).count();
-    assert!(
-        populated >= SHARD_COUNT / 2,
-        "only {populated} of {SHARD_COUNT} shards populated: {shards:?}"
-    );
-    let max = shards.iter().map(|s| s.entries).max().unwrap();
-    let min = shards.iter().map(|s| s.entries).min().unwrap();
-    assert!(
-        max * 2 <= total,
-        "one shard holds {max} of {total} entries (min {min}): {shards:?}"
-    );
-    assert_eq!(
-        shards.iter().map(|s| s.evictions).sum::<u64>(),
-        0,
-        "the uncapped store never evicts"
-    );
+    let stats = executor.cache().stats();
+    assert_eq!(stats.evictions, 0, "the uncapped store never evicts");
+    executor.cache().publish_obs();
+    assert_eq!(CACHE_ENTRIES.get(), gauge(stats.entries as u64));
+    assert_eq!(CACHE_HITS.get(), gauge(stats.stages.hits()));
+    assert_eq!(CACHE_EVICTIONS.get(), 0);
 
-    // Per-shard evictions attribute LRU pressure to the shard that
-    // felt it, and sum to the cell-level aggregate.
     let tiny = SweepExecutor::default().artifact_cap(2);
     run_configurations(&tiny);
-    let tiny_shards = tiny.cache().shard_stats();
-    let evicted: u64 = tiny_shards.iter().map(|s| s.evictions).sum();
-    assert_eq!(evicted, tiny.cache().stats().evictions);
-    assert!(evicted > 0, "cap 2 under 24 configurations must evict");
-
-    // The obs mirror: publish_obs copies exactly these numbers into
-    // the global gauges (recomputed right after the publish — nothing
-    // else mutates this local cache).
-    cache.publish_obs();
-    let stats = cache.stats();
-    let shards = cache.shard_stats();
-    assert_eq!(
-        tdc_obs::metrics::CACHE_ENTRIES.get(),
-        i64::try_from(stats.entries).unwrap()
+    let stats = tiny.cache().stats();
+    assert!(
+        stats.evictions > 0,
+        "cap 2 under 24 configurations must evict"
     );
-    assert_eq!(
-        tdc_obs::metrics::CACHE_HITS.get(),
-        i64::try_from(stats.stages.hits()).unwrap()
-    );
-    for (i, shard) in shards.iter().enumerate() {
-        assert_eq!(
-            tdc_obs::metrics::CACHE_SHARD_ENTRIES[i].get(),
-            i64::try_from(shard.entries).unwrap(),
-            "shard {i} entry gauge"
-        );
-        assert_eq!(
-            tdc_obs::metrics::CACHE_SHARD_EVICTIONS[i].get(),
-            i64::try_from(shard.evictions).unwrap(),
-            "shard {i} eviction gauge"
-        );
-    }
+    tiny.cache().publish_obs();
+    assert_eq!(CACHE_EVICTIONS.get(), gauge(stats.evictions));
+    assert_eq!(CACHE_ENTRIES.get(), gauge(stats.entries as u64));
 }
 
-/// Seeded thread-stress on the sharded read/write path through the
+/// Seeded thread-stress on the shared read/write path through the
 /// public session surface: concurrent registered clients, a tiny cap
 /// forcing constant eviction, and every response checked against a
 /// fresh single-threaded evaluation. No panics, no wrong answers.
@@ -294,7 +273,7 @@ fn concurrent_clients_with_tiny_caps_answer_fresh_process_values() {
                     assert_eq!(
                         evaluated.response,
                         EvalResponse::Lifecycle(fresh),
-                        "a shared sharded store changed a response"
+                        "a shared store changed a response"
                     );
                 }
             });

@@ -6,12 +6,16 @@
 //! encloses it, and any two spans on one thread are either nested or
 //! disjoint.
 //!
+//! The same test checks what a warm repeat adds to the sweep
+//! counters `sweep.column_hits` and `sweep.delta_skips`.
+//!
 //! This file deliberately contains a single `#[test]`: the recorder is
 //! process-global, and a sibling test recording spans concurrently
 //! would interleave its records into the measurement.
 
 use tdc_core::sweep::{DesignSweep, SweepExecutor};
 use tdc_core::{CarbonModel, ModelContext, Workload};
+use tdc_obs::metrics::{SWEEP_COLUMN_HITS, SWEEP_DELTA_SKIPS};
 use tdc_technode::ProcessNode;
 use tdc_units::{Throughput, TimeSpan};
 
@@ -29,9 +33,8 @@ fn spans_stay_well_nested_for_any_worker_count() {
         Throughput::from_tops(254.0),
         TimeSpan::from_hours(10_000.0),
     );
-    SweepExecutor::default()
-        .execute(&model, &plan, &workload)
-        .unwrap();
+    let executor = SweepExecutor::default();
+    executor.execute(&model, &plan, &workload).unwrap();
     let spans = tdc_obs::take_spans();
     assert!(
         spans.iter().any(|s| s.name == "sweep.execute"),
@@ -83,6 +86,16 @@ fn spans_stay_well_nested_for_any_worker_count() {
             );
         }
     }
+
+    // A warm repeat answers every point from the plan's columns:
+    // `sweep.column_hits` counts warm points, and `sweep.delta_skips`
+    // counts the column lookups — each point's embodied head plus each
+    // ranked point's operational head.
+    let (column_hits, delta_skips) = (SWEEP_COLUMN_HITS.get(), SWEEP_DELTA_SKIPS.get());
+    let warm = executor.execute(&model, &plan, &workload).unwrap();
+    let (points, ranked) = (plan.len() as u64, warm.entries().len() as u64);
+    assert_eq!(SWEEP_COLUMN_HITS.get() - column_hits, points);
+    assert_eq!(SWEEP_DELTA_SKIPS.get() - delta_skips, points + ranked);
     tdc_obs::set_enabled(false);
     tdc_obs::reset();
 }

@@ -44,7 +44,7 @@ fn cache_hits_are_counted_for_repeated_points() {
     let cache = executor.cache().stats();
     assert_eq!(cache.stages.embodied.hits as usize, plan.len());
     assert_eq!(cache.stages.operational.hits as usize, plan.len());
-    assert!(cache.hit_rate() > 0.0);
+    assert!(cache.stages.warm_hit_rate() > 0.0);
 
     // A *different* workload re-prices the operational stage — no
     // point is fully cached — but embodied artifacts are reused.

@@ -9,9 +9,11 @@
 //! arithmetic only, so no float touches the record path either.
 //!
 //! The primitive types ([`Counter`], [`Gauge`], [`Histogram`]) are
-//! also usable un-registered as plain instance fields (the per-stage
-//! artifact cache builds its cumulative counters out of [`Counter`]);
-//! only statics listed in [`CATALOG`] appear in snapshots.
+//! also usable un-registered as plain instance fields; only statics
+//! listed in [`CATALOG`] appear in snapshots. The artifact cache keeps
+//! its cumulative counts as plain sums of per-call `PipelineStats`
+//! (tdc-core) and copies them into the `cache.*` gauges at snapshot
+//! time.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -235,10 +237,6 @@ impl Histogram {
 // The catalog: every named metric in the workspace.
 // ---------------------------------------------------------------------
 
-/// Shard count the per-shard cache gauges are sized for; asserted
-/// equal to the cache's `SHARD_COUNT` in `tdc-core`.
-pub const CACHE_SHARDS: usize = 8;
-
 /// Per-stage pipeline compute timings (nanoseconds per stage
 /// evaluation; recorded only on cache misses — warm lookups never
 /// reach the stage functions).
@@ -262,7 +260,10 @@ pub static SWEEP_POINTS: Counter = Counter::new();
 /// Stage recomputations + keyed lookups skipped by plan-aligned
 /// columns (the fill kernel's delta-eval).
 pub static SWEEP_DELTA_SKIPS: Counter = Counter::new();
-/// Stage lookups answered structurally from batch columns.
+/// Warm plan points: points whose every consulted stage was answered
+/// without running it, from a batch column or the keyed store (the
+/// sum of `SweepStats::cache_hits`). Stage lookups answered by columns
+/// are [`SWEEP_DELTA_SKIPS`].
 pub static SWEEP_COLUMN_HITS: Counter = Counter::new();
 
 /// Cumulative stage-lookup traffic — column hits and keyed lookups
@@ -279,10 +280,6 @@ pub static CACHE_MISSES: Gauge = Gauge::new();
 pub static CACHE_EVICTIONS: Gauge = Gauge::new();
 /// Artifacts currently stored across all cache stages.
 pub static CACHE_ENTRIES: Gauge = Gauge::new();
-/// Per-shard artifact occupancy (summed across the five stage cells).
-pub static CACHE_SHARD_ENTRIES: [Gauge; CACHE_SHARDS] = [const { Gauge::new() }; CACHE_SHARDS];
-/// Per-shard LRU evictions since construction (summed across stages).
-pub static CACHE_SHARD_EVICTIONS: [Gauge; CACHE_SHARDS] = [const { Gauge::new() }; CACHE_SHARDS];
 
 /// JSONL frames handled by `tdc serve` (both transports).
 pub static SERVE_FRAMES: Counter = Counter::new();
@@ -362,22 +359,6 @@ pub static CATALOG: &[MetricDef] = &[
     row!("cache.misses", gauge CACHE_MISSES),
     row!("cache.evictions", gauge CACHE_EVICTIONS),
     row!("cache.entries", gauge CACHE_ENTRIES),
-    row!("cache.shard0.entries", gauge CACHE_SHARD_ENTRIES[0]),
-    row!("cache.shard1.entries", gauge CACHE_SHARD_ENTRIES[1]),
-    row!("cache.shard2.entries", gauge CACHE_SHARD_ENTRIES[2]),
-    row!("cache.shard3.entries", gauge CACHE_SHARD_ENTRIES[3]),
-    row!("cache.shard4.entries", gauge CACHE_SHARD_ENTRIES[4]),
-    row!("cache.shard5.entries", gauge CACHE_SHARD_ENTRIES[5]),
-    row!("cache.shard6.entries", gauge CACHE_SHARD_ENTRIES[6]),
-    row!("cache.shard7.entries", gauge CACHE_SHARD_ENTRIES[7]),
-    row!("cache.shard0.evictions", gauge CACHE_SHARD_EVICTIONS[0]),
-    row!("cache.shard1.evictions", gauge CACHE_SHARD_EVICTIONS[1]),
-    row!("cache.shard2.evictions", gauge CACHE_SHARD_EVICTIONS[2]),
-    row!("cache.shard3.evictions", gauge CACHE_SHARD_EVICTIONS[3]),
-    row!("cache.shard4.evictions", gauge CACHE_SHARD_EVICTIONS[4]),
-    row!("cache.shard5.evictions", gauge CACHE_SHARD_EVICTIONS[5]),
-    row!("cache.shard6.evictions", gauge CACHE_SHARD_EVICTIONS[6]),
-    row!("cache.shard7.evictions", gauge CACHE_SHARD_EVICTIONS[7]),
     row!("serve.frames", counter SERVE_FRAMES),
     row!("serve.frame_errors", counter SERVE_FRAME_ERRORS),
     row!("serve.connections", counter SERVE_CONNECTIONS),
@@ -530,6 +511,6 @@ mod tests {
             assert!(value.parse::<i64>().is_ok(), "numeric: {line}");
         }
         assert!(text.contains("tdc_stage_physical_ns_count "));
-        assert!(text.contains("tdc_cache_shard7_evictions "));
+        assert!(text.contains("tdc_cache_evictions "));
     }
 }
