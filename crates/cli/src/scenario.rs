@@ -41,7 +41,7 @@ use tdc_registry::json::{JsonError, JsonValue};
 use tdc_registry::{Params, Registry, RegistryError};
 use tdc_technode::{ProcessNode, Wafer};
 use tdc_traces::TraceReader;
-use tdc_units::{Area, Efficiency, Length, Throughput, TimeSpan};
+use tdc_units::{Area, Efficiency, Length, ShortFloat, Throughput, TimeSpan};
 use tdc_workloads::design_preset_context;
 use tdc_yield::StackingFlow;
 
@@ -204,7 +204,10 @@ impl<'a> Fields<'a> {
 
 fn parse_node(nm: f64, path: &str) -> Result<ProcessNode, ScenarioError> {
     if nm.fract() != 0.0 || !(1.0..=1000.0).contains(&nm) {
-        return schema_err(path, format!("expected a node size in nm, got {nm}"));
+        return schema_err(
+            path,
+            format!("expected a node size in nm, got {}", ShortFloat(nm)),
+        );
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     ProcessNode::from_nanometers(nm as u32).map_or_else(
@@ -474,8 +477,11 @@ impl Scenario {
     }
 
     /// The model registry this scenario resolves names through: the
-    /// built-in catalogs plus every file in the `packs` block (loaded
-    /// on first use, scenario-file-relative).
+    /// process-wide [`Registry::builtins`] when the scenario has no
+    /// `packs` block, or else an owned copy of it with every pack file
+    /// loaded (on first use, scenario-file-relative). A pack never
+    /// reaches the shared base, so it cannot change what another
+    /// scenario resolves.
     ///
     /// # Errors
     ///
@@ -485,6 +491,9 @@ impl Scenario {
     pub fn registry(&self) -> Result<&Registry, ScenarioError> {
         self.registry
             .get_or_init(|| {
+                if self.packs.is_empty() {
+                    return Ok(Registry::builtins());
+                }
                 let mut registry = Registry::with_builtins();
                 for (i, file) in self.packs.iter().enumerate() {
                     let resolved = self.resolve_path(file);
@@ -581,7 +590,7 @@ impl Scenario {
             if l.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&l) {
                 return schema_err(
                     f.child("beol_layers"),
-                    format!("expected a whole layer count, got {l}"),
+                    format!("expected a whole layer count, got {}", ShortFloat(l)),
                 );
             }
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -616,7 +625,7 @@ impl Scenario {
         if !(tops.is_finite() && tops > 0.0) {
             return schema_err(
                 "workload.throughput_tops",
-                format!("must be positive, got {tops}"),
+                format!("must be positive, got {}", ShortFloat(tops)),
             );
         }
         let throughput = Throughput::from_tops(tops);
@@ -716,7 +725,10 @@ impl Scenario {
             match f.number(key)? {
                 None => Ok(None),
                 Some(v) if (lo..=hi).contains(&v) => Ok(Some(v)),
-                Some(v) => schema_err(f.child(key), format!("must be in [{lo}, {hi}], got {v}")),
+                Some(v) => schema_err(
+                    f.child(key),
+                    format!("must be in [{lo}, {hi}], got {}", ShortFloat(v)),
+                ),
             }
         };
         Ok(ContextSpec {
@@ -797,7 +809,7 @@ impl Scenario {
         if !(gate_count.is_finite() && gate_count > 0.0) {
             return schema_err(
                 "sweep.gate_count",
-                format!("must be positive, got {gate_count}"),
+                format!("must be positive, got {}", ShortFloat(gate_count)),
             );
         }
         let nodes = match f.array("nodes_nm")? {
@@ -882,7 +894,7 @@ impl Scenario {
                     if t.fract() != 0.0 || !(2.0..=64.0).contains(&t) {
                         return schema_err(
                             &path,
-                            format!("expected a tier count in 2..=64, got {t}"),
+                            format!("expected a tier count in 2..=64, got {}", ShortFloat(t)),
                         );
                     }
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -900,7 +912,7 @@ impl Scenario {
                 if w.fract() != 0.0 || !(0.0..=1024.0).contains(&w) {
                     return schema_err(
                         "sweep.workers",
-                        format!("expected a count in 0..=1024, got {w}"),
+                        format!("expected a count in 0..=1024, got {}", ShortFloat(w)),
                     );
                 }
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -991,7 +1003,10 @@ impl Scenario {
             match f.number(key)? {
                 None => Ok(None),
                 Some(v) if v.is_finite() && v > 0.0 => Ok(Some(v)),
-                Some(v) => schema_err(f.child(key), format!("must be positive, got {v}")),
+                Some(v) => schema_err(
+                    f.child(key),
+                    format!("must be positive, got {}", ShortFloat(v)),
+                ),
             }
         };
         if let Some(mm2) = positive("max_package_area_mm2")? {
@@ -1071,7 +1086,7 @@ impl Scenario {
                 }
                 Some(v) => schema_err(
                     f.child(key),
-                    format!("expected a whole count in 0..={hi}, got {v}"),
+                    format!("expected a whole count in 0..={hi}, got {}", ShortFloat(v)),
                 ),
             }
         };
@@ -1334,7 +1349,7 @@ impl Scenario {
             if !(hours.is_finite() && hours > 0.0) {
                 return schema_err(
                     "workload.active_hours",
-                    format!("must be positive, got {hours}"),
+                    format!("must be positive, got {}", ShortFloat(hours)),
                 );
             }
             Workload::fixed(
@@ -1347,7 +1362,7 @@ impl Scenario {
             if !(b.is_finite() && b >= 0.0) {
                 return schema_err(
                     "workload.bytes_per_op",
-                    format!("must be non-negative, got {b}"),
+                    format!("must be non-negative, got {}", ShortFloat(b)),
                 );
             }
             w = w.with_bytes_per_op(b);
@@ -1356,7 +1371,7 @@ impl Scenario {
             if !(b.is_finite() && b >= 0.0) {
                 return schema_err(
                     "workload.average_bytes_per_op",
-                    format!("must be non-negative, got {b}"),
+                    format!("must be non-negative, got {}", ShortFloat(b)),
                 );
             }
             w = w.with_average_bytes_per_op(b);
@@ -1365,7 +1380,7 @@ impl Scenario {
             if !(u > 0.0 && u <= 1.0) {
                 return schema_err(
                     "workload.average_utilization",
-                    format!("must be in (0, 1], got {u}"),
+                    format!("must be in (0, 1], got {}", ShortFloat(u)),
                 );
             }
             w = w.with_average_utilization(u);
@@ -1374,14 +1389,14 @@ impl Scenario {
             if !(y.is_finite() && y > 0.0) {
                 return schema_err(
                     "workload.calendar_years",
-                    format!("must be positive, got {y}"),
+                    format!("must be positive, got {}", ShortFloat(y)),
                 );
             }
             let lifetime = TimeSpan::from_years(y);
             if !lifetime.hours().is_finite() {
                 return schema_err(
                     "workload.calendar_years",
-                    format!("{y} years is not a finite number of hours"),
+                    format!("{} years is not a finite number of hours", ShortFloat(y)),
                 );
             }
             w = w.with_calendar_lifetime(lifetime);
@@ -1442,7 +1457,10 @@ impl Scenario {
         }
         if let Some(mm) = c.wafer_mm {
             if !(mm.is_finite() && mm > 0.0) {
-                return schema_err("context.wafer_mm", format!("must be positive, got {mm}"));
+                return schema_err(
+                    "context.wafer_mm",
+                    format!("must be positive, got {}", ShortFloat(mm)),
+                );
             }
             b = b.wafer(Wafer::with_diameter(Length::from_mm(mm)));
         }
@@ -1476,7 +1494,7 @@ impl Scenario {
         if let Some(v) = c.m3d_sequential_fraction {
             b = b.m3d_sequential_fraction(v);
         }
-        Ok(registry.apply_packs(&b.build()))
+        Ok(registry.apply_packs(b.build()))
     }
 
     /// Elaborates the `sweep` block into a [`DesignSweep`], resolving
@@ -1854,6 +1872,39 @@ mod tests {
         let err = s.build_context().unwrap_err();
         assert!(err.to_string().contains("packs[0]"), "{err}");
         assert!(err.to_string().contains("no/such/pack.json"), "{err}");
+    }
+
+    #[test]
+    fn pack_less_scenarios_share_one_base_that_packs_never_write() {
+        use tdc_registry::{ModelKind, Provenance};
+        let n7_provenance = |registry: &Registry| {
+            registry
+                .list(Some(ModelKind::Node))
+                .into_iter()
+                .find(|meta| meta.name == "n7")
+                .map(|meta| meta.provenance.clone())
+        };
+        let plain = || Scenario::parse(r#"{"design": {"preset": "epyc-7452"}}"#).unwrap();
+        let (a, b) = (plain(), plain());
+        assert!(std::ptr::eq(a.registry().unwrap(), b.registry().unwrap()));
+        assert!(Arc::ptr_eq(&Registry::builtins(), &Registry::builtins()));
+
+        let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let packed = Scenario::parse(r#"{"packs": ["packs/example_node.json"]}"#)
+            .unwrap()
+            .with_base_dir(Some(&scenarios));
+        let packed = packed.registry().unwrap();
+        assert!(!std::ptr::eq(packed, a.registry().unwrap()));
+        assert_eq!(
+            n7_provenance(packed),
+            Some(Provenance::Pack("example-node".to_owned()))
+        );
+        assert_eq!(packed.applications().len(), 1);
+
+        let fresh = plain();
+        let fresh = fresh.registry().unwrap();
+        assert_eq!(n7_provenance(fresh), Some(Provenance::BuiltIn));
+        assert!(fresh.applications().is_empty());
     }
 
     #[test]

@@ -292,16 +292,27 @@ fn deeply_nested_frame_is_answered_and_the_stream_continues() {
 /// Serves `input` on a fresh serial session and returns the parsed
 /// response frames plus the summary's (frames, errors).
 fn serve_frames(input: &[u8]) -> (Vec<JsonValue>, (u64, u64)) {
+    let (lines, summary) = serve_lines(input);
+    let frames = lines
+        .iter()
+        .map(|l| JsonValue::parse(l).expect("frame parses"))
+        .collect();
+    (frames, summary)
+}
+
+/// The raw answer lines of one fresh `tdc serve` session, with its
+/// `(frames, errors)` summary.
+fn serve_lines(input: &[u8]) -> (Vec<String>, (u64, u64)) {
     let session = ScenarioSession::default();
     let mut stdout = Vec::new();
     let mut stderr = Vec::new();
     let summary = serve(&session, input, &mut stdout, &mut stderr, 1).expect("serves");
-    let frames = String::from_utf8(stdout)
+    let lines = String::from_utf8(stdout)
         .expect("utf8")
         .lines()
-        .map(|l| JsonValue::parse(l).expect("frame parses"))
+        .map(str::to_owned)
         .collect();
-    (frames, (summary.frames, summary.errors))
+    (lines, (summary.frames, summary.errors))
 }
 
 #[test]
@@ -557,8 +568,9 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
     // and abort the server: a calendar life of 1e308 years overflows
     // its hours, a 5e-324-hour service time makes the lifetime axis
     // scale by infinity, and a 5e-324-gate die of a 2.5D assembly has
-    // zero area. Each must be answered as an error, and the stats
-    // frame after them must still be answered.
+    // zero area. Each must be answered as an error a line long that
+    // quotes the hostile number in exponent form, and the stats frame
+    // after them must still be answered.
     let input = "{\"id\": 1, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
                  \"orin-2d\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 254, \
                  \"active_hours\": 1000, \"calendar_years\": 1e308}}}\n\
@@ -571,17 +583,22 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
                  \"emib\", \"dies\": [{\"node_nm\": 7, \"gate_count\": 5e-324}, {\"node_nm\": 7, \
                  \"gate_count\": 1e9}]}}}\n\
                  {\"id\": 4, \"command\": \"stats\"}\n";
-    let (frames, summary) = serve_frames(input.as_bytes());
-    assert_eq!(frames.len(), 4);
+    let (lines, summary) = serve_lines(input.as_bytes());
+    assert_eq!(lines.len(), 4);
+    let frames: Vec<JsonValue> = lines
+        .iter()
+        .map(|l| JsonValue::parse(l).expect("frame parses"))
+        .collect();
     let expected = [
         (
             Some("workload.calendar_years"),
-            "not a finite number of hours",
+            "1e308 years is not a finite number of hours",
         ),
         (None, "lifetime axis: cannot scale"),
-        (None, "gate count must be finite and at least 1"),
+        (None, "gate count must be finite and at least 1, got 5e-324"),
     ];
-    for (frame, (id, (path, text))) in frames.iter().zip((1..).zip(expected)) {
+    for ((line, frame), (id, (path, text))) in lines.iter().zip(&frames).zip((1..).zip(expected)) {
+        assert!(line.len() < 200, "{} bytes: {line}", line.len());
         assert_eq!(frame.get("id").and_then(JsonValue::as_f64), Some(id.into()));
         assert_eq!(frame.get("ok"), Some(&JsonValue::Bool(false)), "{frame:?}");
         let error = frame.get("error").expect("error object");
@@ -592,6 +609,38 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
     assert_eq!(frames[3].get("id").and_then(JsonValue::as_f64), Some(4.0));
     assert_eq!(frames[3].get("ok"), Some(&JsonValue::Bool(true)));
     assert_eq!(summary, (4, 3));
+}
+
+#[test]
+fn a_pack_frame_never_changes_what_a_later_pack_less_frame_prices() {
+    // Packs load into an owned copy of the process-wide built-in
+    // registry, never into the base itself. A run frame whose pack
+    // changes n7's defect density, followed on the same session by
+    // the same frame without the pack, must price the second exactly
+    // as a fresh session does.
+    let dir = test_dir("pack-leak");
+    let pack = dir.join("changed_n7.json");
+    std::fs::write(
+        &pack,
+        r#"{"pack": "changed-n7", "nodes": [{"name": "n7", "params": {"defect_density_per_cm2": 0.2}}]}"#,
+    )
+    .expect("pack writes");
+    let frame = |packs: &str| {
+        format!(
+            "{{\"id\": 1, \"command\": \"run\", \"scenario\": {{{packs}\"design\": \
+             {{\"integration\": \"2d\", \"dies\": [{{\"node_nm\": 7, \"gate_count\": 8e9}}]}}, \
+             \"workload\": {{\"name\": \"w\", \"throughput_tops\": 100, \"active_hours\": 1000}}}}}}\n"
+        )
+    };
+    let path = JsonValue::String(pack.display().to_string()).render_compact();
+    let packed = frame(&format!("\"packs\": [{path}], "));
+    let plain = frame("");
+    let (lines, summary) = serve_lines(format!("{packed}{plain}").as_bytes());
+    let (alone, _) = serve_lines(plain.as_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(summary, (2, 0), "{lines:?}");
+    assert_ne!(lines[0], lines[1], "the changed pack must change the price");
+    assert_eq!(lines[1], alone[0]);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use tdc_integration::{
     IntegrationCatalog, IntegrationFamily, IntegrationTechnology, StackOrientation,
 };
 use tdc_technode::ProcessNode;
-use tdc_units::{Area, Efficiency, Fingerprint};
+use tdc_units::{Area, Efficiency, Fingerprint, ShortFloat};
 use tdc_wirelength::RentParameters;
 use tdc_yield::StackingFlow;
 
@@ -192,16 +192,18 @@ impl DieSpecBuilder {
             // Below one gate the die area can underflow to zero.
             if !(g.is_finite() && g >= 1.0) {
                 return Err(ModelError::InvalidDesign(format!(
-                    "die `{}`: gate count must be finite and at least 1, got {g}",
-                    s.name
+                    "die `{}`: gate count must be finite and at least 1, got {}",
+                    s.name,
+                    ShortFloat(g)
                 )));
             }
         }
         if let Some(a) = s.area_override {
             if !(a.mm2().is_finite() && a.mm2() > 0.0) {
                 return Err(ModelError::InvalidDesign(format!(
-                    "die `{}`: area must be finite and positive, got {a}",
-                    s.name
+                    "die `{}`: area must be finite and positive, got {} mm²",
+                    s.name,
+                    ShortFloat(a.mm2())
                 )));
             }
         }
@@ -224,8 +226,9 @@ impl DieSpecBuilder {
         if let Some(share) = s.compute_share {
             if !(share.is_finite() && share >= 0.0) {
                 return Err(ModelError::InvalidDesign(format!(
-                    "die `{}`: compute share must be finite and non-negative, got {share}",
-                    s.name
+                    "die `{}`: compute share must be finite and non-negative, got {}",
+                    s.name,
+                    ShortFloat(share)
                 )));
             }
         }

@@ -18,6 +18,7 @@
 use crate::context::ModelContext;
 use crate::error::ModelError;
 use crate::operational::Workload;
+use tdc_units::ShortFloat;
 
 /// The continuous axis a refinement loop walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +99,9 @@ impl RefineAxis {
                 let factor = value / base_years;
                 if !(factor.is_finite() && factor > 0.0) {
                     return Err(ModelError::InvalidParameter(format!(
-                        "lifetime axis: cannot scale a {base_years}-year service time \
-                         to {value} years"
+                        "lifetime axis: cannot scale a {}-year service time to {} years",
+                        ShortFloat(base_years),
+                        ShortFloat(value)
                     )));
                 }
                 (context.clone(), workload.scaled(factor))
@@ -163,15 +165,16 @@ impl RefineSpec {
         if !(self.min.is_finite() && self.max.is_finite() && self.min < self.max) {
             return Err(format!(
                 "refine range must be finite with min < max, got [{}, {}]",
-                self.min, self.max
+                ShortFloat(self.min),
+                ShortFloat(self.max)
             ));
         }
         let (lo, hi) = self.axis.domain();
         if self.min < lo || self.max > hi {
             return Err(format!(
                 "refine range [{}, {}] is outside the `{}` domain [{lo}, {hi}]",
-                self.min,
-                self.max,
+                ShortFloat(self.min),
+                ShortFloat(self.max),
                 self.axis.label()
             ));
         }
@@ -190,7 +193,7 @@ impl RefineSpec {
         if !(self.tolerance.is_finite() && self.tolerance > 0.0) {
             return Err(format!(
                 "refine tolerance must be positive, got {}",
-                self.tolerance
+                ShortFloat(self.tolerance)
             ));
         }
         Ok(())

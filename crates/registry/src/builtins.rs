@@ -1,5 +1,5 @@
 //! The default registrations: every shipped catalog entry, installed
-//! into a fresh [`Registry`] by [`Registry::with_builtins`].
+//! once per process into the shared [`Registry::builtins`].
 //!
 //! These are *the same tables* the enums' `resolve_token` parsers and
 //! the preset grammar read — the factories delegate to
@@ -16,7 +16,7 @@ use tdc_core::DieYieldChoice;
 use tdc_integration::{IntegrationCatalog, IntegrationTechnology, InterfaceSpec, IoDensity};
 use tdc_power::PowerModelChoice;
 use tdc_technode::{GridRegion, NodeParameters, ProcessNode, TechnologyDb};
-use tdc_units::{Bandwidth, EnergyPerBit, Length, Throughput};
+use tdc_units::{Bandwidth, EnergyPerBit, Length, ShortFloat, Throughput};
 use tdc_workloads::{
     resolve_design_preset, resolve_workload_preset, DESIGN_PRESET_EXAMPLES, WORKLOAD_PRESETS,
 };
@@ -93,9 +93,10 @@ fn int_param(
             kind,
             name,
             format!(
-                "parameter `{key}` must be an integer in [{}, {}], got {value}",
+                "parameter `{key}` must be an integer in [{}, {}], got {}",
                 range.start(),
-                range.end()
+                range.end(),
+                ShortFloat(value)
             ),
         ));
     }
@@ -113,7 +114,10 @@ fn positive_param(
         return Err(invalid(
             kind,
             name,
-            format!("parameter `{key}` must be positive, got {value}"),
+            format!(
+                "parameter `{key}` must be positive, got {}",
+                ShortFloat(value)
+            ),
         ));
     }
     Ok(value)
@@ -215,7 +219,10 @@ pub(crate) fn apply_interface_params(
                 return Err(invalid(
                     kind,
                     name,
-                    format!("parameter `energy_fj_per_bit` must be non-negative, got {v}"),
+                    format!(
+                        "parameter `energy_fj_per_bit` must be non-negative, got {}",
+                        ShortFloat(v)
+                    ),
                 ));
             }
             EnergyPerBit::from_fj_per_bit(v)
@@ -249,7 +256,10 @@ pub(crate) fn apply_interface_params(
                 return Err(invalid(
                     kind,
                     name,
-                    format!("parameter `io_power_counted` must be 0, 1, or a boolean, got {v}"),
+                    format!(
+                        "parameter `io_power_counted` must be 0, 1, or a boolean, got {}",
+                        ShortFloat(v)
+                    ),
                 ));
             }
         }

@@ -7,12 +7,13 @@
 //!
 //! The per-enum token tables (`GridRegion::resolve_token`,
 //! `IntegrationTechnology::resolve_token`, the `tdc-workloads` preset
-//! grammar) are folded in here: [`Registry::with_builtins`] registers
-//! the shipped catalogs as the default entries, so every scenario that
-//! resolved before resolves identically through the registry — and
-//! *technology packs* ([`pack`]) extend the same namespace at run time
-//! with new nodes and bonding technologies shipped as data, no
-//! recompile.
+//! grammar) are folded in here: [`Registry::builtins`] is the one
+//! process-wide registry of the shipped catalogs, so every scenario
+//! that resolved before resolves identically through the registry —
+//! and *technology packs* ([`pack`]) extend the same namespace at run
+//! time with new nodes and bonding technologies shipped as data, no
+//! recompile. A pack loads into an owned copy
+//! ([`Registry::with_builtins`]), never into the shared base.
 //!
 //! ```
 //! use tdc_registry::{ModelKind, Registry};
@@ -37,6 +38,7 @@ mod builtins;
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 pub use builtins::{NODE_PARAM_KEYS, TECHNOLOGY_PARAM_KEYS};
 pub use pack::{PackError, PackSummary};
@@ -350,11 +352,16 @@ pub type Factory = Box<dyn Fn(&Params) -> Result<ModelInstance, RegistryError> +
 /// A grammar-rule resolver: `(name, params)` in, `None` when the name
 /// is not in the rule's grammar.
 pub type RuleResolver =
-    Box<dyn Fn(&str, &Params) -> Option<Result<ModelInstance, RegistryError>> + Send + Sync>;
+    Arc<dyn Fn(&str, &Params) -> Option<Result<ModelInstance, RegistryError>> + Send + Sync>;
 
+/// A [`Factory`] as the registry holds it: shared, so a cloned
+/// registry copies pointers, never closures.
+type SharedFactory = Arc<dyn Fn(&Params) -> Result<ModelInstance, RegistryError> + Send + Sync>;
+
+#[derive(Clone)]
 struct Entry {
     meta: EntryMeta,
-    factory: Factory,
+    factory: SharedFactory,
     shadowed: bool,
 }
 
@@ -362,6 +369,7 @@ struct Entry {
 /// presets' `hbm<N>-d2w` / `<platform>-het-<tech>` forms, which are a
 /// grammar, not a list). Rules run only when no registered entry
 /// matches; the first rule returning `Some` wins.
+#[derive(Clone)]
 struct GrammarRule {
     kind: ModelKind,
     #[allow(dead_code)]
@@ -379,6 +387,11 @@ pub enum PackApplication {
 }
 
 /// The factory registry. See the [crate docs](crate) for the tour.
+///
+/// A clone copies the entries' metadata, the name index, the hints and
+/// the loaded packs' rewrites, and shares every factory and grammar
+/// rule.
+#[derive(Clone)]
 pub struct Registry {
     entries: Vec<Entry>,
     index: HashMap<(ModelKind, String), usize>,
@@ -423,15 +436,30 @@ impl Registry {
         }
     }
 
-    /// A registry pre-loaded with every shipped catalog: all grid
+    /// The process-wide registry of every shipped catalog: all grid
     /// regions, process nodes, integration technologies (plus `2D`),
     /// yield models, power models, design-preset examples (with the
     /// full preset grammar as a fallback rule), and workload presets.
+    ///
+    /// The catalogs install on the first call; every later call
+    /// returns the same registry. Nothing can load a pack into it:
+    /// packs load into an owned copy ([`Registry::with_builtins`]).
+    #[must_use]
+    pub fn builtins() -> Arc<Registry> {
+        static BUILTINS: OnceLock<Arc<Registry>> = OnceLock::new();
+        Arc::clone(BUILTINS.get_or_init(|| {
+            let mut registry = Self::empty();
+            builtins::install(&mut registry);
+            Arc::new(registry)
+        }))
+    }
+
+    /// An owned copy of [`Registry::builtins`], for loading packs into
+    /// ([`Registry::load_pack`]). The copy shares the built-ins'
+    /// factories, so it costs the metadata and the name index only.
     #[must_use]
     pub fn with_builtins() -> Self {
-        let mut registry = Self::empty();
-        builtins::install(&mut registry);
-        registry
+        Self::clone(&Self::builtins())
     }
 
     /// Canonical token form: trimmed, lowercased, with underscores and
@@ -449,7 +477,7 @@ impl Registry {
     ///
     /// [`RegistryError::Duplicate`] naming the first colliding token.
     pub fn register(&mut self, meta: EntryMeta, factory: Factory) -> Result<(), RegistryError> {
-        self.insert(meta, factory, false)
+        self.insert(meta, Arc::from(factory), false)
     }
 
     /// Registers an entry that may *shadow* built-ins of the same
@@ -465,13 +493,13 @@ impl Registry {
         meta: EntryMeta,
         factory: Factory,
     ) -> Result<(), RegistryError> {
-        self.insert(meta, factory, true)
+        self.insert(meta, Arc::from(factory), true)
     }
 
     fn insert(
         &mut self,
         meta: EntryMeta,
-        factory: Factory,
+        factory: SharedFactory,
         allow_shadow: bool,
     ) -> Result<(), RegistryError> {
         let kind = meta.kind;
@@ -531,7 +559,7 @@ impl Registry {
         self.rules.push(GrammarRule {
             kind,
             description: description.to_owned(),
-            resolve: Box::new(resolve),
+            resolve: Arc::new(resolve),
         });
     }
 
@@ -620,11 +648,11 @@ impl Registry {
     /// Applies every loaded pack's catalog rewrites to `context`
     /// (replacing node parameter tables and electrical interfaces by
     /// identity). A registry with no packs returns the context
-    /// unchanged.
+    /// untouched.
     #[must_use]
-    pub fn apply_packs(&self, context: &ModelContext) -> ModelContext {
+    pub fn apply_packs(&self, context: ModelContext) -> ModelContext {
         if self.applications.is_empty() {
-            return context.clone();
+            return context;
         }
         let mut tech_db = context.tech_db().clone();
         let mut catalog = context.catalog().clone();

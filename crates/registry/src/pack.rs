@@ -262,10 +262,9 @@ impl Registry {
         if tdc_obs::enabled() {
             tdc_obs::metrics::REGISTRY_PACK_LOADS.inc();
         }
-        // Load into a scratch clone-free staging pass first? The
-        // registry cannot be cheaply cloned (factories are closures),
-        // so instead: validate and build every entry *before* touching
-        // the registry, then register.
+        // Validate and build every entry *before* touching the
+        // registry, then register, so a failing pack leaves the
+        // registry as it was.
         let display_path = path.display().to_string();
         let text = read_pack(path).map_err(|message| PackError {
             path: display_path.clone(),

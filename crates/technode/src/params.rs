@@ -4,7 +4,7 @@
 use crate::node::ProcessNode;
 use core::hash::{Hash, Hasher};
 use serde::{Deserialize, Serialize};
-use tdc_units::{Area, CarbonPerArea, EnergyPerArea, Fingerprint, Length};
+use tdc_units::{Area, CarbonPerArea, EnergyPerArea, Fingerprint, Length, ShortFloat};
 
 /// Physical and environmental parameters of one process node.
 ///
@@ -363,7 +363,10 @@ impl NodeParametersBuilder {
         let mut problems = Vec::new();
         let mut check = |name: &str, v: f64| {
             if !v.is_finite() || v <= 0.0 {
-                problems.push(format!("{name} must be finite and positive, got {v}"));
+                problems.push(format!(
+                    "{name} must be finite and positive, got {}",
+                    ShortFloat(v)
+                ));
             }
         };
         check("feature size (mm)", feature_size.mm());

@@ -54,6 +54,7 @@ mod energy;
 mod fingerprint;
 mod geometry;
 mod ratio;
+mod short;
 mod time;
 
 pub use carbon::{CarbonIntensity, CarbonPerArea, Co2Mass, Co2Rate};
@@ -62,4 +63,5 @@ pub use energy::{Energy, EnergyPerArea, EnergyPerBit, Power};
 pub use fingerprint::Fingerprint;
 pub use geometry::{Area, Length};
 pub use ratio::{PercentDisplay, Ratio};
+pub use short::ShortFloat;
 pub use time::TimeSpan;
