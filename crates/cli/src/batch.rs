@@ -1,11 +1,12 @@
 //! `tdc batch`: evaluate many scenario files on one shared warm
 //! session.
 //!
-//! Every file is elaborated with the same `build_*` paths and rendered
-//! with the same renderers as the single-shot commands, and evaluated
-//! on one [`ScenarioSession`] — so the concatenated stdout is
-//! **byte-identical** to running `tdc run`/`tdc sweep` on each file in
-//! a fresh process (CI diffs exactly that), while files that share
+//! Every file takes the single-shot commands' own path — elaborated
+//! by [`Scenario::build_request`], evaluated on a [`ScenarioSession`],
+//! rendered by [`render_response`] — except that all files share one
+//! session. Warmth never changes a response, so the concatenated
+//! stdout is **byte-identical** to running `tdc run`/`tdc sweep`/
+//! `tdc explore` on each file alone, while files that share
 //! geometry/yield/embodied slices answer from artifacts earlier files
 //! computed. Reuse accounting (per file and aggregate, including the
 //! cross-request hit counters) goes to stderr in the stable

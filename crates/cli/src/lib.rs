@@ -6,13 +6,15 @@
 //! model results into `table` / `json` / `csv` output.
 //!
 //! The binary is a thin shell over this crate — every behaviour is
-//! reachable (and tested) as a plain function call:
+//! reachable (and tested) as a plain function call. Every evaluating
+//! command takes the same path: the scenario elaborates into a typed
+//! request, a [`ScenarioSession`](tdc_core::service::ScenarioSession)
+//! evaluates it, and one renderer prints the response:
 //!
 //! ```
-//! use tdc_cli::report::{render_sweep, OutputFormat};
-//! use tdc_cli::Scenario;
-//! use tdc_core::sweep::SweepExecutor;
-//! use tdc_core::CarbonModel;
+//! use tdc_cli::report::{render_response, OutputFormat};
+//! use tdc_cli::{RequestKind, Scenario};
+//! use tdc_core::service::ScenarioSession;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scenario = Scenario::parse(
@@ -22,11 +24,9 @@
 //!       "sweep": {"gate_count": 10e9, "nodes_nm": [7]}
 //!     }"#,
 //! )?;
-//! let model = CarbonModel::new(scenario.build_context()?);
-//! let workload = scenario.build_workload()?.expect("sweep needs a workload");
-//! let plan = scenario.build_sweep()?.plan()?;
-//! let result = SweepExecutor::default().execute(&model, &plan, &workload)?;
-//! let report = render_sweep(&scenario.name, result.entries(), OutputFormat::Csv);
+//! let request = scenario.build_request(RequestKind::Sweep)?;
+//! let evaluated = ScenarioSession::default().evaluate(&request)?;
+//! let report = render_response(&scenario.name, &evaluated.response, OutputFormat::Csv);
 //! assert!(report.starts_with("rank,label,"));
 //! # Ok(())
 //! # }

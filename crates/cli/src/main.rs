@@ -20,16 +20,11 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
-use tdc_cli::report::{
-    render_decision, render_embodied, render_explore, render_lifecycle, render_sensitivity,
-    render_sweep, OutputFormat,
-};
-use tdc_cli::Scenario;
-use tdc_core::explore::{ExploreStats, RefineReport};
-use tdc_core::sensitivity::sensitivity_report;
+use tdc_cli::report::{render_decision, render_response, OutputFormat};
+use tdc_cli::{RequestKind, Scenario};
+use tdc_core::explore::{ExploreReport, ExploreStats, RefineReport};
 use tdc_core::service::summary::stages_kv;
-use tdc_core::service::ScenarioSession;
-use tdc_core::sweep::SweepExecutor;
+use tdc_core::service::{EvalRequest, EvalResponse, ScenarioSession};
 use tdc_core::CarbonModel;
 
 const USAGE: &str = "\
@@ -111,7 +106,7 @@ impl Options {
         self.format.unwrap_or_default()
     }
 
-    /// The single scenario file of `run`/`sweep`/`sensitivity`.
+    /// The single scenario file of `run`/`sweep`/`explore`/`sensitivity`.
     fn single_file(&self) -> Result<&str, String> {
         match self.files.as_slice() {
             [one] => Ok(one),
@@ -308,103 +303,105 @@ fn finish_profile(
     }
 }
 
-fn cmd_run(options: &Options) -> Result<(), String> {
-    let obs = tdc_obs::span("cmd.run");
+/// `run`, `sweep`, `explore` and `sensitivity`: the scenario
+/// elaborated into one `kind` request and evaluated on a fresh
+/// [`ScenarioSession`], the same path `tdc batch` and `tdc serve`
+/// answer files and frames through. `tdc run --baseline` is the one
+/// exception ([`cmd_compare`]).
+fn cmd_eval(options: &Options, kind: RequestKind) -> Result<(), String> {
+    let obs = tdc_obs::span(match kind {
+        RequestKind::Run => "cmd.run",
+        RequestKind::Sweep => "cmd.sweep",
+        RequestKind::Explore => "cmd.explore",
+        RequestKind::Sensitivity => "cmd.sensitivity",
+    });
     let scenario = load_scenario(options)?;
-    let model = CarbonModel::new(scenario.build_context().map_err(|e| e.to_string())?);
-    let design = scenario.build_design().map_err(|e| e.to_string())?;
     if let Some(baseline_path) = &options.baseline {
-        // Eq. 2 standalone: the baseline file contributes its design;
-        // workload and context come from the scenario being evaluated,
-        // so both designs are priced under identical conditions.
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))?;
-        let baseline = Scenario::parse(&text)
-            .map(|s| s.with_base_dir(std::path::Path::new(baseline_path).parent()))
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        let base_design = baseline
-            .build_design()
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        let workload = scenario
-            .build_workload()
-            .map_err(|e| e.to_string())?
-            .ok_or("`tdc run --baseline` needs a workload block in the scenario")?;
-        let comparison = model
-            .compare(&base_design, &design, &workload)
-            .map_err(|e| e.to_string())?;
-        emit(
-            options,
-            &render_decision(
-                &scenario.name,
-                &baseline.name,
-                &comparison,
-                options.format(),
-            ),
-        )?;
+        cmd_compare(options, &scenario, baseline_path)?;
         return finish_profile(options, obs, None);
     }
-    let report = match scenario.build_workload().map_err(|e| e.to_string())? {
-        Some(workload) => {
-            let lifecycle = model
-                .lifecycle(&design, &workload)
-                .map_err(|e| e.to_string())?;
-            render_lifecycle(&scenario.name, &lifecycle, options.format())
-        }
-        None => {
-            let breakdown = model.embodied(&design).map_err(|e| e.to_string())?;
-            render_embodied(&scenario.name, &breakdown, options.format())
-        }
-    };
-    emit(options, &report)?;
-    finish_profile(options, obs, None)
+    let request = scenario.build_request(kind).map_err(|e| e.to_string())?;
+    // One session for every round, so `--repeat` exercises (and
+    // reports) the per-stage artifact cache warming up. Each
+    // evaluation is a request epoch, so round ≥ 2 warmth shows up as
+    // cross-request hits — the same accounting `tdc batch`/`tdc serve`
+    // report.
+    let session = ScenarioSession::default();
+    let mut response = None;
+    for round in 1..=options.repeat {
+        let evaluated = session.evaluate(&request).map_err(|e| e.to_string())?;
+        print_stats(&request, &evaluated.response, round, options.repeat);
+        response = Some(evaluated.response);
+    }
+    let response = response.expect("repeat is at least 1");
+    emit(
+        options,
+        &render_response(&scenario.name, &response, options.format()),
+    )?;
+    finish_profile(options, obs, Some(session.executor().cache()))
 }
 
-fn cmd_sweep(options: &Options) -> Result<(), String> {
-    let obs = tdc_obs::span("cmd.sweep");
-    let scenario = load_scenario(options)?;
+/// Eq. 2 standalone: the baseline file contributes its design;
+/// workload and context come from the scenario being evaluated, so
+/// both designs are priced under identical conditions.
+fn cmd_compare(options: &Options, scenario: &Scenario, baseline_path: &str) -> Result<(), String> {
     let model = CarbonModel::new(scenario.build_context().map_err(|e| e.to_string())?);
+    let design = scenario.build_design().map_err(|e| e.to_string())?;
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))?;
+    let baseline = Scenario::parse(&text)
+        .map(|s| s.with_base_dir(std::path::Path::new(baseline_path).parent()))
+        .map_err(|e| format!("{baseline_path}: {e}"))?;
+    let base_design = baseline
+        .build_design()
+        .map_err(|e| format!("{baseline_path}: {e}"))?;
     let workload = scenario
         .build_workload()
         .map_err(|e| e.to_string())?
-        .ok_or("`tdc sweep` needs a workload block")?;
-    let plan = scenario
-        .build_sweep()
-        .map_err(|e| e.to_string())?
-        .plan()
+        .ok_or("`tdc run --baseline` needs a workload block in the scenario")?;
+    let comparison = model
+        .compare(&base_design, &design, &workload)
         .map_err(|e| e.to_string())?;
-    // One executor for every round, so `--repeat` exercises (and
-    // reports) the per-stage artifact cache warming up. Each round is
-    // an epoch, so round ≥ 2 warmth shows up as cross-request hits —
-    // the same accounting `tdc batch`/`tdc serve` report.
-    let executor = SweepExecutor::default();
-    let mut result = None;
-    for round in 1..=options.repeat {
-        executor.cache().advance_epoch();
-        let r = executor
-            .execute(&model, &plan, &workload)
-            .map_err(|e| e.to_string())?;
-        // Bookkeeping goes to stderr so stdout is byte-identical for
-        // any repeat count. Trace counters are appended after the
-        // stable tokens — the line only ever grows at its end.
-        let trace_kv = workload.trace().map_or_else(String::new, |t| {
-            format!(
-                " trace_segments={} trace_hits={}",
-                t.segments(),
-                t.pricing_hits()
-            )
-        });
-        eprintln!(
-            "{}{trace_kv}",
-            sweep_stats_line(&r.stats(), round, options.repeat)
-        );
-        result = Some(r);
-    }
-    let result = result.expect("repeat is at least 1");
     emit(
         options,
-        &render_sweep(&scenario.name, result.entries(), options.format()),
-    )?;
-    finish_profile(options, obs, Some(executor.cache()))
+        &render_decision(
+            &scenario.name,
+            &baseline.name,
+            &comparison,
+            options.format(),
+        ),
+    )
+}
+
+/// One round's bookkeeping on stderr, so stdout is byte-identical for
+/// any repeat count: the `sweep` line, or the `explore` line and (when
+/// refinement ran) the `refine` line. Trace counters are appended
+/// after the sweep line's stable tokens — the line only ever grows at
+/// its end.
+fn print_stats(request: &EvalRequest, response: &EvalResponse, round: usize, rounds: usize) {
+    match (request, response) {
+        (EvalRequest::Sweep { workload, .. }, EvalResponse::Sweep(result)) => {
+            let trace_kv = workload.trace().map_or_else(String::new, |t| {
+                format!(
+                    " trace_segments={} trace_hits={}",
+                    t.segments(),
+                    t.pricing_hits()
+                )
+            });
+            eprintln!(
+                "{}{trace_kv}",
+                sweep_stats_line(&result.stats(), round, rounds)
+            );
+        }
+        (_, EvalResponse::Explore(result)) => {
+            let (report, stats) = (result.report(), result.stats());
+            eprintln!("{}", explore_stats_line(report, &stats));
+            if let Some(refine) = &report.refine {
+                eprintln!("{}", refine_stats_line(refine, &stats));
+            }
+        }
+        _ => {}
+    }
 }
 
 /// One sweep round's bookkeeping in the stable machine-parseable
@@ -430,60 +427,19 @@ fn sweep_stats_line(stats: &tdc_core::sweep::SweepStats, round: usize, rounds: u
     )
 }
 
-fn cmd_explore(options: &Options) -> Result<(), String> {
-    let obs = tdc_obs::span("cmd.explore");
-    let scenario = load_scenario(options)?;
-    let context = scenario.build_context().map_err(|e| e.to_string())?;
-    let workload = scenario
-        .build_workload()
-        .map_err(|e| e.to_string())?
-        .ok_or("`tdc explore` needs a workload block")?;
-    let plan = scenario
-        .build_sweep()
-        .map_err(|e| e.to_string())?
-        .plan()
-        .map_err(|e| e.to_string())?;
-    let spec = scenario.build_explore().map_err(|e| e.to_string())?;
-    let executor = SweepExecutor::default();
-    let result = tdc_core::explore::run(&executor, &context, &plan, &workload, &spec)
-        .map_err(|e| e.to_string())?;
-    // Bookkeeping on stderr, the report on stdout — the same split as
-    // `tdc sweep`.
-    let report = result.report();
-    eprintln!(
-        "{}",
-        explore_stats_line(
-            &result.stats(),
-            report.frontier.len(),
-            report.dominated,
-            report.infeasible
-        )
-    );
-    if let Some(refine) = &report.refine {
-        eprintln!("{}", refine_stats_line(refine, &result.stats()));
-    }
-    emit(
-        options,
-        &render_explore(&scenario.name, report, options.format()),
-    )?;
-    finish_profile(options, obs, Some(executor.cache()))
-}
-
 /// The `tdc explore` stderr summary, in the stable `key=value` format
 /// shared with `sweep`/`batch`/`serve` (`workers=1` is a constant
 /// token, like the sweep line's).
-fn explore_stats_line(
-    stats: &ExploreStats,
-    frontier: usize,
-    dominated: usize,
-    infeasible: usize,
-) -> String {
+fn explore_stats_line(report: &ExploreReport, stats: &ExploreStats) -> String {
     format!(
-        "explore points={} ranked={} dropped={} frontier={frontier} dominated={dominated} \
-         infeasible={infeasible} workers=1 {}",
+        "explore points={} ranked={} dropped={} frontier={} dominated={} infeasible={} \
+         workers=1 {}",
         stats.points,
         stats.evaluated,
         stats.dropped,
+        report.frontier.len(),
+        report.dominated,
+        report.infeasible,
         stages_kv(&stats.stages),
     )
 }
@@ -499,21 +455,6 @@ fn refine_stats_line(refine: &RefineReport, stats: &ExploreStats) -> String {
         refine.evaluations,
         refine.crossings.len(),
         stages_kv(&stats.refine_stages),
-    )
-}
-
-fn cmd_sensitivity(options: &Options) -> Result<(), String> {
-    let scenario = load_scenario(options)?;
-    let ctx = scenario.build_context().map_err(|e| e.to_string())?;
-    let design = scenario.build_design().map_err(|e| e.to_string())?;
-    let workload = scenario
-        .build_workload()
-        .map_err(|e| e.to_string())?
-        .ok_or("`tdc sensitivity` needs a workload block")?;
-    let entries = sensitivity_report(&ctx, &design, &workload).map_err(|e| e.to_string())?;
-    emit(
-        options,
-        &render_sensitivity(&scenario.name, &entries, options.format()),
     )
 }
 
@@ -637,10 +578,10 @@ fn main() -> ExitCode {
         .enable(options.profile.is_some() || options.metrics_addr.is_some())
         .install();
     let result = match options.command.as_str() {
-        "run" => cmd_run(&options),
-        "sweep" => cmd_sweep(&options),
-        "explore" => cmd_explore(&options),
-        "sensitivity" => cmd_sensitivity(&options),
+        "run" => cmd_eval(&options, RequestKind::Run),
+        "sweep" => cmd_eval(&options, RequestKind::Sweep),
+        "explore" => cmd_eval(&options, RequestKind::Explore),
+        "sensitivity" => cmd_eval(&options, RequestKind::Sensitivity),
         "batch" => cmd_batch(&options),
         "serve" => cmd_serve(&options),
         "scenarios" => {

@@ -839,10 +839,9 @@ pub fn render_sensitivity(
     }
 }
 
-/// Renders a session [`EvalResponse`] exactly as the corresponding
-/// single-shot command would — `tdc batch` concatenates these, and the
-/// byte-identity guarantee against fresh-process `tdc run`/`tdc sweep`
-/// output rests on the renderers being shared, not re-implemented.
+/// Renders a session [`EvalResponse`]: what every evaluating `tdc`
+/// command prints (`tdc run --baseline` aside) and what `tdc batch`
+/// concatenates, so the two cannot render a response differently.
 #[must_use]
 pub fn render_response(scenario: &str, response: &EvalResponse, format: OutputFormat) -> String {
     match response {

@@ -1121,10 +1121,10 @@ impl Scenario {
     }
 
     /// Elaborates the scenario into a typed service request for
-    /// `kind`, reusing the same `build_*` paths the single-shot
-    /// commands call — which is what makes a
-    /// [`ScenarioSession`](tdc_core::service::ScenarioSession) answer
-    /// byte-identically to those commands.
+    /// `kind`: the one elaboration every evaluating `tdc` command,
+    /// `tdc batch` file and `tdc serve` frame goes through before a
+    /// [`ScenarioSession`](tdc_core::service::ScenarioSession)
+    /// evaluates it.
     ///
     /// # Errors
     ///

@@ -3,10 +3,10 @@
 //!
 //! `tdc batch`'s contract is that warmth never shows in the output:
 //! its stdout must equal the concatenation of running each scenario
-//! file alone (what CI diffs with the real binary, re-checked here
-//! in-process). `tdc serve`'s contract is the JSONL protocol itself,
-//! pinned by a golden transcript that includes schema errors and one
-//! malformed request.
+//! file alone. Both sides are checked against a direct oracle, the
+//! single-shot side by running the `tdc` binary itself. `tdc serve`'s
+//! contract is the JSONL protocol itself, pinned by a golden
+//! transcript that includes schema errors and one malformed request.
 
 use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
@@ -32,8 +32,9 @@ fn scenario_files() -> Vec<PathBuf> {
         .expect("scenarios/ expands")
 }
 
-/// What `tdc run`/`tdc sweep` print to stdout for one file, evaluated
-/// completely fresh (no shared cache anywhere).
+/// What `tdc run`/`tdc sweep`/`tdc explore` must print to stdout for
+/// one file, computed directly (`CarbonModel`, `SweepExecutor`,
+/// `explore::run`) with no session and no shared cache.
 fn fresh_process_output(file: &Path, format: OutputFormat) -> String {
     let text = std::fs::read_to_string(file).expect("scenario reads");
     let scenario = Scenario::parse(&text)
@@ -116,6 +117,88 @@ fn batch_stdout_is_byte_identical_to_fresh_process_runs() {
             "warm batch output diverged from fresh runs ({format:?})"
         );
     }
+}
+
+/// The `tdc` binary, run from the repository root.
+fn tdc(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_tdc"))
+        .args(args)
+        .current_dir(repo_root())
+        .output()
+        .expect("tdc runs")
+}
+
+#[test]
+fn tdc_binary_prints_the_direct_oracle_output_for_every_scenario() {
+    for file in scenario_files() {
+        let text = std::fs::read_to_string(&file).expect("scenario reads");
+        let command = Scenario::parse(&text)
+            .expect("scenario parses")
+            .infer_request_kind()
+            .label();
+        let path = file.to_string_lossy();
+        for token in ["table", "json", "csv"] {
+            let format = OutputFormat::from_token(token).expect("known format");
+            let output = tdc(&[command, &path, "--format", token]);
+            let shape = format!("tdc {command} {path} --format {token}");
+            assert!(
+                output.status.success(),
+                "{shape}: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            assert_eq!(
+                String::from_utf8(output.stdout).expect("utf8 stdout"),
+                fresh_process_output(&file, format),
+                "{shape}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tdc_sweep_without_a_workload_names_the_missing_block() {
+    let dir = test_dir("sweep-without-workload");
+    let file = dir.join("sweep.json");
+    std::fs::write(&file, r#"{"sweep": {"gate_count": 5e9}}"#).expect("writes");
+    let output = tdc(&["sweep", &file.to_string_lossy()]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(output.status.code(), Some(1));
+    assert!(output.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr),
+        "error: scenario field `workload`: a `sweep` request needs a workload block\n"
+    );
+}
+
+#[test]
+fn tdc_run_profile_publishes_the_cache_counters_of_its_evaluation() {
+    let dir = test_dir("run-profile");
+    let profile = dir.join("profile.json");
+    let output = tdc(&[
+        "run",
+        "scenarios/av_drive.json",
+        "--profile",
+        &profile.to_string_lossy(),
+    ]);
+    let text = std::fs::read_to_string(&profile);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let doc = JsonValue::parse(&text.expect("profile written")).expect("profile parses");
+    let metric = |name| {
+        doc.get("metrics")
+            .and_then(|m| m.get(name))
+            .and_then(JsonValue::as_f64)
+    };
+    // One cold lifecycle evaluation: each of the five stages misses
+    // once and stores its artifact.
+    assert_eq!(
+        (metric("cache.misses"), metric("cache.entries")),
+        (Some(5.0), Some(5.0))
+    );
 }
 
 #[test]

@@ -84,9 +84,10 @@ pub struct CarbonModel {
 
 impl core::fmt::Debug for CarbonModel {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // The fingerprint (not the bare name) so that two models
-        // differing only in power-plug-in *parameters* render
-        // differently — sweep caches key on this rendering.
+        // The fingerprint (not the bare name), so that two models
+        // differing only in power-plug-in *parameters* print
+        // differently. Sweep caches do not read this rendering: their
+        // stage tags hash the context's bits and the same fingerprint.
         f.debug_struct("CarbonModel")
             .field("ctx", &self.ctx)
             .field("power_model", &self.power_model.fingerprint())

@@ -50,19 +50,19 @@
 //! as an operational miss where a materializing call would hit the
 //! report its first occurrence stored.
 //!
-//! A fully warm call — the embodied and totals columns (plus, on a
-//! materializing call, the op column) tagged for the current
-//! configuration and complete — skips the point loop entirely: it
-//! ranks the pre-computed life-cycle totals with **zero heap
-//! allocations per point** (enforced by
-//! `crates/core/tests/batch_alloc.rs`). A fill borrows resident
-//! artifacts instead of cloning them, so a ranking call that only
-//! re-prices (every embodied slot resident) is one allocation-free
-//! pass over the embodied, physical and power columns into the totals
-//! column. Every fill runs on the calling thread: a cold point's five
-//! stages cost a few microseconds, too little to pay for spawning
-//! threads, and the keyed store stays thread-safe for the concurrent
-//! calls of a shared session.
+//! A fill borrows resident artifacts instead of cloning them, so a
+//! point whose upstream slots are resident costs no heap allocation: a
+//! fully warm call (the embodied and totals columns, plus on a
+//! materializing call the op column, resident for the current
+//! configuration) answers every point with column loads, and a ranking
+//! call that only re-prices (every embodied slot resident) is one pass
+//! over the embodied, physical and power columns into the totals
+//! column. Both fills make **zero heap allocations per point**
+//! (enforced by `crates/core/tests/batch_alloc.rs`). Every fill runs
+//! on the calling thread: a cold point's five stages cost a few
+//! microseconds, too little to pay for spawning threads, and the keyed
+//! store stays thread-safe for the concurrent calls of a shared
+//! session.
 //!
 //! Totals are computed by one floating-point expression
 //! ([`pipeline::lifecycle_total`], whose operational term
@@ -184,15 +184,13 @@ impl<T> Default for StageColumns<T> {
 
 /// One configuration's slot vector for one stage: `slots[i]` is the
 /// stage artifact of plan point `i`, `tag` is the stage's input-slice
-/// fingerprint, `stamp` the (request epoch, client) its values were
+/// fingerprint, and `stamp` the (request epoch, client) its values were
 /// last written under (for cross-request and cross-client
-/// attribution), and `complete` whether every point was resolved —
-/// the warm fast path requires it.
+/// attribution).
 #[derive(Debug)]
 struct Column<T> {
     tag: u64,
     stamp: Stamp,
-    complete: bool,
     slots: Vec<Option<T>>,
 }
 
@@ -213,7 +211,6 @@ impl<T> StageColumns<T> {
             Column {
                 tag,
                 stamp: Stamp::default(),
-                complete: false,
                 slots,
             }
         }
@@ -584,115 +581,67 @@ pub(crate) fn run(
     // column the operational prices live in.
     let op_stamp = op_col.as_ref().map_or(totals_col.stamp, |c| c.stamp);
 
-    let mut stats = SweepStats {
+    // Compute exactly the missing slots (delta-eval), consulting the
+    // keyed cache at every column miss.
+    let mut phys_col = state.phys.take(tags.physical, n);
+    let mut power_col = state.power.take(tags.power, n);
+    let ctx = FillCtx {
+        cache,
+        tags: &tags,
+        keys,
+        model,
+        workload: Some(workload),
+        stamp,
+        cap,
+        phys_col: phys_col.stamp,
+        emb_col: emb_col.stamp,
+        power_col: power_col.stamp,
+        op_col: op_stamp,
+    };
+    let slots = Slots {
+        phys: &mut phys_col.slots,
+        emb: &mut emb_col.slots,
+        power: &mut power_col.slots,
+        op: op_col.as_mut().map(|c| c.slots.as_mut_slice()),
+        totals: &mut totals_col.slots,
+    };
+    let merged = fill(&ctx, plan.points(), slots);
+    if merged.wrote_phys {
+        phys_col.stamp = stamp;
+    }
+    if merged.wrote_emb {
+        emb_col.stamp = stamp;
+    }
+    if merged.wrote_power {
+        power_col.stamp = stamp;
+    }
+    if let Some(op_col) = op_col.as_mut() {
+        if merged.wrote_op {
+            op_col.stamp = stamp;
+        }
+        // The totals were priced from the op column.
+        totals_col.stamp = op_col.stamp;
+    } else if merged.wrote_totals {
+        totals_col.stamp = stamp;
+    }
+    let stats = SweepStats {
         points: n,
+        evaluated: merged.evaluated,
+        dropped: merged.dropped,
         workers: 1,
-        ..SweepStats::default()
+        cache_hits: merged.point_hits,
+        cache_misses: merged.point_misses,
+        delta_skips: merged.delta_skips,
+        stages: merged.stats,
     };
-
-    let warm =
-        emb_col.complete && totals_col.complete && op_col.as_ref().is_none_or(|c| c.complete);
-    let result = if warm {
-        // ---- Warm fast path: the embodied head and the totals (plus,
-        // on a materializing call, the op head) are column-resident
-        // for this exact configuration. No keys, no cache traffic —
-        // and no per-point allocations.
-        let evaluated = totals_col.slots.iter().filter(|s| s.is_some()).count();
-        stats.evaluated = evaluated;
-        stats.dropped = n - evaluated;
-        stats.cache_hits = n;
-        stats
-            .stages
-            .embodied
-            .count_hits(n as u64, emb_col.stamp, stamp);
-        stats
-            .stages
-            .operational
-            .count_hits(evaluated as u64, op_stamp, stamp);
-        stats.delta_skips = (n + evaluated) as u64;
-        Ok(())
-    } else {
-        // ---- Fill: compute exactly the missing slots (delta-eval),
-        // consulting the keyed cache at every column miss.
-        let mut phys_col = state.phys.take(tags.physical, n);
-        let mut power_col = state.power.take(tags.power, n);
-        let ctx = FillCtx {
-            cache,
-            tags: &tags,
-            keys,
-            model,
-            workload: Some(workload),
-            stamp,
-            cap,
-            phys_col: phys_col.stamp,
-            emb_col: emb_col.stamp,
-            power_col: power_col.stamp,
-            op_col: op_stamp,
-        };
-        let slots = Slots {
-            phys: &mut phys_col.slots,
-            emb: &mut emb_col.slots,
-            power: &mut power_col.slots,
-            op: op_col.as_mut().map(|c| c.slots.as_mut_slice()),
-            totals: &mut totals_col.slots,
-        };
-        let merged = fill(&ctx, plan.points(), slots);
-        if merged.wrote_phys {
-            phys_col.stamp = stamp;
-        }
-        if merged.wrote_emb {
-            emb_col.stamp = stamp;
-        }
-        if merged.wrote_power {
-            power_col.stamp = stamp;
-        }
-        phys_col.complete = phys_col.slots.iter().all(Option::is_some);
-        power_col.complete = power_col.slots.iter().all(Option::is_some);
-        emb_col.complete = emb_col.slots.iter().all(Option::is_some);
-        // Oversized points never produce operational artifacts or
-        // totals; their slots count as resolved.
-        let resolved = |i: usize, filled: bool| {
-            filled || matches!(emb_col.slots[i], Some(EmbodiedOutcome::Oversized))
-        };
-        if let Some(op_col) = op_col.as_mut() {
-            if merged.wrote_op {
-                op_col.stamp = stamp;
-            }
-            op_col.complete = emb_col.complete
-                && op_col
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .all(|(i, s)| resolved(i, s.is_some()));
-            // The totals were priced from the op column.
-            totals_col.stamp = op_col.stamp;
-        } else if merged.wrote_totals {
-            totals_col.stamp = stamp;
-        }
-        totals_col.complete = emb_col.complete
-            && totals_col
-                .slots
-                .iter()
-                .enumerate()
-                .all(|(i, s)| resolved(i, s.is_some()));
-        stats.evaluated = merged.evaluated;
-        stats.dropped = merged.dropped;
-        stats.cache_hits = merged.point_hits;
-        stats.cache_misses = merged.point_misses;
-        stats.delta_skips = merged.delta_skips;
-        stats.stages = merged.stats;
-        state.phys.store(phys_col, limit);
-        state.power.store(power_col, limit);
-        merged.error.map_or(Ok(()), Err)
-    };
+    state.phys.store(phys_col, limit);
+    state.power.store(power_col, limit);
+    let result = merged.error.map_or(Ok(()), Err);
 
     cache.record(&stats.stages);
     if tdc_obs::enabled() {
         use tdc_obs::metrics as m;
         m::SWEEP_EXECUTE_CALLS.inc();
-        if warm {
-            m::SWEEP_BATCH_WARM_CALLS.inc();
-        }
         m::SWEEP_POINTS.add(n as u64);
         m::SWEEP_DELTA_SKIPS.add(stats.delta_skips);
         m::SWEEP_COLUMN_HITS.add(stats.cache_hits as u64);

@@ -8,9 +8,9 @@
 //! points that differ only in downstream axes therefore share every
 //! upstream artifact: a grid-region × lifetime sweep over a fixed
 //! design set computes each design's embodied breakdown **once**, and
-//! re-prices only the operational stage per scenario. The old
-//! whole-design cache could not do this — any (model, workload) change
-//! invalidated everything.
+//! re-prices only the operational stage per scenario, where one key
+//! over the whole (model, workload) configuration would recompute
+//! everything on any change.
 //!
 //! Stage keys compose upstream slices, so an artifact is always a pure
 //! function of its key:

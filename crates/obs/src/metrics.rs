@@ -252,9 +252,6 @@ pub static STAGE_OPERATIONAL_NS: Histogram = Histogram::new();
 
 /// `SweepExecutor` calls (`execute` and ranking calls alike).
 pub static SWEEP_EXECUTE_CALLS: Counter = Counter::new();
-/// Calls answered entirely by warm stage columns (the
-/// zero-allocation fast path).
-pub static SWEEP_BATCH_WARM_CALLS: Counter = Counter::new();
 /// Plan points processed across all sweep calls.
 pub static SWEEP_POINTS: Counter = Counter::new();
 /// Stage recomputations + keyed lookups skipped by plan-aligned
@@ -349,7 +346,6 @@ pub static CATALOG: &[MetricDef] = &[
     row!("stage.power.ns", histogram STAGE_POWER_NS),
     row!("stage.operational.ns", histogram STAGE_OPERATIONAL_NS),
     row!("sweep.execute.calls", counter SWEEP_EXECUTE_CALLS),
-    row!("sweep.batch.warm_calls", counter SWEEP_BATCH_WARM_CALLS),
     row!("sweep.points", counter SWEEP_POINTS),
     row!("sweep.delta_skips", counter SWEEP_DELTA_SKIPS),
     row!("sweep.column_hits", counter SWEEP_COLUMN_HITS),
