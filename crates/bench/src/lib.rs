@@ -1,5 +1,4 @@
-//! Shared plumbing for the experiment-regeneration binaries and the
-//! Criterion benches.
+//! Shared plumbing for the experiment-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §5 for the index); this library holds the

@@ -574,9 +574,12 @@ fn main() -> ExitCode {
     // Observability is off unless a sink asks for it (`--profile`,
     // `--metrics-addr`) or TDC_OBS=1 forces it on — with no sink the
     // disabled hot path is a relaxed load per instrumentation site.
-    tdc_obs::ObsConfig::from_env()
-        .enable(options.profile.is_some() || options.metrics_addr.is_some())
-        .install();
+    if std::env::var("TDC_OBS").is_ok_and(|v| v == "1")
+        || options.profile.is_some()
+        || options.metrics_addr.is_some()
+    {
+        tdc_obs::set_enabled(true);
+    }
     let result = match options.command.as_str() {
         "run" => cmd_eval(&options, RequestKind::Run),
         "sweep" => cmd_eval(&options, RequestKind::Sweep),

@@ -37,7 +37,7 @@ use tdc_core::sweep::DesignSweep;
 use tdc_core::{ChipDesign, DieSpec, ModelContext, ModelError, Workload};
 use tdc_floorplan::PackageModel;
 use tdc_integration::{IntegrationFamily, IntegrationTechnology, StackOrientation};
-use tdc_registry::json::{JsonError, JsonValue};
+use tdc_registry::json::{param, FieldError, FieldPath, Fields, JsonError, JsonValue};
 use tdc_registry::{Params, Registry, RegistryError};
 use tdc_technode::{ProcessNode, Wafer};
 use tdc_traces::TraceReader;
@@ -102,127 +102,50 @@ fn registry_err(path: impl Into<String>, err: RegistryError) -> ScenarioError {
     }
 }
 
-/// Typed field extraction helpers over a JSON object.
-struct Fields<'a> {
-    value: &'a JsonValue,
-    path: String,
-}
-
-impl<'a> Fields<'a> {
-    fn new(value: &'a JsonValue, path: impl Into<String>) -> Result<Self, ScenarioError> {
-        let path = path.into();
-        if value.as_object().is_none() {
-            return schema_err(
-                &path,
-                format!("expected an object, got {}", value.type_name()),
-            );
+impl From<FieldError> for ScenarioError {
+    fn from(e: FieldError) -> Self {
+        ScenarioError::Schema {
+            path: e.path,
+            message: e.message,
         }
-        Ok(Self { value, path })
-    }
-
-    fn child(&self, key: &str) -> String {
-        if self.path.is_empty() {
-            key.to_owned()
-        } else {
-            format!("{}.{key}", self.path)
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<&'a JsonValue> {
-        self.value.get(key)
-    }
-
-    fn number(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_f64().map(Some).ok_or(()).or_else(|()| {
-                schema_err(
-                    self.child(key),
-                    format!("expected a number, got {}", v.type_name()),
-                )
-            }),
-        }
-    }
-
-    fn required_number(&self, key: &str) -> Result<f64, ScenarioError> {
-        self.number(key)?.map_or_else(
-            || schema_err(self.child(key), "required field is missing"),
-            Ok,
-        )
-    }
-
-    fn string(&self, key: &str) -> Result<Option<&'a str>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_str().map(Some).ok_or(()).or_else(|()| {
-                schema_err(
-                    self.child(key),
-                    format!("expected a string, got {}", v.type_name()),
-                )
-            }),
-        }
-    }
-
-    fn boolean(&self, key: &str) -> Result<Option<bool>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_bool().map(Some).ok_or(()).or_else(|()| {
-                schema_err(
-                    self.child(key),
-                    format!("expected a boolean, got {}", v.type_name()),
-                )
-            }),
-        }
-    }
-
-    fn array(&self, key: &str) -> Result<Option<&'a [JsonValue]>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_array().map(Some).ok_or(()).or_else(|()| {
-                schema_err(
-                    self.child(key),
-                    format!("expected an array, got {}", v.type_name()),
-                )
-            }),
-        }
-    }
-
-    /// Rejects keys outside `allowed` — typos in optional fields would
-    /// otherwise be silently ignored.
-    fn deny_unknown(&self, allowed: &[&str]) -> Result<(), ScenarioError> {
-        for (key, _) in self.value.as_object().expect("checked in new") {
-            if !allowed.contains(&key.as_str()) {
-                return schema_err(
-                    self.child(key),
-                    format!("unknown field (expected one of: {})", allowed.join(", ")),
-                );
-            }
-        }
-        Ok(())
     }
 }
 
-fn parse_node(nm: f64, path: &str) -> Result<ProcessNode, ScenarioError> {
+fn parse_node(nm: f64, path: FieldPath<'_>) -> Result<ProcessNode, FieldError> {
     if nm.fract() != 0.0 || !(1.0..=1000.0).contains(&nm) {
-        return schema_err(
-            path,
-            format!("expected a node size in nm, got {}", ShortFloat(nm)),
-        );
+        return Err(path.error(format!(
+            "expected a node size in nm, got {}",
+            ShortFloat(nm)
+        )));
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    ProcessNode::from_nanometers(nm as u32).map_or_else(
-        || {
-            let known: Vec<String> = ProcessNode::ALL
-                .into_iter()
-                .map(|n| n.nanometers().to_string())
-                .collect();
-            schema_err(
-                path,
-                format!("unknown node {nm} nm (known: {})", known.join(", ")),
-            )
-        },
-        Ok,
-    )
+    ProcessNode::from_nanometers(nm as u32).ok_or_else(|| {
+        let known: Vec<String> = ProcessNode::ALL
+            .into_iter()
+            .map(|n| n.nanometers().to_string())
+            .collect();
+        path.error(format!(
+            "unknown node {nm} nm (known: {})",
+            known.join(", ")
+        ))
+    })
+}
+
+/// A node-size array element (`sweep.nodes_nm`,
+/// `explore.constraints.nodes_nm`).
+fn node_item(item: &JsonValue, path: FieldPath<'_>) -> Result<ProcessNode, FieldError> {
+    let nm = item
+        .as_f64()
+        .ok_or_else(|| path.error("expected a number"))?;
+    parse_node(nm, path)
+}
+
+/// A string array element, answered with `message` when it is not a
+/// string.
+fn string_item(item: &JsonValue, path: FieldPath<'_>, message: &str) -> Result<String, FieldError> {
+    item.as_str()
+        .map(str::to_owned)
+        .ok_or_else(|| path.error(message))
 }
 
 /// The `design` block. The `technology` token stays raw until build
@@ -397,8 +320,8 @@ impl Scenario {
     /// Returns [`ScenarioError::Schema`] on schema violations, exactly
     /// as [`parse`](Self::parse) would.
     pub fn from_value(root: &JsonValue) -> Result<Self, ScenarioError> {
-        let fields = Fields::new(root, "")?;
-        fields.deny_unknown(&[
+        let f = Fields::new(root, FieldPath::Root)?;
+        f.deny_unknown(&[
             "name",
             "description",
             "packs",
@@ -408,53 +331,43 @@ impl Scenario {
             "sweep",
             "explore",
         ])?;
-        let name = fields.string("name")?.unwrap_or("scenario").to_owned();
-        let description = fields.string("description")?.map(str::to_owned);
-        let packs = match fields.array("packs")? {
-            None => Vec::new(),
-            Some(items) => {
-                let mut packs = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("packs[{i}]");
-                    let file = item
-                        .as_str()
-                        .ok_or(())
-                        .or_else(|()| schema_err::<&str>(&path, "expected a pack file path"))?;
-                    if file.trim().is_empty() {
-                        return schema_err(&path, "the path is empty");
-                    }
-                    packs.push(file.to_owned());
-                }
-                packs
-            }
-        };
-        let design = match fields.get("design") {
-            None => None,
-            Some(v) => Some(Self::parse_design(v)?),
-        };
-        let workload = match fields.get("workload") {
-            None => None,
-            Some(v) => Some(Self::parse_workload(v)?),
-        };
-        let context = match fields.get("context") {
-            None => ContextSpec::default(),
-            Some(v) => Self::parse_context(v)?,
-        };
-        let sweep = match fields.get("sweep") {
-            None => None,
-            Some(v) => Some(Self::parse_sweep(v)?),
-        };
-        let explore = match fields.get("explore") {
-            None => None,
-            Some(v) => Some(Self::parse_explore(v)?),
-        };
+        let name = f.string("name")?.unwrap_or("scenario").to_owned();
+        let description = f.string("description")?.map(str::to_owned);
+        let packs = f
+            .items("packs", |item, path| match item.as_str() {
+                None => Err(path.error("expected a pack file path")),
+                Some(file) if file.trim().is_empty() => Err(path.error("the path is empty")),
+                Some(file) => Ok(file.to_owned()),
+            })?
+            .unwrap_or_default();
+        // Each block reads whole, in this order, before the next one.
+        let design = f
+            .object("design")?
+            .map(|d| Self::parse_design(&d))
+            .transpose()?;
+        let workload = f
+            .object("workload")?
+            .map(|w| Self::parse_workload(&w))
+            .transpose()?;
+        let context = f
+            .object("context")?
+            .map(|c| Self::parse_context(&c))
+            .transpose()?;
+        let sweep = f
+            .object("sweep")?
+            .map(|s| Self::parse_sweep(&s))
+            .transpose()?;
+        let explore = f
+            .object("explore")?
+            .map(|e| Self::parse_explore(&e))
+            .transpose()?;
         Ok(Self {
             name,
             description,
             packs,
             design,
             workload,
-            context,
+            context: context.unwrap_or_default(),
             sweep,
             explore,
             base_dir: None,
@@ -511,8 +424,7 @@ impl Scenario {
             .map_err(Clone::clone)
     }
 
-    fn parse_design(value: &JsonValue) -> Result<DesignSpec, ScenarioError> {
-        let f = Fields::new(value, "design")?;
+    fn parse_design(f: &Fields<'_>) -> Result<DesignSpec, FieldError> {
         if let Some(preset) = f.string("preset")? {
             f.deny_unknown(&["preset"])?;
             return Ok(DesignSpec::Preset(preset.to_owned()));
@@ -525,10 +437,9 @@ impl Scenario {
                 "f2f" | "face-to-face" => StackOrientation::FaceToFace,
                 "f2b" | "face-to-back" => StackOrientation::FaceToBack,
                 other => {
-                    return schema_err(
-                        f.child("orientation"),
-                        format!("expected `f2f` or `f2b`, got `{other}`"),
-                    )
+                    return Err(f
+                        .child("orientation")
+                        .error(format!("expected `f2f` or `f2b`, got `{other}`")))
                 }
             }),
         };
@@ -538,23 +449,24 @@ impl Scenario {
                 "d2w" | "die-to-wafer" => StackingFlow::DieToWafer,
                 "w2w" | "wafer-to-wafer" => StackingFlow::WaferToWafer,
                 other => {
-                    return schema_err(
-                        f.child("flow"),
-                        format!("expected `d2w` or `w2w`, got `{other}`"),
-                    )
+                    return Err(f
+                        .child("flow")
+                        .error(format!("expected `d2w` or `w2w`, got `{other}`")))
                 }
             }),
         };
-        let Some(die_values) = f.array("dies")? else {
-            return schema_err("design.dies", "an explicit design needs a die list");
+        let mut index = 0;
+        let dies = f.items("dies", |die, path| {
+            index += 1;
+            Self::parse_die(&Fields::new(die, path)?, index - 1)
+        })?;
+        let dies = match dies {
+            None => return Err(f.child("dies").error("an explicit design needs a die list")),
+            Some(dies) if dies.is_empty() => {
+                return Err(f.child("dies").error("the die list is empty"))
+            }
+            Some(dies) => dies,
         };
-        if die_values.is_empty() {
-            return schema_err("design.dies", "the die list is empty");
-        }
-        let mut dies = Vec::with_capacity(die_values.len());
-        for (i, die_value) in die_values.iter().enumerate() {
-            dies.push(Self::parse_die(die_value, i)?);
-        }
         Ok(DesignSpec::Explicit {
             technology,
             orientation,
@@ -563,9 +475,7 @@ impl Scenario {
         })
     }
 
-    fn parse_die(value: &JsonValue, index: usize) -> Result<DieSpec, ScenarioError> {
-        let path = format!("design.dies[{index}]");
-        let f = Fields::new(value, path.clone())?;
+    fn parse_die(f: &Fields<'_>, index: usize) -> Result<DieSpec, FieldError> {
         f.deny_unknown(&[
             "name",
             "node_nm",
@@ -578,7 +488,7 @@ impl Scenario {
         let name = f
             .string("name")?
             .map_or_else(|| format!("die{index}"), str::to_owned);
-        let node = parse_node(f.required_number("node_nm")?, &f.child("node_nm"))?;
+        let node = parse_node(f.required("node_nm", Fields::number)?, f.child("node_nm"))?;
         let mut b = DieSpec::builder(name, node);
         if let Some(g) = f.number("gate_count")? {
             b = b.gate_count(g);
@@ -588,10 +498,10 @@ impl Scenario {
         }
         if let Some(l) = f.number("beol_layers")? {
             if l.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&l) {
-                return schema_err(
-                    f.child("beol_layers"),
-                    format!("expected a whole layer count, got {}", ShortFloat(l)),
-                );
+                return Err(f.child("beol_layers").error(format!(
+                    "expected a whole layer count, got {}",
+                    ShortFloat(l)
+                )));
             }
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             {
@@ -604,11 +514,16 @@ impl Scenario {
         if let Some(s) = f.number("compute_share")? {
             b = b.compute_share(s);
         }
-        Ok(b.build()?)
+        // The builder's checks name the die; the path names its place.
+        b.build().map_err(|e| {
+            f.error(match e {
+                ModelError::InvalidDesign(message) => message,
+                other => other.to_string(),
+            })
+        })
     }
 
-    fn parse_workload(value: &JsonValue) -> Result<WorkloadSpec, ScenarioError> {
-        let f = Fields::new(value, "workload")?;
+    fn parse_workload(f: &Fields<'_>) -> Result<WorkloadSpec, FieldError> {
         f.deny_unknown(&[
             "preset",
             "name",
@@ -621,20 +536,18 @@ impl Scenario {
             "trace",
         ])?;
         let preset = f.string("preset")?.map(str::to_owned);
-        let tops = f.required_number("throughput_tops")?;
+        let tops = f.required("throughput_tops", Fields::number)?;
         if !(tops.is_finite() && tops > 0.0) {
-            return schema_err(
-                "workload.throughput_tops",
-                format!("must be positive, got {}", ShortFloat(tops)),
-            );
+            return Err(f
+                .child("throughput_tops")
+                .error(format!("must be positive, got {}", ShortFloat(tops))));
         }
         let throughput = Throughput::from_tops(tops);
         let active_hours = f.number("active_hours")?;
         if preset.is_none() && active_hours.is_none() {
-            return schema_err(
-                "workload.active_hours",
-                "required unless a workload preset is used",
-            );
+            return Err(f
+                .child("active_hours")
+                .error("required unless a workload preset is used"));
         }
         // A preset fixes the duty cycle; silently discarding a
         // user-written active time or name would defeat the
@@ -643,23 +556,19 @@ impl Scenario {
         if preset.is_some() {
             for fixed in ["active_hours", "name"] {
                 if f.get(fixed).is_some() {
-                    return schema_err(
-                        f.child(fixed),
+                    return Err(f.child(fixed).error(
                         "a workload preset fixes this; drop `preset` to set it explicitly",
-                    );
+                    ));
                 }
             }
         }
-        let trace = match f.get("trace") {
+        let trace = match f.object("trace")? {
             None => None,
-            Some(v) => {
-                let t = Fields::new(v, f.child("trace"))?;
+            Some(t) => {
                 t.deny_unknown(&["path"])?;
-                let Some(path) = t.string("path")? else {
-                    return schema_err("workload.trace.path", "required field is missing");
-                };
+                let path = t.required("path", Fields::string)?;
                 if path.trim().is_empty() {
-                    return schema_err("workload.trace.path", "the path is empty");
+                    return Err(t.child("path").error("the path is empty"));
                 }
                 Some(TraceSpec {
                     path: path.to_owned(),
@@ -669,10 +578,9 @@ impl Scenario {
         // A trace *is* the utilization profile; also writing the
         // scalar would leave one of them silently ignored.
         if trace.is_some() && f.get("average_utilization").is_some() {
-            return schema_err(
-                "workload.average_utilization",
+            return Err(f.child("average_utilization").error(
                 "a trace defines the utilization profile; drop `trace` to set it as a scalar",
-            );
+            ));
         }
         Ok(WorkloadSpec {
             preset,
@@ -687,8 +595,7 @@ impl Scenario {
         })
     }
 
-    fn parse_context(value: &JsonValue) -> Result<ContextSpec, ScenarioError> {
-        let f = Fields::new(value, "context")?;
+    fn parse_context(f: &Fields<'_>) -> Result<ContextSpec, FieldError> {
         f.deny_unknown(&[
             "fab_region",
             "use_region",
@@ -704,7 +611,7 @@ impl Scenario {
         ])?;
         let power_model = match f.get("power_model") {
             None => None,
-            Some(v) => Some(Self::parse_power(v, &f.child("power_model"))?),
+            Some(v) => Some(Self::parse_power(v, f.child("power_model"))?),
         };
         let package = match f.string("package")? {
             None => None,
@@ -712,23 +619,21 @@ impl Scenario {
                 "server" => PackageModel::server(),
                 "mobile" => PackageModel::mobile(),
                 other => {
-                    return schema_err(
-                        f.child("package"),
-                        format!("expected `server` or `mobile`, got `{other}`"),
-                    )
+                    return Err(f
+                        .child("package")
+                        .error(format!("expected `server` or `mobile`, got `{other}`")))
                 }
             }),
         };
         // The builder would clamp out-of-range knobs; a scenario file
         // rejects them instead — results must match what was written.
-        let bounded = |key: &str, lo: f64, hi: f64| -> Result<Option<f64>, ScenarioError> {
+        let bounded = |key: &str, lo: f64, hi: f64| -> Result<Option<f64>, FieldError> {
             match f.number(key)? {
                 None => Ok(None),
                 Some(v) if (lo..=hi).contains(&v) => Ok(Some(v)),
-                Some(v) => schema_err(
-                    f.child(key),
-                    format!("must be in [{lo}, {hi}], got {}", ShortFloat(v)),
-                ),
+                Some(v) => Err(f
+                    .child(key)
+                    .error(format!("must be in [{lo}, {hi}], got {}", ShortFloat(v)))),
             }
         };
         Ok(ContextSpec {
@@ -749,52 +654,31 @@ impl Scenario {
     /// `context.power_model`: either a bare model name or an object
     /// `{"model": name, ...}` whose remaining fields are the model's
     /// numeric parameters (booleans travel as `0`/`1`).
-    fn parse_power(value: &JsonValue, path: &str) -> Result<PowerSpec, ScenarioError> {
+    fn parse_power(value: &JsonValue, path: FieldPath<'_>) -> Result<PowerSpec, FieldError> {
         if let Some(name) = value.as_str() {
             return Ok(PowerSpec {
                 name: name.to_owned(),
                 params: Params::new(),
             });
         }
-        let Some(entries) = value.as_object() else {
-            return schema_err(
-                path,
-                format!(
-                    "expected a model name or an object with a `model` field, got {}",
-                    value.type_name()
-                ),
-            );
-        };
-        let mut name = None;
+        let f = Fields::new(value, path).map_err(|_| {
+            path.error(format!(
+                "expected a model name or an object with a `model` field, got {}",
+                value.type_name()
+            ))
+        })?;
         let mut params = Params::new();
-        for (key, v) in entries {
-            if key == "model" {
-                let Some(n) = v.as_str() else {
-                    return schema_err(
-                        format!("{path}.model"),
-                        format!("expected a string, got {}", v.type_name()),
-                    );
-                };
-                name = Some(n.to_owned());
-            } else if let Some(n) = v.as_f64() {
-                params.set(key, n);
-            } else if let Some(b) = v.as_bool() {
-                params.set(key, if b { 1.0 } else { 0.0 });
-            } else {
-                return schema_err(
-                    format!("{path}.{key}"),
-                    format!("expected a number or boolean, got {}", v.type_name()),
-                );
+        f.each(|key, value, path| {
+            if key != "model" {
+                params.set(key, param(value, path)?);
             }
-        }
-        name.map_or_else(
-            || schema_err(format!("{path}.model"), "required field is missing"),
-            |name| Ok(PowerSpec { name, params }),
-        )
+            Ok(())
+        })?;
+        let name = f.required("model", Fields::string)?.to_owned();
+        Ok(PowerSpec { name, params })
     }
 
-    fn parse_sweep(value: &JsonValue) -> Result<SweepSpec, ScenarioError> {
-        let f = Fields::new(value, "sweep")?;
+    fn parse_sweep(f: &Fields<'_>) -> Result<SweepSpec, FieldError> {
         f.deny_unknown(&[
             "gate_count",
             "nodes",
@@ -805,118 +689,78 @@ impl Scenario {
             "efficiency_tops_per_watt",
             "workers",
         ])?;
-        let gate_count = f.required_number("gate_count")?;
+        let gate_count = f.required("gate_count", Fields::number)?;
         if !(gate_count.is_finite() && gate_count > 0.0) {
-            return schema_err(
-                "sweep.gate_count",
-                format!("must be positive, got {}", ShortFloat(gate_count)),
-            );
+            return Err(f
+                .child("gate_count")
+                .error(format!("must be positive, got {}", ShortFloat(gate_count))));
         }
-        let nodes = match f.array("nodes_nm")? {
-            None => None,
-            Some(items) => {
-                let mut nodes = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("sweep.nodes_nm[{i}]");
-                    let nm = item
-                        .as_f64()
-                        .ok_or(())
-                        .or_else(|()| schema_err::<f64>(&path, "expected a number"))?;
-                    nodes.push(parse_node(nm, &path)?);
-                }
-                Some(nodes)
-            }
-        };
+        let nodes = f.items("nodes_nm", node_item)?;
         // The node axis answers to a numeric form (`nodes_nm`) and a
         // registry-name form (`nodes`, e.g. `["n7", "n5"]`); writing
         // both would be ambiguous, so it is rejected rather than
         // ignored.
         if f.get("nodes").is_some() && f.get("nodes_nm").is_some() {
-            return schema_err(
-                "sweep.nodes",
-                "duplicates `sweep.nodes_nm`; write the node axis once",
-            );
+            return Err(f
+                .child("nodes")
+                .error("duplicates `sweep.nodes_nm`; write the node axis once"));
         }
-        let node_names = match f.array("nodes")? {
-            None => None,
-            Some(items) => {
-                let mut names = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("sweep.nodes[{i}]");
-                    let token = item
-                        .as_str()
-                        .ok_or(())
-                        .or_else(|()| schema_err::<&str>(&path, "expected a node name"))?;
-                    names.push(token.to_owned());
-                }
-                Some(names)
-            }
-        };
-        let technologies = match f.array("technologies")? {
-            None => None,
-            Some(items) => {
-                let mut techs = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("sweep.technologies[{i}]");
-                    let token = item
-                        .as_str()
-                        .ok_or(())
-                        .or_else(|()| schema_err::<&str>(&path, "expected a string"))?;
-                    techs.push(token.to_owned());
-                }
-                Some(techs)
-            }
-        };
+        let node_names = f.items("nodes", |item, path| {
+            string_item(item, path, "expected a node name")
+        })?;
+        let technologies = f.items("technologies", |item, path| {
+            string_item(item, path, "expected a string")
+        })?;
         // The tier-count axis answers to both its `DesignSweep` name
         // (`tier_counts`) and the shorthand `tiers`; writing both would
         // be ambiguous, so it is rejected rather than ignored.
         if f.get("tiers").is_some() && f.get("tier_counts").is_some() {
-            return schema_err(
-                "sweep.tier_counts",
-                "duplicates `sweep.tiers`; write the tier-count axis once",
-            );
+            return Err(f
+                .child("tier_counts")
+                .error("duplicates `sweep.tiers`; write the tier-count axis once"));
         }
         let tier_key = if f.get("tier_counts").is_some() {
             "tier_counts"
         } else {
             "tiers"
         };
-        let tiers = match f.array(tier_key)? {
-            None => None,
-            Some(items) => {
-                let mut tiers = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("sweep.{tier_key}[{i}]");
-                    let t = item
-                        .as_f64()
-                        .ok_or(())
-                        .or_else(|()| schema_err::<f64>(&path, "expected a number"))?;
-                    if t.fract() != 0.0 || !(2.0..=64.0).contains(&t) {
-                        return schema_err(
-                            &path,
-                            format!("expected a tier count in 2..=64, got {}", ShortFloat(t)),
-                        );
-                    }
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    tiers.push(t as u32);
-                }
-                if tiers.is_empty() {
-                    return schema_err(f.child(tier_key), "the tier list is empty");
-                }
-                Some(tiers)
+        let tiers = f.items(tier_key, |item, path| {
+            let t = item
+                .as_f64()
+                .ok_or_else(|| path.error("expected a number"))?;
+            if t.fract() != 0.0 || !(2.0..=64.0).contains(&t) {
+                return Err(path.error(format!(
+                    "expected a tier count in 2..=64, got {}",
+                    ShortFloat(t)
+                )));
             }
-        };
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Ok(t as u32)
+        })?;
+        if tiers.as_ref().is_some_and(Vec::is_empty) {
+            return Err(f.child(tier_key).error("the tier list is empty"));
+        }
         let workers = match f.number("workers")? {
             None => None,
             Some(w) => {
                 if w.fract() != 0.0 || !(0.0..=1024.0).contains(&w) {
-                    return schema_err(
-                        "sweep.workers",
-                        format!("expected a count in 0..=1024, got {}", ShortFloat(w)),
-                    );
+                    return Err(f.child("workers").error(format!(
+                        "expected a count in 0..=1024, got {}",
+                        ShortFloat(w)
+                    )));
                 }
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Some(w as usize)
+            }
+        };
+        let efficiency = match f.number("efficiency_tops_per_watt")? {
+            None => None,
+            Some(e) if e.is_finite() && e > 0.0 => Some(Efficiency::from_tops_per_watt(e)),
+            Some(e) => {
+                return Err(f.child("efficiency_tops_per_watt").error(format!(
+                    "must be finite and positive, got {}",
+                    ShortFloat(e)
+                )))
             }
         };
         Ok(SweepSpec {
@@ -925,48 +769,37 @@ impl Scenario {
             node_names,
             technologies,
             tiers,
-            efficiency: f
-                .number("efficiency_tops_per_watt")?
-                .map(Efficiency::from_tops_per_watt),
+            efficiency,
             workers,
         })
     }
 
-    fn parse_explore(value: &JsonValue) -> Result<ExploreRaw, ScenarioError> {
-        let f = Fields::new(value, "explore")?;
+    fn parse_explore(f: &Fields<'_>) -> Result<ExploreRaw, FieldError> {
         f.deny_unknown(&["objectives", "constraints", "baseline", "refine"])?;
-        let Some(objective_values) = f.array("objectives")? else {
-            return schema_err("explore.objectives", "required field is missing");
-        };
-        let mut objectives = Vec::with_capacity(objective_values.len());
-        for (i, item) in objective_values.iter().enumerate() {
-            let path = format!("explore.objectives[{i}]");
-            let token = item
-                .as_str()
-                .ok_or(())
-                .or_else(|()| schema_err::<&str>(&path, "expected a string"))?;
-            let objective = Objective::from_token(token).map_or_else(
-                || {
+        let objectives = f.required("objectives", |f, key| {
+            f.items(key, |item, path| {
+                let token = item
+                    .as_str()
+                    .ok_or_else(|| path.error("expected a string"))?;
+                Objective::from_token(token).ok_or_else(|| {
                     let known: Vec<&str> =
                         Objective::ALL.into_iter().map(Objective::label).collect();
-                    schema_err(
-                        &path,
-                        format!("unknown objective `{token}` (known: {})", known.join(", ")),
-                    )
-                },
-                Ok,
-            )?;
-            objectives.push(objective);
-        }
-        let (constraints, technologies) = match f.get("constraints") {
+                    path.error(format!(
+                        "unknown objective `{token}` (known: {})",
+                        known.join(", ")
+                    ))
+                })
+            })
+        })?;
+        let (constraints, technologies) = match f.object("constraints")? {
             None => (Vec::new(), None),
-            Some(v) => Self::parse_constraints(v)?,
+            Some(c) => Self::parse_constraints(&c)?,
         };
         let baseline = f.string("baseline")?.map(str::to_owned);
-        let refine = match f.get("refine") {
-            None => None,
-            Some(v) => Some(Self::parse_refine(v)?),
-        };
+        let refine = f
+            .object("refine")?
+            .map(|r| Self::parse_refine(&r))
+            .transpose()?;
         let spec = ExploreSpec {
             objectives,
             constraints,
@@ -977,10 +810,8 @@ impl Scenario {
         // is surfaced as a schema error on the block, so every `tdc`
         // surface reports the same path-named message. It does not
         // depend on the technology allowlist, which resolves later.
-        spec.validate().map_or_else(
-            |m| schema_err("explore", m),
-            |()| Ok(ExploreRaw { spec, technologies }),
-        )
+        spec.validate().map_err(|m| f.error(m))?;
+        Ok(ExploreRaw { spec, technologies })
     }
 
     /// Parses `explore.constraints`, returning the resolved
@@ -988,9 +819,8 @@ impl Scenario {
     /// need the registry, which is only available at build time).
     #[allow(clippy::type_complexity)]
     fn parse_constraints(
-        value: &JsonValue,
-    ) -> Result<(Vec<Constraint>, Option<Vec<String>>), ScenarioError> {
-        let f = Fields::new(value, "explore.constraints")?;
+        f: &Fields<'_>,
+    ) -> Result<(Vec<Constraint>, Option<Vec<String>>), FieldError> {
         f.deny_unknown(&[
             "max_package_area_mm2",
             "max_embodied_kg",
@@ -999,14 +829,13 @@ impl Scenario {
             "technologies",
         ])?;
         let mut constraints = Vec::new();
-        let positive = |key: &str| -> Result<Option<f64>, ScenarioError> {
+        let positive = |key: &str| -> Result<Option<f64>, FieldError> {
             match f.number(key)? {
                 None => Ok(None),
                 Some(v) if v.is_finite() && v > 0.0 => Ok(Some(v)),
-                Some(v) => schema_err(
-                    f.child(key),
-                    format!("must be positive, got {}", ShortFloat(v)),
-                ),
+                Some(v) => Err(f
+                    .child(key)
+                    .error(format!("must be positive, got {}", ShortFloat(v)))),
             }
         };
         if let Some(mm2) = positive("max_package_area_mm2")? {
@@ -1018,65 +847,35 @@ impl Scenario {
         if f.boolean("require_viable")?.unwrap_or(false) {
             constraints.push(Constraint::RequireViable);
         }
-        if let Some(items) = f.array("nodes_nm")? {
-            let mut nodes = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let path = format!("explore.constraints.nodes_nm[{i}]");
-                let nm = item
-                    .as_f64()
-                    .ok_or(())
-                    .or_else(|()| schema_err::<f64>(&path, "expected a number"))?;
-                nodes.push(parse_node(nm, &path)?);
-            }
+        if let Some(nodes) = f.items("nodes_nm", node_item)? {
             if nodes.is_empty() {
-                return schema_err("explore.constraints.nodes_nm", "the allowlist is empty");
+                return Err(f.child("nodes_nm").error("the allowlist is empty"));
             }
             constraints.push(Constraint::Nodes(nodes));
         }
-        let technologies = match f.array("technologies")? {
-            None => None,
-            Some(items) => {
-                let mut techs = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let path = format!("explore.constraints.technologies[{i}]");
-                    let token = item
-                        .as_str()
-                        .ok_or(())
-                        .or_else(|()| schema_err::<&str>(&path, "expected a string"))?;
-                    techs.push(token.to_owned());
-                }
-                if techs.is_empty() {
-                    return schema_err(
-                        "explore.constraints.technologies",
-                        "the allowlist is empty",
-                    );
-                }
-                Some(techs)
-            }
-        };
+        let technologies = f.items("technologies", |item, path| {
+            string_item(item, path, "expected a string")
+        })?;
+        if technologies.as_ref().is_some_and(Vec::is_empty) {
+            return Err(f.child("technologies").error("the allowlist is empty"));
+        }
         Ok((constraints, technologies))
     }
 
-    fn parse_refine(value: &JsonValue) -> Result<RefineSpec, ScenarioError> {
-        let f = Fields::new(value, "explore.refine")?;
+    fn parse_refine(f: &Fields<'_>) -> Result<RefineSpec, FieldError> {
         f.deny_unknown(&["axis", "min", "max", "samples", "budget", "tolerance"])?;
-        let Some(token) = f.string("axis")? else {
-            return schema_err("explore.refine.axis", "required field is missing");
-        };
-        let axis = RefineAxis::from_token(token).map_or_else(
-            || {
-                let known: Vec<&str> = RefineAxis::ALL.into_iter().map(RefineAxis::label).collect();
-                schema_err(
-                    "explore.refine.axis",
-                    format!("unknown axis `{token}` (known: {})", known.join(", ")),
-                )
-            },
-            Ok,
-        )?;
-        let min = f.required_number("min")?;
-        let max = f.required_number("max")?;
+        let token = f.required("axis", Fields::string)?;
+        let axis = RefineAxis::from_token(token).ok_or_else(|| {
+            let known: Vec<&str> = RefineAxis::ALL.into_iter().map(RefineAxis::label).collect();
+            f.child("axis").error(format!(
+                "unknown axis `{token}` (known: {})",
+                known.join(", ")
+            ))
+        })?;
+        let min = f.required("min", Fields::number)?;
+        let max = f.required("max", Fields::number)?;
         let mut spec = RefineSpec::new(axis, min, max);
-        let whole = |key: &str, hi: f64| -> Result<Option<usize>, ScenarioError> {
+        let whole = |key: &str, hi: f64| -> Result<Option<usize>, FieldError> {
             match f.number(key)? {
                 None => Ok(None),
                 Some(v) if v.fract() == 0.0 && (0.0..=hi).contains(&v) =>
@@ -1084,10 +883,10 @@ impl Scenario {
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     Ok(Some(v as usize))
                 }
-                Some(v) => schema_err(
-                    f.child(key),
-                    format!("expected a whole count in 0..={hi}, got {}", ShortFloat(v)),
-                ),
+                Some(v) => Err(f.child(key).error(format!(
+                    "expected a whole count in 0..={hi}, got {}",
+                    ShortFloat(v)
+                ))),
             }
         };
         if let Some(samples) = whole("samples", 65.0)? {
@@ -1101,8 +900,8 @@ impl Scenario {
         }
         // The range/sampling/tolerance validation lives in core; name
         // the block so the error is path-addressed like the rest.
-        spec.validate()
-            .map_or_else(|m| schema_err("explore.refine", m), |()| Ok(spec))
+        spec.validate().map_err(|m| f.error(m))?;
+        Ok(spec)
     }
 
     /// The evaluating command `tdc batch` infers for this file: a

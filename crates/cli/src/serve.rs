@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tdc_core::service::summary::stages_kv;
 use tdc_core::service::ScenarioSession;
-use tdc_registry::json::JsonValue;
+use tdc_registry::json::{FieldError, FieldPath, Fields, JsonValue};
 
 /// What one `tdc serve` session (or one TCP connection) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -151,65 +151,48 @@ fn parse_frame(line: &str) -> Frame {
         }
     };
     let id = root.get("id").cloned().unwrap_or(JsonValue::Null);
-    if root.as_object().is_none() {
+    let Ok(fields) = Fields::new(&root, FieldPath::Root) else {
         return Frame::Bad {
             response: error_frame(&id, None, "a request frame must be a JSON object"),
         };
-    }
+    };
+    let bad = |e: FieldError| Frame::Bad {
+        response: error_frame(&id, Some(&e.path), &e.message),
+    };
     // `{"op": "metrics"}` is the one command-less frame: an obs probe
     // that predates no release, so it rides a separate key instead of
     // widening the `command` vocabulary.
-    if let Some(op_value) = root.get("op") {
+    if let Some(op_value) = fields.get("op") {
         return match op_value.as_str() {
             Some("metrics") => Frame::Metrics { id },
-            _ => Frame::Bad {
-                response: error_frame(&id, Some("op"), "expected \"metrics\""),
-            },
+            _ => bad(fields.child("op").error("expected \"metrics\"")),
         };
     }
-    let Some(command_value) = root.get("command") else {
-        return Frame::Bad {
-            response: error_frame(&id, Some("command"), "required field is missing"),
-        };
-    };
-    let Some(command) = command_value.as_str() else {
-        return Frame::Bad {
-            response: error_frame(
-                &id,
-                Some("command"),
-                &format!("expected a string, got {}", command_value.type_name()),
-            ),
-        };
+    let command = match fields.required("command", Fields::string) {
+        Ok(command) => command,
+        Err(e) => return bad(e),
     };
     match command.trim().to_ascii_lowercase().as_str() {
         "stats" => Frame::Stats { id },
-        "shutdown" => match root.get("scope").map(JsonValue::as_str) {
-            None => Frame::Shutdown { id, server: false },
-            Some(Some("session")) => Frame::Shutdown { id, server: false },
+        "shutdown" => match fields.get("scope").map(JsonValue::as_str) {
+            None | Some(Some("session")) => Frame::Shutdown { id, server: false },
             Some(Some("server")) => Frame::Shutdown { id, server: true },
-            Some(_) => Frame::Bad {
-                response: error_frame(&id, Some("scope"), "expected \"session\" or \"server\""),
-            },
+            Some(_) => bad(fields
+                .child("scope")
+                .error("expected \"session\" or \"server\"")),
         },
         other => {
             let Some(kind) = RequestKind::from_token(other) else {
-                return Frame::Bad {
-                    response: error_frame(
-                        &id,
-                        Some("command"),
-                        &format!(
-                            "unknown command `{other}` (run, sweep, explore, sensitivity, \
-                             stats, shutdown)"
-                        ),
-                    ),
-                };
+                return bad(fields.child("command").error(format!(
+                    "unknown command `{other}` (run, sweep, explore, sensitivity, stats, \
+                     shutdown)"
+                )));
             };
-            let Some(scenario_value) = root.get("scenario") else {
-                return Frame::Bad {
-                    response: error_frame(&id, Some("scenario"), "required field is missing"),
-                };
+            let scenario = match fields.required("scenario", |f, key| Ok(f.get(key))) {
+                Ok(scenario) => scenario,
+                Err(e) => return bad(e),
             };
-            match Scenario::from_value(scenario_value) {
+            match Scenario::from_value(scenario) {
                 Ok(scenario) => Frame::Eval {
                     id,
                     kind,

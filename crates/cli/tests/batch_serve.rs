@@ -252,8 +252,7 @@ fn batch_over_checked_in_scenarios_reports_cross_request_warmth() {
 
 #[test]
 fn batch_failures_are_reported_and_do_not_stop_the_batch() {
-    let dir = std::env::temp_dir().join("tdc-batch-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = test_dir("batch-failures");
     let good = dir.join("a_good.json");
     let bad = dir.join("b_bad.json");
     std::fs::write(&good, r#"{"design": {"preset": "epyc-7452"}}"#).expect("writes");
@@ -269,6 +268,7 @@ fn batch_failures_are_reported_and_do_not_stop_the_batch() {
         &mut stderr,
     )
     .expect("batch runs");
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(summary.ok, 1);
     assert_eq!(summary.failed, 1);
     let log = String::from_utf8(stderr).expect("utf8 stderr");
@@ -651,23 +651,40 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
     // and abort the server: a calendar life of 1e308 years overflows
     // its hours, a 5e-324-hour service time makes the lifetime axis
     // scale by infinity, and a 5e-324-gate die of a 2.5D assembly has
-    // zero area. Each must be answered as an error a line long that
-    // quotes the hostile number in exponent form, and the stats frame
-    // after them must still be answered.
-    let input = "{\"id\": 1, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
-                 \"orin-2d\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 254, \
-                 \"active_hours\": 1000, \"calendar_years\": 1e308}}}\n\
-                 {\"id\": 2, \"command\": \"explore\", \"scenario\": {\"workload\": {\"name\": \
-                 \"w\", \"throughput_tops\": 254, \"active_hours\": 5e-324}, \"sweep\": \
-                 {\"gate_count\": 17e9, \"nodes_nm\": [7], \"technologies\": [\"2d\"]}, \
-                 \"explore\": {\"objectives\": [\"lifecycle\"], \"refine\": {\"axis\": \
-                 \"lifetime_years\", \"min\": 1, \"max\": 10}}}}\n\
-                 {\"id\": 3, \"command\": \"run\", \"scenario\": {\"design\": {\"integration\": \
-                 \"emib\", \"dies\": [{\"node_nm\": 7, \"gate_count\": 5e-324}, {\"node_nm\": 7, \
-                 \"gate_count\": 1e9}]}}}\n\
-                 {\"id\": 4, \"command\": \"stats\"}\n";
+    // zero area. Then die efficiencies of ±1e999 (they parse to ±inf),
+    // a die with zero BEOL layers, and a zero sweep efficiency, whose
+    // answers name the die or the sweep field that holds the value.
+    // Each must be answered as an error a line long that quotes the
+    // hostile number in exponent form, and the stats frame after them
+    // must still be answered.
+    let die = |id: u32, field: &str| {
+        format!(
+            "{{\"id\": {id}, \"command\": \"run\", \"scenario\": {{\"design\": {{\"dies\": \
+             [{{\"node_nm\": 7, \"gate_count\": 1e9, {field}}}]}}}}}}\n"
+        )
+    };
+    let input = [
+        "{\"id\": 1, \"command\": \"run\", \"scenario\": {\"design\": {\"preset\": \
+         \"orin-2d\"}, \"workload\": {\"name\": \"w\", \"throughput_tops\": 254, \
+         \"active_hours\": 1000, \"calendar_years\": 1e308}}}\n",
+        "{\"id\": 2, \"command\": \"explore\", \"scenario\": {\"workload\": {\"name\": \
+         \"w\", \"throughput_tops\": 254, \"active_hours\": 5e-324}, \"sweep\": \
+         {\"gate_count\": 17e9, \"nodes_nm\": [7], \"technologies\": [\"2d\"]}, \
+         \"explore\": {\"objectives\": [\"lifecycle\"], \"refine\": {\"axis\": \
+         \"lifetime_years\", \"min\": 1, \"max\": 10}}}}\n",
+        "{\"id\": 3, \"command\": \"run\", \"scenario\": {\"design\": {\"integration\": \
+         \"emib\", \"dies\": [{\"node_nm\": 7, \"gate_count\": 5e-324}, {\"node_nm\": 7, \
+         \"gate_count\": 1e9}]}}}\n",
+        &die(4, "\"efficiency_tops_per_watt\": 1e999"),
+        &die(5, "\"efficiency_tops_per_watt\": -1e999"),
+        &die(6, "\"beol_layers\": 0"),
+        "{\"id\": 7, \"command\": \"run\", \"scenario\": {\"sweep\": {\"gate_count\": \
+         17e9, \"nodes_nm\": [7], \"efficiency_tops_per_watt\": 0}}}\n",
+        "{\"id\": 8, \"command\": \"stats\"}\n",
+    ]
+    .concat();
     let (lines, summary) = serve_lines(input.as_bytes());
-    assert_eq!(lines.len(), 4);
+    assert_eq!(lines.len(), 8);
     let frames: Vec<JsonValue> = lines
         .iter()
         .map(|l| JsonValue::parse(l).expect("frame parses"))
@@ -678,7 +695,26 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
             "1e308 years is not a finite number of hours",
         ),
         (None, "lifetime axis: cannot scale"),
-        (None, "gate count must be finite and at least 1, got 5e-324"),
+        (
+            Some("design.dies[0]"),
+            "gate count must be finite and at least 1, got 5e-324",
+        ),
+        (
+            Some("design.dies[0]"),
+            "die `die0`: efficiency must be finite and positive, got inf",
+        ),
+        (
+            Some("design.dies[0]"),
+            "efficiency must be finite and positive, got -inf",
+        ),
+        (
+            Some("design.dies[0]"),
+            "BEOL layer count must be at least 1",
+        ),
+        (
+            Some("sweep.efficiency_tops_per_watt"),
+            "must be finite and positive, got 0",
+        ),
     ];
     for ((line, frame), (id, (path, text))) in lines.iter().zip(&frames).zip((1..).zip(expected)) {
         assert!(line.len() < 200, "{} bytes: {line}", line.len());
@@ -689,9 +725,9 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
         let message = error.get("message").and_then(JsonValue::as_str);
         assert!(message.is_some_and(|m| m.contains(text)), "{frame:?}");
     }
-    assert_eq!(frames[3].get("id").and_then(JsonValue::as_f64), Some(4.0));
-    assert_eq!(frames[3].get("ok"), Some(&JsonValue::Bool(true)));
-    assert_eq!(summary, (4, 3));
+    assert_eq!(frames[7].get("id").and_then(JsonValue::as_f64), Some(8.0));
+    assert_eq!(frames[7].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (8, 7));
 }
 
 #[test]

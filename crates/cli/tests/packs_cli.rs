@@ -5,19 +5,38 @@
 //! path, and (for parse errors) the line/column — never a panic and
 //! never a silently ignored entry.
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use tdc_cli::packs::check_packs;
 use tdc_cli::Scenario;
 use tdc_registry::ModelKind;
 
+/// A per-test temp dir, removed when the test ends (passing or not).
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Creates a fresh per-test temp dir and writes `files` into it.
-fn temp_dir_with(tag: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+fn temp_dir_with(tag: &str, files: &[(&str, &str)]) -> TempDir {
     let dir = std::env::temp_dir().join(format!("tdc-packs-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     for (name, content) in files {
         std::fs::write(dir.join(name), content).unwrap();
     }
-    dir
+    TempDir(dir)
 }
 
 fn checked_in_pack() -> String {
@@ -120,6 +139,46 @@ fn unknown_parameters_and_bad_bases_name_their_fields() {
     let err = check_packs(&[dir.join("base.json").display().to_string()]).unwrap_err();
     assert!(err.contains("nodes[0].base"), "{err}");
     assert!(err.contains("unknown process node `n6`"), "{err}");
+}
+
+#[test]
+fn pack_entries_answer_in_the_scenario_reader_wording() {
+    let dir = temp_dir_with(
+        "wording",
+        &[
+            (
+                "unknown.json",
+                r#"{"pack": "u", "nodes": [{"name": "n7", "bogus": 1}]}"#,
+            ),
+            (
+                "unnamed.json",
+                r#"{"pack": "m", "nodes": [{"base": "n7"}]}"#,
+            ),
+            (
+                "string.json",
+                r#"{"pack": "s", "nodes": [{"name": "n7", "params": {"beta": "big"}}]}"#,
+            ),
+        ],
+    );
+    for (file, path, message) in [
+        (
+            "unknown.json",
+            "nodes[0].bogus",
+            "unknown field (expected one of: name, base, description, params, derive)",
+        ),
+        ("unnamed.json", "nodes[0].name", "required field is missing"),
+        (
+            "string.json",
+            "nodes[0].params.beta",
+            "expected a number or boolean, got string",
+        ),
+    ] {
+        let err = check_packs(&[dir.join(file).display().to_string()]).unwrap_err();
+        assert!(
+            err.contains(&format!("pack field `{path}`: {message}")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

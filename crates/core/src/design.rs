@@ -218,8 +218,9 @@ impl DieSpecBuilder {
         if let Some(e) = s.efficiency {
             if !(e.tops_per_watt().is_finite() && e.tops_per_watt() > 0.0) {
                 return Err(ModelError::InvalidDesign(format!(
-                    "die `{}`: efficiency must be finite and positive",
-                    s.name
+                    "die `{}`: efficiency must be finite and positive, got {}",
+                    s.name,
+                    ShortFloat(e.tops_per_watt())
                 )));
             }
         }

@@ -11,8 +11,8 @@
 //! 1. **Disabled means free.** Instrumentation is off by default; the
 //!    disabled path of every [`span`] / gated metric update is a single
 //!    relaxed atomic load and a branch. Enabling is explicit — the
-//!    `--profile` / `--metrics-addr` CLI flags or `TDC_OBS=1`
-//!    ([`ObsConfig::from_env`]).
+//!    `--profile` / `--metrics-addr` CLI flags or `TDC_OBS=1` make the
+//!    `tdc` binary call [`set_enabled`].
 //! 2. **No heap allocation after registration.** The metric catalog is
 //!    a compile-time table of static atomics ([`metrics::CATALOG`]),
 //!    so recording a counter, gauge, or histogram sample never
@@ -78,55 +78,4 @@ pub fn set_enabled(on: bool) {
 pub fn reset() {
     span::clear();
     metrics::reset();
-}
-
-/// How observability gets switched on: explicit flags or the
-/// `TDC_OBS=1` environment variable.
-///
-/// The config only ever *enables* — an installed config with
-/// `enabled: false` leaves a previously enabled process recording, so
-/// `TDC_OBS=1` and `--profile` compose instead of fighting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ObsConfig {
-    /// Whether this source asks for recording to be on.
-    pub enabled: bool,
-}
-
-impl ObsConfig {
-    /// Reads the `TDC_OBS` environment variable (`1` = enabled).
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self {
-            enabled: std::env::var("TDC_OBS").is_ok_and(|v| v == "1"),
-        }
-    }
-
-    /// Requests recording (builder-style, for composing with
-    /// [`from_env`](Self::from_env)).
-    #[must_use]
-    pub fn enable(mut self, on: bool) -> Self {
-        self.enabled = self.enabled || on;
-        self
-    }
-
-    /// Applies the config: enables recording if any source asked for
-    /// it; never force-disables.
-    pub fn install(self) {
-        if self.enabled {
-            set_enabled(true);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_only_ever_enables() {
-        let c = ObsConfig::default().enable(false);
-        assert!(!c.enabled);
-        let c = c.enable(true).enable(false);
-        assert!(c.enabled, "enable(false) must not un-ask");
-    }
 }

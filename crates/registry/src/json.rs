@@ -1,5 +1,6 @@
-//! A minimal, dependency-free JSON tree ([`JsonValue`]): parser and
-//! pretty-printer.
+//! A minimal, dependency-free JSON tree ([`JsonValue`]): parser,
+//! pretty-printer, and the one field reader ([`Fields`]) that scenario
+//! files, `tdc serve` frames and technology packs are read through.
 //!
 //! The workspace's `serde` dependency is an offline stand-in whose
 //! derives expand to nothing (see `vendor/serde`), so scenario files
@@ -16,6 +17,12 @@
 //! parser, the renderers and `Drop` all recurse once per level, so
 //! deeper input is rejected with a positioned error instead of
 //! overflowing the stack of whichever thread parses it.
+//!
+//! A [`Fields`] reader answers a wrong type, a missing required field
+//! or an unknown key with a [`FieldError`] naming the field's path
+//! (`design.dies[0].node_nm`). Paths are [`FieldPath`] chains on the
+//! stack and render to text only when an error names them, so a
+//! document that reads cleanly formats no path at all.
 
 use std::fmt;
 
@@ -306,6 +313,223 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// A field that could not be read: the dotted path naming it (empty
+/// for the whole document) and what is wrong with it. Each input
+/// surface words it its own way (a scenario schema error, a pack
+/// error, a `tdc serve` error frame).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// Where the field sits, e.g. `design.dies[0].node_nm`.
+    pub path: String,
+    /// What is wrong with it.
+    pub message: String,
+}
+
+/// Where a value sits in its document, as a chain of borrowed links
+/// that renders (`sweep.nodes_nm[3]`) only when an error needs it.
+#[derive(Debug, Clone, Copy)]
+pub enum FieldPath<'p> {
+    /// The document itself; renders as the empty string.
+    Root,
+    /// A field of the object at the parent path.
+    Key(&'p FieldPath<'p>, &'p str),
+    /// An element of the array at the parent path.
+    Index(&'p FieldPath<'p>, usize),
+}
+
+impl FieldPath<'_> {
+    /// An error about the value at this path.
+    #[must_use]
+    pub fn error(&self, message: impl Into<String>) -> FieldError {
+        FieldError {
+            path: self.to_string(),
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for FieldPath<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldPath::Root => Ok(()),
+            FieldPath::Key(FieldPath::Root, key) => f.write_str(key),
+            FieldPath::Key(parent, key) => write!(f, "{parent}.{key}"),
+            FieldPath::Index(parent, index) => write!(f, "{parent}[{index}]"),
+        }
+    }
+}
+
+/// A JSON object read field by field. Every reader returns `Ok(None)`
+/// for an absent field, and an `expected <type>, got <type>` error at
+/// the field's path for a value of the wrong type.
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a> {
+    entries: &'a [(String, JsonValue)],
+    path: FieldPath<'a>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `value`, found at `path`, as an object.
+    ///
+    /// # Errors
+    ///
+    /// `expected an object, got …` at `path` for any other value.
+    pub fn new(value: &'a JsonValue, path: FieldPath<'a>) -> Result<Self, FieldError> {
+        match value {
+            JsonValue::Object(entries) => Ok(Self { entries, path }),
+            other => Err(path.error(format!("expected an object, got {}", other.type_name()))),
+        }
+    }
+
+    /// The path of field `key`.
+    #[must_use]
+    pub fn child<'s>(&'s self, key: &'s str) -> FieldPath<'s> {
+        FieldPath::Key(&self.path, key)
+    }
+
+    /// An error about the object itself.
+    #[must_use]
+    pub fn error(&self, message: impl Into<String>) -> FieldError {
+        self.path.error(message)
+    }
+
+    /// The raw value of field `key`, if present.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&'a JsonValue> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn typed<T>(
+        &self,
+        key: &str,
+        read: fn(&'a JsonValue) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, FieldError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => read(v).map(Some).ok_or_else(|| {
+                self.child(key)
+                    .error(format!("expected {expected}, got {}", v.type_name()))
+            }),
+        }
+    }
+
+    /// Field `key` as a number.
+    pub fn number(&self, key: &str) -> Result<Option<f64>, FieldError> {
+        self.typed(key, JsonValue::as_f64, "a number")
+    }
+
+    /// Field `key` as a string.
+    pub fn string(&self, key: &str) -> Result<Option<&'a str>, FieldError> {
+        self.typed(key, JsonValue::as_str, "a string")
+    }
+
+    /// Field `key` as a boolean.
+    pub fn boolean(&self, key: &str) -> Result<Option<bool>, FieldError> {
+        self.typed(key, JsonValue::as_bool, "a boolean")
+    }
+
+    fn array(&self, key: &str) -> Result<Option<&'a [JsonValue]>, FieldError> {
+        self.typed(key, JsonValue::as_array, "an array")
+    }
+
+    /// Field `key` as an object, read through its own [`Fields`].
+    pub fn object<'s>(&'s self, key: &'s str) -> Result<Option<Fields<'s>>, FieldError> {
+        self.get(key)
+            .map(|value| Fields::new(value, self.child(key)))
+            .transpose()
+    }
+
+    /// What `read` (e.g. [`Fields::number`]) returns for field `key`,
+    /// which must be present.
+    ///
+    /// # Errors
+    ///
+    /// `read`'s error, or `required field is missing` at `key`.
+    pub fn required<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Self, &str) -> Result<Option<T>, FieldError>,
+    ) -> Result<T, FieldError> {
+        read(self, key)?.ok_or_else(|| self.child(key).error("required field is missing"))
+    }
+
+    /// Reads the array at `key` element by element: `read` gets each
+    /// element with its path, which renders only if an error names it.
+    ///
+    /// # Errors
+    ///
+    /// `expected an array, got …`, or the first error `read` returns.
+    pub fn items<T>(
+        &self,
+        key: &str,
+        mut read: impl FnMut(&'a JsonValue, FieldPath<'_>) -> Result<T, FieldError>,
+    ) -> Result<Option<Vec<T>>, FieldError> {
+        let Some(values) = self.array(key)? else {
+            return Ok(None);
+        };
+        let path = self.child(key);
+        values
+            .iter()
+            .enumerate()
+            .map(|(index, value)| read(value, FieldPath::Index(&path, index)))
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    /// Visits every field in document order with its path.
+    ///
+    /// # Errors
+    ///
+    /// The first error `visit` returns.
+    pub fn each(
+        &self,
+        mut visit: impl FnMut(&'a str, &'a JsonValue, FieldPath<'_>) -> Result<(), FieldError>,
+    ) -> Result<(), FieldError> {
+        self.entries
+            .iter()
+            .try_for_each(|(key, value)| visit(key, value, self.child(key)))
+    }
+
+    /// Rejects keys outside `allowed`: a typo in an optional field
+    /// would otherwise be silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// `unknown field (expected one of: …)` at the first such key.
+    pub fn deny_unknown(&self, allowed: &[&str]) -> Result<(), FieldError> {
+        match self
+            .entries
+            .iter()
+            .find(|(key, _)| !allowed.contains(&key.as_str()))
+        {
+            None => Ok(()),
+            Some((key, _)) => Err(self.child(key).error(format!(
+                "unknown field (expected one of: {})",
+                allowed.join(", ")
+            ))),
+        }
+    }
+}
+
+/// Reads one model parameter — a number, or a boolean as `0`/`1` — the
+/// form of a `context.power_model` field and of a pack entry's
+/// `params`.
+///
+/// # Errors
+///
+/// `expected a number or boolean, got …` at `path` for any other value.
+pub fn param(value: &JsonValue, path: FieldPath<'_>) -> Result<f64, FieldError> {
+    match value {
+        JsonValue::Number(n) => Ok(*n),
+        JsonValue::Bool(b) => Ok(f64::from(*b)),
+        other => Err(path.error(format!(
+            "expected a number or boolean, got {}",
+            other.type_name()
+        ))),
+    }
 }
 
 struct Parser<'a> {
@@ -633,6 +857,34 @@ mod tests {
         assert_eq!(v.as_str(), Some("Aé 😀 \t\"\\"));
         let rendered = JsonValue::String(v.as_str().unwrap().to_owned()).render();
         assert_eq!(JsonValue::parse(&rendered).unwrap(), v);
+    }
+
+    #[test]
+    fn fields_name_the_path_of_what_they_reject() {
+        let doc = JsonValue::parse(r#"{"a": {"b": [1, "x"], "c": true}, "n": "7"}"#).unwrap();
+        let root = Fields::new(&doc, FieldPath::Root).unwrap();
+        let a = root.object("a").unwrap().unwrap();
+        let rejected = |e: FieldError| (e.path, e.message);
+        let bad = a.items("b", |v, path| v.as_f64().ok_or_else(|| path.error("bad")));
+        assert_eq!(rejected(bad.unwrap_err()), ("a.b[1]".into(), "bad".into()));
+        assert_eq!(param(a.get("c").unwrap(), a.child("c")), Ok(1.0));
+        assert_eq!(
+            rejected(root.number("n").unwrap_err()),
+            ("n".into(), "expected a number, got string".into())
+        );
+        assert_eq!(
+            rejected(a.required("z", Fields::string).unwrap_err()),
+            ("a.z".into(), "required field is missing".into())
+        );
+        assert_eq!(
+            rejected(root.deny_unknown(&["a"]).unwrap_err()),
+            ("n".into(), "unknown field (expected one of: a)".into())
+        );
+        let err = Fields::new(&JsonValue::Null, FieldPath::Root).unwrap_err();
+        assert_eq!(
+            rejected(err),
+            (String::new(), "expected an object, got null".into())
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::builtins::{
     apply_interface_params, apply_node_params, NODE_PARAM_KEYS, TECHNOLOGY_PARAM_KEYS,
 };
 use crate::expr::Expression;
-use crate::json::JsonValue;
+use crate::json::{param, FieldError, FieldPath, Fields, JsonValue};
 use crate::{
     EntryMeta, ModelInstance, ModelKind, PackApplication, Params, Provenance, Registry,
     RegistryError, TechnologyModel,
@@ -97,112 +97,50 @@ pub struct PackSummary {
     pub technologies: Vec<String>,
 }
 
-struct Loader<'a> {
-    path: String,
-    registry: &'a mut Registry,
-    pack_name: String,
-}
+/// One validated pack entry: what registering it adds and rewrites.
+type StagedEntry = (EntryMeta, ModelInstance, PackApplication);
 
-impl Loader<'_> {
-    fn err(&self, message: impl Into<String>) -> PackError {
-        PackError {
-            path: self.path.clone(),
-            message: message.into(),
-        }
-    }
-
-    fn field_err(&self, field: &str, message: impl fmt::Display) -> PackError {
-        self.err(format!("pack field `{field}`: {message}"))
-    }
-}
-
-fn string_field<'v>(
-    loader: &Loader<'_>,
-    value: &'v JsonValue,
-    field: &str,
-) -> Result<&'v str, PackError> {
-    value.as_str().ok_or_else(|| {
-        loader.field_err(
-            field,
-            format_args!("expected a string, got {}", value.type_name()),
-        )
-    })
-}
-
-/// Reads `params` (numbers; booleans fold to 0/1) and `derive`
-/// (expression strings) off one entry object, evaluating `derive`
-/// against `variables`. Returns the merged parameter overrides.
+/// Reads an entry's `params` (numbers; booleans fold to 0/1) and
+/// `derive` (expression strings evaluated against `variables`, where
+/// `base` names the same key) in one walk. Returns the merged
+/// parameter overrides.
 fn entry_params(
-    loader: &Loader<'_>,
-    entry: &JsonValue,
-    field: &str,
+    entry: &Fields<'_>,
     allowed: &[&str],
     variables: &dyn Fn(&str) -> Option<f64>,
-) -> Result<Params, PackError> {
+) -> Result<Params, FieldError> {
     let mut params = Params::new();
-    if let Some(table) = entry.get("params") {
-        let pairs = table.as_object().ok_or_else(|| {
-            loader.field_err(
-                &format!("{field}.params"),
-                format_args!("expected an object, got {}", table.type_name()),
-            )
-        })?;
-        for (key, value) in pairs {
-            let path = format!("{field}.params.{key}");
-            if !allowed.contains(&key.as_str()) {
-                return Err(loader.field_err(
-                    &path,
-                    format_args!("unknown parameter (expected: {})", allowed.join(", ")),
-                ));
+    for table in ["params", "derive"] {
+        let Some(fields) = entry.object(table)? else {
+            continue;
+        };
+        fields.each(|key, value, path| {
+            if !allowed.contains(&key) {
+                return Err(path.error(format!(
+                    "unknown parameter (expected: {})",
+                    allowed.join(", ")
+                )));
             }
-            let v = match value {
-                JsonValue::Bool(b) => f64::from(*b),
-                other => other.as_f64().ok_or_else(|| {
-                    loader.field_err(
-                        &path,
-                        format_args!("expected a number, got {}", other.type_name()),
-                    )
-                })?,
+            let resolved = if table == "params" {
+                param(value, path)?
+            } else {
+                if params.get(key).is_some() {
+                    return Err(path.error("key appears in both `params` and `derive`"));
+                }
+                let source = value.as_str().ok_or_else(|| {
+                    path.error(format!(
+                        "expected an expression string, got {}",
+                        value.type_name()
+                    ))
+                })?;
+                Expression::parse(source)
+                    .map_err(|e| path.error(e.to_string()))?
+                    .eval(&|name| variables(if name == "base" { key } else { name }))
+                    .map_err(|e| path.error(e.to_string()))?
             };
-            params.set(key, v);
-        }
-    }
-    if let Some(table) = entry.get("derive") {
-        let pairs = table.as_object().ok_or_else(|| {
-            loader.field_err(
-                &format!("{field}.derive"),
-                format_args!("expected an object, got {}", table.type_name()),
-            )
-        })?;
-        for (key, value) in pairs {
-            let path = format!("{field}.derive.{key}");
-            if !allowed.contains(&key.as_str()) {
-                return Err(loader.field_err(
-                    &path,
-                    format_args!("unknown parameter (expected: {})", allowed.join(", ")),
-                ));
-            }
-            if params.get(key).is_some() {
-                return Err(loader.field_err(&path, "key appears in both `params` and `derive`"));
-            }
-            let source = value.as_str().ok_or_else(|| {
-                loader.field_err(
-                    &path,
-                    format_args!("expected an expression string, got {}", value.type_name()),
-                )
-            })?;
-            let expr = Expression::parse(source).map_err(|e| loader.field_err(&path, e))?;
-            let resolved = expr
-                .eval(&|name| {
-                    if name == "base" {
-                        variables(key)
-                    } else {
-                        variables(name)
-                    }
-                })
-                .map_err(|e| loader.field_err(&path, e))?;
             params.set(key, resolved);
-        }
+            Ok(())
+        })?;
     }
     Ok(params)
 }
@@ -262,183 +200,71 @@ impl Registry {
         if tdc_obs::enabled() {
             tdc_obs::metrics::REGISTRY_PACK_LOADS.inc();
         }
-        // Validate and build every entry *before* touching the
-        // registry, then register, so a failing pack leaves the
-        // registry as it was.
-        let display_path = path.display().to_string();
-        let text = read_pack(path).map_err(|message| PackError {
-            path: display_path.clone(),
+        let pack_error = |message| PackError {
+            path: path.display().to_string(),
             message,
-        })?;
-        let doc = JsonValue::parse(&text).map_err(|e| PackError {
-            path: display_path.clone(),
-            message: e.without_input().to_string(),
-        })?;
-
-        let mut loader = Loader {
-            path: display_path,
-            registry: self,
-            pack_name: String::new(),
         };
+        let text = read_pack(path).map_err(pack_error)?;
+        let doc = JsonValue::parse(&text).map_err(|e| pack_error(e.without_input().to_string()))?;
+        self.load_pack_document(&doc).map_err(|e| {
+            pack_error(if e.path.is_empty() {
+                e.message
+            } else {
+                format!("pack field `{}`: {}", e.path, e.message)
+            })
+        })
+    }
 
-        let allowed_top = ["pack", "description", "nodes", "technologies"];
-        if let Some(pairs) = doc.as_object() {
-            for (key, _) in pairs {
-                if !allowed_top.contains(&key.as_str()) {
-                    return Err(loader.field_err(key, "unknown field"));
-                }
-            }
-        } else {
-            return Err(loader.err(format!("expected a JSON object, got {}", doc.type_name())));
+    /// [`Registry::load_pack`] after the file parsed: validates and
+    /// builds every entry *before* touching the registry, then
+    /// registers, so a failing pack leaves the registry as it was.
+    fn load_pack_document(&mut self, doc: &JsonValue) -> Result<PackSummary, FieldError> {
+        let pack = Fields::new(doc, FieldPath::Root)?;
+        pack.deny_unknown(&["pack", "description", "nodes", "technologies"])?;
+        let pack_name = pack.required("pack", Fields::string)?.trim();
+        if pack_name.is_empty() {
+            return Err(pack.child("pack").error("must not be empty"));
         }
-        let name = doc
-            .get("pack")
-            .ok_or_else(|| loader.field_err("pack", "missing (the pack's name)"))?;
-        let name = string_field(&loader, name, "pack")?.trim().to_owned();
-        if name.is_empty() {
-            return Err(loader.field_err("pack", "must not be empty"));
-        }
-        loader.pack_name = name;
-        let description = match doc.get("description") {
-            Some(v) => Some(string_field(&loader, v, "description")?.to_owned()),
-            None => None,
-        };
+        let description = pack.string("description")?.map(str::to_owned);
 
         // Stage 1: validate + build, touching nothing.
-        let mut staged: Vec<(EntryMeta, ModelInstance, PackApplication)> = Vec::new();
+        let mut staged: Vec<StagedEntry> = Vec::new();
         for (block, kind) in [
             ("nodes", ModelKind::Node),
             ("technologies", ModelKind::Technology),
         ] {
-            let Some(entries) = doc.get(block) else {
-                continue;
-            };
-            let entries = entries.as_array().ok_or_else(|| {
-                loader.field_err(
-                    block,
-                    format_args!("expected an array, got {}", entries.type_name()),
-                )
+            let entries = pack.items(block, |entry, path| {
+                self.stage_entry(&Fields::new(entry, path)?, kind, pack_name)
             })?;
-            for (i, entry) in entries.iter().enumerate() {
-                let field = format!("{block}[{i}]");
-                if entry.as_object().is_none() {
-                    return Err(loader.field_err(
-                        &field,
-                        format_args!("expected an object, got {}", entry.type_name()),
-                    ));
-                }
-                for (key, _) in entry.as_object().unwrap_or(&[]) {
-                    if !["name", "base", "description", "params", "derive"].contains(&key.as_str())
-                    {
-                        return Err(loader.field_err(&format!("{field}.{key}"), "unknown field"));
-                    }
-                }
-                let entry_name = entry
-                    .get("name")
-                    .ok_or_else(|| loader.field_err(&format!("{field}.name"), "missing"))?;
-                let entry_name = string_field(&loader, entry_name, &format!("{field}.name"))?
-                    .trim()
-                    .to_owned();
-                if entry_name.is_empty() {
-                    return Err(loader.field_err(&format!("{field}.name"), "must not be empty"));
-                }
-                let base_token = match entry.get("base") {
-                    Some(v) => string_field(&loader, v, &format!("{field}.base"))?.to_owned(),
-                    None => entry_name.clone(),
-                };
-                let entry_description = match entry.get("description") {
-                    Some(v) => {
-                        string_field(&loader, v, &format!("{field}.description"))?.to_owned()
-                    }
-                    None => format!("derived from `{base_token}`"),
-                };
-                let staged_entry = match kind {
-                    ModelKind::Node => {
-                        let base = loader
-                            .registry
-                            .resolve_node(&base_token)
-                            .map_err(|e| loader.field_err(&format!("{field}.base"), e))?;
-                        let params = entry_params(
-                            &loader,
-                            entry,
-                            &field,
-                            NODE_PARAM_KEYS,
-                            &node_variables(&base),
-                        )?;
-                        let built = apply_node_params(&entry_name, &base, &params)
-                            .map_err(|e| loader.field_err(&field, e))?;
-                        (
-                            ModelInstance::Node(built.clone()),
-                            PackApplication::Node(built),
-                        )
-                    }
-                    _ => {
-                        let base = loader
-                            .registry
-                            .resolve_technology(&base_token)
-                            .map_err(|e| loader.field_err(&format!("{field}.base"), e))?;
-                        let Some(tech) = base.technology else {
-                            return Err(loader.field_err(
-                                &format!("{field}.base"),
-                                "cannot derive from monolithic `2D`",
-                            ));
-                        };
-                        let base_spec = base.interface.unwrap_or_else(|| {
-                            tdc_integration::IntegrationCatalog::shipped_interface(tech)
-                        });
-                        let params = entry_params(
-                            &loader,
-                            entry,
-                            &field,
-                            TECHNOLOGY_PARAM_KEYS,
-                            &interface_variables(base_spec),
-                        )?;
-                        let spec = apply_interface_params(&entry_name, base_spec, &params)
-                            .map_err(|e| loader.field_err(&field, e))?;
-                        (
-                            ModelInstance::Technology(TechnologyModel {
-                                technology: Some(tech),
-                                interface: Some(spec),
-                            }),
-                            PackApplication::Interface(tech, spec),
-                        )
-                    }
-                };
-                let meta = EntryMeta {
-                    kind,
-                    name: entry_name,
-                    aliases: Vec::new(),
-                    description: entry_description,
-                    provenance: Provenance::Pack(loader.pack_name.clone()),
-                };
-                staged.push((meta, staged_entry.0, staged_entry.1));
-            }
+            staged.extend(entries.into_iter().flatten());
         }
 
         // Name collisions are checked up front so a failing pack
         // leaves the registry untouched: shadowing a built-in is fine,
         // colliding with another pack entry (or within this file) is
         // not.
+        let entry_error = |meta: &EntryMeta, message: String| FieldError {
+            path: meta.name.clone(),
+            message,
+        };
         let mut seen_names: Vec<(ModelKind, String)> = Vec::new();
         for (meta, _, _) in &staged {
             let token = Registry::normalize(&meta.name);
             if seen_names.contains(&(meta.kind, token.clone())) {
-                return Err(loader.field_err(
-                    &meta.name,
+                return Err(entry_error(
+                    meta,
                     format!("duplicate {} in this pack", meta.kind.noun()),
                 ));
             }
-            if let Some(&i) = loader.registry.index.get(&(meta.kind, token.clone())) {
-                let holder = &loader.registry.entries[i].meta.provenance;
+            if let Some(&i) = self.index.get(&(meta.kind, token.clone())) {
+                let holder = &self.entries[i].meta.provenance;
                 if *holder != Provenance::BuiltIn {
-                    return Err(loader.field_err(
-                        &meta.name,
-                        RegistryError::Duplicate {
-                            kind: meta.kind,
-                            name: token.clone(),
-                            existing: holder.clone(),
-                        },
-                    ));
+                    let duplicate = RegistryError::Duplicate {
+                        kind: meta.kind,
+                        name: token.clone(),
+                        existing: holder.clone(),
+                    };
+                    return Err(entry_error(meta, duplicate.to_string()));
                 }
             }
             seen_names.push((meta.kind, token));
@@ -451,8 +277,7 @@ impl Registry {
             let clash_in_file = staged[..idx]
                 .iter()
                 .any(|(_, _, earlier)| applications_collide(earlier, application));
-            let clash_loaded = loader
-                .registry
+            let clash_loaded = self
                 .applications()
                 .iter()
                 .any(|earlier| applications_collide(earlier, application));
@@ -461,8 +286,8 @@ impl Registry {
                     PackApplication::Node(p) => format!("node {} nm", p.node().nanometers()),
                     PackApplication::Interface(t, _) => format!("technology {}", t.label()),
                 };
-                return Err(loader.field_err(
-                    &meta.name,
+                return Err(entry_error(
+                    meta,
                     format!("a loaded pack entry already re-parameterizes {target}"),
                 ));
             }
@@ -471,7 +296,7 @@ impl Registry {
         // Stage 2: commit. Registration can still collide with another
         // pack's *name*; report that with the file context.
         let mut summary = PackSummary {
-            name: loader.pack_name.clone(),
+            name: pack_name.to_owned(),
             description,
             nodes: Vec::new(),
             technologies: Vec::new(),
@@ -504,13 +329,79 @@ impl Registry {
                 _ => unreachable!("packs stage only nodes and technologies"),
             };
             let entry_label = meta.name.clone();
-            loader
-                .registry
-                .register_override(meta, factory)
-                .map_err(|e| loader.field_err(&entry_label, e))?;
-            loader.registry.record_application(application);
+            self.register_override(meta, factory)
+                .map_err(|e| FieldError {
+                    path: entry_label,
+                    message: e.to_string(),
+                })?;
+            self.record_application(application);
         }
         Ok(summary)
+    }
+
+    /// Validates one `nodes`/`technologies` entry of pack `pack` and
+    /// builds what registering it adds and rewrites, touching nothing.
+    fn stage_entry(
+        &self,
+        entry: &Fields<'_>,
+        kind: ModelKind,
+        pack: &str,
+    ) -> Result<StagedEntry, FieldError> {
+        entry.deny_unknown(&["name", "base", "description", "params", "derive"])?;
+        let name = entry.required("name", Fields::string)?.trim();
+        if name.is_empty() {
+            return Err(entry.child("name").error("must not be empty"));
+        }
+        let base_token = entry.string("base")?.unwrap_or(name);
+        let description = entry
+            .string("description")?
+            .map_or_else(|| format!("derived from `{base_token}`"), str::to_owned);
+        let base_error = |e: &dyn fmt::Display| entry.child("base").error(e.to_string());
+        let (instance, application) = match kind {
+            ModelKind::Node => {
+                let base = self.resolve_node(base_token).map_err(|e| base_error(&e))?;
+                let params = entry_params(entry, NODE_PARAM_KEYS, &node_variables(&base))?;
+                let built = apply_node_params(name, &base, &params)
+                    .map_err(|e| entry.error(e.to_string()))?;
+                (
+                    ModelInstance::Node(built.clone()),
+                    PackApplication::Node(built),
+                )
+            }
+            _ => {
+                let base = self
+                    .resolve_technology(base_token)
+                    .map_err(|e| base_error(&e))?;
+                let Some(tech) = base.technology else {
+                    return Err(base_error(&"cannot derive from monolithic `2D`"));
+                };
+                let base_spec = base.interface.unwrap_or_else(|| {
+                    tdc_integration::IntegrationCatalog::shipped_interface(tech)
+                });
+                let params = entry_params(
+                    entry,
+                    TECHNOLOGY_PARAM_KEYS,
+                    &interface_variables(base_spec),
+                )?;
+                let spec = apply_interface_params(name, base_spec, &params)
+                    .map_err(|e| entry.error(e.to_string()))?;
+                (
+                    ModelInstance::Technology(TechnologyModel {
+                        technology: Some(tech),
+                        interface: Some(spec),
+                    }),
+                    PackApplication::Interface(tech, spec),
+                )
+            }
+        };
+        let meta = EntryMeta {
+            kind,
+            name: name.to_owned(),
+            aliases: Vec::new(),
+            description,
+            provenance: Provenance::Pack(pack.to_owned()),
+        };
+        Ok((meta, instance, application))
     }
 
     /// Validates a pack file against the built-in catalogs *without*
