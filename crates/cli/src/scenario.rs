@@ -929,7 +929,8 @@ impl Scenario {
     ///
     /// Propagates the underlying `build_*` errors; a missing
     /// `workload` block for `sweep`/`sensitivity` is a schema error
-    /// whose path names the block.
+    /// whose path names the block, and so is an `explore.baseline`
+    /// label the sweep plan does not have.
     pub fn build_request(&self, kind: RequestKind) -> Result<EvalRequest, ScenarioError> {
         let context = self.build_context()?;
         let required_workload = |command: &str| -> Result<Workload, ScenarioError> {
@@ -959,12 +960,28 @@ impl Scenario {
                 design: self.build_design()?,
                 workload: required_workload("sensitivity")?,
             }),
-            RequestKind::Explore => Ok(EvalRequest::Explore {
-                context,
-                plan: self.build_sweep()?.plan()?,
-                workload: required_workload("explore")?,
-                spec: self.build_explore()?,
-            }),
+            RequestKind::Explore => {
+                let plan = self.build_sweep()?.plan()?;
+                let workload = required_workload("explore")?;
+                let spec = self.build_explore()?;
+                // A label the plan does not have is an input error. A
+                // planned point the sweep later drops as unbuildable
+                // is left to `explore::run`, which alone finds out.
+                if let Some(label) = &spec.baseline {
+                    if !plan.points().iter().any(|point| point.label() == label) {
+                        return schema_err(
+                            "explore.baseline",
+                            format!("`{label}` is not a label of the sweep plan"),
+                        );
+                    }
+                }
+                Ok(EvalRequest::Explore {
+                    context,
+                    plan,
+                    workload,
+                    spec,
+                })
+            }
         }
     }
 

@@ -206,12 +206,14 @@ fn parse_frame(line: &str) -> Frame {
     }
 }
 
-/// Evaluates one frame to its response line, plus an is-error flag.
-/// `client` is the session client id evaluations run as (0 for the
-/// single-client stdin transport; a registered id per TCP connection).
+/// Evaluates one frame to its response line, newline included, plus
+/// an is-error flag. `client` is the session client id evaluations run
+/// as (0 for the single-client stdin transport; a registered id per TCP
+/// connection).
 fn answer(session: &ScenarioSession, client: u64, frame: &Frame) -> (String, bool) {
     let _obs = tdc_obs::span_timed("serve.frame", &tdc_obs::metrics::SERVE_FRAME_NS);
-    let (response, is_error) = answer_frame(session, client, frame);
+    let (mut response, is_error) = answer_frame(session, client, frame);
+    response.push('\n');
     if tdc_obs::enabled() {
         tdc_obs::metrics::SERVE_FRAMES.inc();
         if is_error {
@@ -339,7 +341,9 @@ fn serve_lines(
         let (response, is_error) = answer(session, client, &frame);
         summary.frames += 1;
         summary.errors += u64::from(is_error);
-        writeln!(output, "{response}")?;
+        // One write per answer, newline included, so the newline never
+        // goes out in a `TCP_NODELAY` segment of its own.
+        output.write_all(response.as_bytes())?;
         output.flush()?;
         if let Frame::Shutdown { server, .. } = frame {
             return Ok(server);
@@ -444,7 +448,7 @@ fn serve_concurrent(
             while let Some((response, is_error)) = pending.remove(&*next_seq) {
                 summary.frames += 1;
                 summary.errors += u64::from(is_error);
-                writeln!(output, "{response}")?;
+                output.write_all(response.as_bytes())?;
                 output.flush()?;
                 *next_seq += 1;
             }
@@ -498,12 +502,16 @@ const STOP_POLL: Duration = Duration::from_millis(50);
 /// `BufRead::read_line` cannot be used on a socket with a read timeout
 /// — a timeout mid-line discards the bytes read so far — so this keeps
 /// its own carry buffer across timeouts. Each read scans only its new
-/// bytes for the newline, so a long frame costs linear time, and a
-/// frame past the limit is dropped as it arrives instead of buffered.
+/// bytes for the newline, and the lines it completed are dropped from
+/// the buffer once, before the next read, so a long frame and a chunk
+/// of many short ones both cost linear time. A frame past the limit is
+/// dropped as it arrives instead of buffered.
 struct FrameReader<R> {
     reader: R,
     carry: Vec<u8>,
-    /// `carry[..scanned]` is known to hold no newline.
+    /// `carry[..consumed]` holds lines already taken.
+    consumed: usize,
+    /// `carry[consumed..scanned]` is known to hold no newline.
     scanned: usize,
     /// The current line outgrew the limit: its bytes are discarded up
     /// to its newline.
@@ -523,6 +531,7 @@ impl<R: Read> FrameReader<R> {
         Self {
             reader,
             carry: Vec::new(),
+            consumed: 0,
             scanned: 0,
             skipping: false,
         }
@@ -532,36 +541,38 @@ impl<R: Read> FrameReader<R> {
     /// only the bytes no earlier call has scanned.
     fn take_line(&mut self) -> Option<Input> {
         let Some(offset) = self.carry[self.scanned..].iter().position(|b| *b == b'\n') else {
-            if self.skipping || self.carry.len() > MAX_FRAME_BYTES {
+            if self.skipping || self.carry.len() - self.consumed > MAX_FRAME_BYTES {
                 self.skipping = true;
                 self.carry.clear();
+                self.consumed = 0;
             }
             self.scanned = self.carry.len();
             return None;
         };
         let nl = self.scanned + offset;
-        let input = if self.skipping || nl > MAX_FRAME_BYTES {
+        let line = &self.carry[self.consumed..nl];
+        let input = if self.skipping || line.len() > MAX_FRAME_BYTES {
             Input::TooLong
         } else {
-            let end = if nl > 0 && self.carry[nl - 1] == b'\r' {
-                nl - 1
-            } else {
-                nl
-            };
-            Input::Line(String::from_utf8_lossy(&self.carry[..end]).into_owned())
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            Input::Line(String::from_utf8_lossy(line).into_owned())
         };
-        self.carry.drain(..=nl);
-        self.scanned = 0;
+        self.consumed = nl + 1;
+        self.scanned = self.consumed;
         self.skipping = false;
         Some(input)
     }
 
     fn next_event(&mut self) -> std::io::Result<LineEvent> {
-        let mut chunk = [0u8; 8192];
         loop {
             if let Some(input) = self.take_line() {
                 return Ok(LineEvent::Input(input));
             }
+            // Every complete line is taken: drop them all in one move.
+            self.carry.drain(..self.consumed);
+            self.scanned -= self.consumed;
+            self.consumed = 0;
+            let mut chunk = [0u8; 8192];
             match self.reader.read(&mut chunk) {
                 Ok(0) => {
                     // End of input: a final unterminated line still
@@ -882,6 +893,120 @@ fn answer_scrape(mut stream: TcpStream, session: &ScenarioSession) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// Hands its chunks out one `read` at a time.
+    struct Chunks(VecDeque<Vec<u8>>);
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(mut chunk) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.0.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    /// Every input a [`FrameReader`] yields over `chunks` (a too-long
+    /// frame as `None`), and the most bytes its buffer ever held.
+    fn lines_of(chunks: Vec<Vec<u8>>) -> (Vec<Option<String>>, usize) {
+        let mut frames = FrameReader::new(Chunks(chunks.into()));
+        let mut lines = Vec::new();
+        let mut held = 0;
+        while let LineEvent::Input(input) = frames.next_event().expect("reads") {
+            held = held.max(frames.carry.len());
+            lines.push(match input {
+                Input::Line(line) => Some(line),
+                Input::TooLong => None,
+            });
+        }
+        (lines, held)
+    }
+
+    #[test]
+    fn frame_reader_splits_lines_within_and_across_reads() {
+        let (lines, _) = lines_of(vec![
+            b"a\nb\r\n\nc".to_vec(),
+            b"d\ne".to_vec(),
+            b"\r".to_vec(),
+            b"\nf".to_vec(),
+        ]);
+        let expected = ["a", "b", "", "cd", "e", "f"].map(|l| Some(l.to_owned()));
+        assert_eq!(lines, expected);
+        // Many lines per read, lines split across reads, and the lines
+        // a read completed dropped before the next read.
+        let text: String = (0..3_000).map(|i| format!("line {i}\r\n")).collect();
+        let chunks = text.as_bytes().chunks(5_000).map(<[u8]>::to_vec).collect();
+        let (lines, held) = lines_of(chunks);
+        assert_eq!(lines.len(), 3_000);
+        for (i, line) in lines.iter().enumerate() {
+            assert_eq!(line.as_deref(), Some(format!("line {i}").as_str()));
+        }
+        assert!(held < 5_000 + "line 2999\r\n".len(), "{held}");
+    }
+
+    #[test]
+    fn frame_reader_skips_a_too_long_line_through_its_newline() {
+        // A carriage return counts toward the limit, as it always has.
+        let mut input = vec![b'x'; MAX_FRAME_BYTES];
+        input.extend_from_slice(b"\r\nok\n");
+        input.extend(vec![b'y'; MAX_FRAME_BYTES + 1]);
+        input.extend_from_slice(b"\nlast");
+        let (lines, _) = lines_of(vec![input, vec![b'z'; MAX_FRAME_BYTES]]);
+        assert_eq!(lines, [None, Some("ok".to_owned()), None, None]);
+        let mut input = vec![b'w'; MAX_FRAME_BYTES];
+        input.extend_from_slice(b"\ntail");
+        let (lines, _) = lines_of(vec![input]);
+        let expected = [Some("w".repeat(MAX_FRAME_BYTES)), Some("tail".to_owned())];
+        assert_eq!(lines, expected);
+    }
+
+    /// Records the bytes of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_answer_leaves_in_one_write() {
+        let input = "{\"id\": 1, \"command\": \"stats\"}\n\
+                     {\"id\": 2, \"command\": \"run\", \"scenario\": \
+                     {\"design\": {\"preset\": \"epyc-7452\"}}}\n\
+                     {\"id\": 3, \"command\": \"run\", \"scenario\": {}}\n";
+        for max_inflight in [1, 4] {
+            let session = ScenarioSession::default();
+            let mut output = Writes::default();
+            serve(
+                &session,
+                input.as_bytes(),
+                &mut output,
+                &mut Vec::new(),
+                max_inflight,
+            )
+            .expect("serves");
+            assert_eq!(output.0.len(), 3, "max_inflight {max_inflight}");
+            for (id, write) in (1..).zip(&output.0) {
+                let line = std::str::from_utf8(write).expect("utf8");
+                let frame = line.strip_suffix('\n').expect("ends in a newline");
+                let frame = JsonValue::parse(frame).expect("one whole answer");
+                assert_eq!(frame.get("id"), Some(&JsonValue::Number(id.into())));
+            }
+        }
+    }
 
     #[test]
     fn accepted_sockets_send_without_delay_and_poll_the_stop_flag() {

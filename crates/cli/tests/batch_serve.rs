@@ -731,6 +731,92 @@ fn underflowing_and_overflowing_lifetimes_and_gate_counts_are_answered() {
 }
 
 #[test]
+fn explore_baselines_outside_the_plan_are_answered_at_their_path() {
+    // A baseline label the sweep plan does not have is an input error
+    // at `explore.baseline`. A label the plan has, whose point the
+    // sweep drops because its die outgrows the wafer, is found out only
+    // by evaluating, and keeps its evaluation error.
+    let explore = |id: u32, gates: &str, baseline: &str| {
+        format!(
+            "{{\"id\": {id}, \"command\": \"explore\", \"scenario\": {{\"workload\": \
+             {{\"name\": \"w\", \"throughput_tops\": 254, \"active_hours\": 4745}}, \
+             \"sweep\": {{\"gate_count\": {gates}, \"nodes_nm\": [7], \"technologies\": \
+             [\"2d\", \"emib\"]}}, \"explore\": {{\"objectives\": [\"lifecycle\"], \
+             \"baseline\": \"{baseline}\"}}}}}}\n"
+        )
+    };
+    let input = [
+        explore(1, "2e11", "x"),
+        explore(2, "2e11", "5 nm/2D"),
+        explore(3, "1e12", "7 nm/2D"),
+        explore(4, "2e11", "7 nm/2D"),
+        "{\"id\": 5, \"command\": \"stats\"}\n".to_owned(),
+    ]
+    .concat();
+    let (frames, summary) = serve_frames(input.as_bytes());
+    assert_eq!(frames.len(), 5);
+    for (frame, label) in frames.iter().zip(["x", "5 nm/2D"]) {
+        assert_eq!(
+            error_of(frame),
+            (
+                "explore.baseline",
+                format!("`{label}` is not a label of the sweep plan").as_str()
+            )
+        );
+    }
+    let error = frames[2].get("error").expect("error object");
+    assert_eq!(error.get("path"), Some(&JsonValue::Null));
+    let message = error.get("message").and_then(JsonValue::as_str);
+    assert!(
+        message.is_some_and(|m| m.contains("is not in the evaluated plan")),
+        "{error:?}"
+    );
+    for (frame, id) in frames[3..].iter().zip([4.0, 5.0]) {
+        assert_eq!(frame.get("id").and_then(JsonValue::as_f64), Some(id));
+        assert_eq!(frame.get("ok"), Some(&JsonValue::Bool(true)));
+    }
+    assert_eq!(summary, (5, 3));
+}
+
+#[test]
+fn megabyte_strings_and_objects_are_answered_in_linear_time() {
+    // Decoding is linear in a frame's bytes: a parser quadratic in a
+    // string's length or in an object's key count takes ~15 s and
+    // ~17 s on the first two frames in a release build. Both must be
+    // answered quickly, along with the frame after them; the keys past
+    // the first repeat one, which must still be named as the frame's
+    // first error.
+    let name = "n".repeat(1_000_000);
+    let keys: String = (0..80_000).map(|i| format!("\"{i}\":0,")).collect();
+    let input = format!(
+        "{{\"id\": 1, \"command\": \"run\", \"scenario\": {{\"name\": \"{name}\"}}}}\n\
+         {{\"id\": 2, \"command\": \"run\", \"scenario\": {{{keys}\"name\":\"k\"}}}}\n\
+         {{\"id\": 3, \"command\": \"run\", \"scenario\": {{{keys}\"79999\":1}}}}\n\
+         {{\"id\": 4, \"command\": \"stats\"}}\n"
+    );
+    assert!(input.lines().all(|line| line.len() <= MAX_FRAME_BYTES));
+    let (frames, summary) = serve_frames_within(input, Duration::from_secs(5));
+    assert_eq!(frames.len(), 4);
+    assert_eq!(
+        error_of(&frames[0]),
+        ("design", "this command needs a design block")
+    );
+    let (path, message) = error_of(&frames[1]);
+    assert_eq!(path, "0");
+    assert!(message.starts_with("unknown field"), "{message}");
+    let error = frames[2].get("error").expect("error object");
+    assert_eq!(error.get("path"), Some(&JsonValue::Null));
+    let message = error.get("message").and_then(JsonValue::as_str);
+    assert!(
+        message.is_some_and(|m| m.ends_with("duplicate key `79999`")),
+        "{error:?}"
+    );
+    assert_eq!(frames[3].get("id").and_then(JsonValue::as_f64), Some(4.0));
+    assert_eq!(frames[3].get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(summary, (4, 3));
+}
+
+#[test]
 fn a_pack_frame_never_changes_what_a_later_pack_less_frame_prices() {
     // Packs load into an owned copy of the process-wide built-in
     // registry, never into the base itself. A run frame whose pack

@@ -24,6 +24,7 @@
 //! stack and render to text only when an error names them, so a
 //! document that reads cleanly formats no path at all.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// The deepest array/object nesting [`JsonValue::parse`] accepts.
@@ -96,14 +97,14 @@ impl JsonValue {
     /// Returns a positioned [`JsonError`] on malformed input.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_whitespace();
         let value = p.parse_value()?;
         p.skip_whitespace();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.error("trailing characters after the document"));
         }
         Ok(value)
@@ -299,19 +300,28 @@ fn write_number(out: &mut String, n: f64) {
 fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Each run of characters that need no escape is copied in one
+    // step. Every escaped character is ASCII, so a run ends on a
+    // character boundary.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -533,13 +543,17 @@ pub fn param(value: &JsonValue, path: FieldPath<'_>) -> Result<f64, FieldError> 
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         self.error_at(message, None)
     }
@@ -548,7 +562,7 @@ impl Parser<'_> {
     fn error_at(&self, message: impl Into<String>, found: Option<String>) -> JsonError {
         let mut line = 1;
         let mut column = 1;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.bytes()[..self.pos.min(self.text.len())] {
             if b == b'\n' {
                 line += 1;
                 column = 1;
@@ -565,7 +579,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -613,7 +627,7 @@ impl Parser<'_> {
     }
 
     fn parse_literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -644,7 +658,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.error_at("invalid number", Some(text.to_owned())))
@@ -677,7 +691,7 @@ impl Parser<'_> {
                             // Surrogate pairs for astral-plane chars.
                             let c = if (0xD800..0xDC00).contains(&code) {
                                 if !(self.peek() == Some(b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u'))
+                                    && self.bytes().get(self.pos + 1) == Some(&b'u'))
                                 {
                                     return Err(self.error("unpaired surrogate"));
                                 }
@@ -699,13 +713,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slices
-                    // at char boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of bytes up to the next `"` or `\` in
+                    // one step. Both are ASCII, so the run ends on a
+                    // character boundary of the `&str` input.
+                    let rest = &self.bytes()[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -713,7 +730,7 @@ impl Parser<'_> {
 
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        let Some(slice) = self.bytes.get(self.pos..end) else {
+        let Some(slice) = self.bytes().get(self.pos..end) else {
             return Err(self.error("truncated \\u escape"));
         };
         let text = std::str::from_utf8(slice).map_err(|_| self.error("invalid \\u escape"))?;
@@ -748,6 +765,9 @@ impl Parser<'_> {
     fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, JsonValue)> = Vec::new();
+        // The keys read so far, so a repeated one is found in constant
+        // time however many keys the object has.
+        let mut keys: HashSet<String> = HashSet::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -756,7 +776,7 @@ impl Parser<'_> {
         loop {
             self.skip_whitespace();
             let key = self.parse_string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !keys.insert(key.clone()) {
                 return Err(self.error_at("duplicate key", Some(key)));
             }
             self.skip_whitespace();
@@ -857,6 +877,142 @@ mod tests {
         assert_eq!(v.as_str(), Some("Aé 😀 \t\"\\"));
         let rendered = JsonValue::String(v.as_str().unwrap().to_owned()).render();
         assert_eq!(JsonValue::parse(&rendered).unwrap(), v);
+    }
+
+    /// A `\u` escape of the four hex digits `hex`.
+    fn esc(hex: &str) -> String {
+        format!("\\u{hex}")
+    }
+
+    #[test]
+    fn strings_parse_to_the_same_values() {
+        let long = "é".repeat(5_000) + "\\n" + &"x".repeat(5_000);
+        let cases = [
+            (
+                r#""a\"b\\c\/d\b\f\n\r\t""#.to_owned(),
+                "a\"b\\c/d\u{8}\u{c}\n\r\t".to_owned(),
+            ),
+            (format!("\"é中{}\"", esc("0000")), "é中\u{0}".to_owned()),
+            (
+                format!(
+                    "\"{}{} {}{}\"",
+                    esc("d83d"),
+                    esc("de00"),
+                    esc("d834"),
+                    esc("dd1e")
+                ),
+                "\u{1f600} \u{1d11e}".to_owned(),
+            ),
+            ("\"Aé中\u{1f600}\"".to_owned(), "Aé中\u{1f600}".to_owned()),
+            (
+                "\"a\u{1}b\tc\nd\u{7f}\"".to_owned(),
+                "a\u{1}b\tc\nd\u{7f}".to_owned(),
+            ),
+            (
+                format!("\"{long}\""),
+                "é".repeat(5_000) + "\n" + &"x".repeat(5_000),
+            ),
+            ("\"\"".to_owned(), String::new()),
+        ];
+        for (text, value) in cases {
+            assert_eq!(
+                JsonValue::parse(&text),
+                Ok(JsonValue::String(value)),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_strings_and_repeated_keys_keep_their_errors() {
+        let error = |text: &str| {
+            let e = JsonValue::parse(text).unwrap_err();
+            (e.line, e.column, e.message, e.found)
+        };
+        let cases = [
+            ("\"abc".to_owned(), 1, 5, "unterminated string"),
+            ("\"é\n中".to_owned(), 2, 4, "unterminated string"),
+            (r#""\x""#.to_owned(), 1, 3, "invalid escape sequence"),
+            ("\"ab\\".to_owned(), 1, 5, "invalid escape sequence"),
+            (format!("\"{}", esc("12")), 1, 4, "truncated \\u escape"),
+            (format!("\"{}\"", esc("00zz")), 1, 4, "invalid \\u escape"),
+            (format!("\"{}\"", esc("00é")), 1, 4, "invalid \\u escape"),
+            (format!("\"{}\"", esc("d83d")), 1, 8, "unpaired surrogate"),
+            (
+                format!("\"{}{}\"", esc("d83d"), esc("0041")),
+                1,
+                14,
+                "invalid low surrogate",
+            ),
+            (
+                format!("\"{}\"", esc("dc00")),
+                1,
+                8,
+                "invalid unicode escape",
+            ),
+        ];
+        for (text, line, column, message) in cases {
+            assert_eq!(
+                error(&text),
+                (line, column, message.to_owned(), None),
+                "{text}"
+            );
+        }
+        let duplicate = |key: &str| Some(key.to_owned());
+        assert_eq!(
+            error(r#"{"a": 1, "b": 2, "a": 3}"#),
+            (1, 21, "duplicate key".to_owned(), duplicate("a"))
+        );
+        assert_eq!(
+            error(&format!("{{\"a\": 1, \"b\": 2, \"{}\": 3}}", esc("0061"))),
+            (1, 26, "duplicate key".to_owned(), duplicate("a"))
+        );
+        // A 40-key object, one key per line, the 40th repeating an
+        // earlier one, and a value that would fail after it.
+        let keys: Vec<String> = (0..39).map(|i| format!("\"k{i}\": {i}")).collect();
+        for (repeated, found) in [
+            ("k3".to_owned(), "k3"),
+            ("k30".to_owned(), "k30"),
+            (esc("006b") + "38", "k38"),
+        ] {
+            let text = format!("{{{},\n\"{repeated}\": tru}}", keys.join(",\n"));
+            assert_eq!(
+                error(&text),
+                (
+                    40,
+                    repeated.len() + 3,
+                    "duplicate key".to_owned(),
+                    duplicate(found)
+                ),
+                "{repeated}"
+            );
+        }
+        let distinct = JsonValue::parse(&format!("{{{}}}", keys.join(","))).unwrap();
+        let fields = distinct.as_object().unwrap();
+        assert_eq!(fields.len(), 39);
+        for (i, (key, value)) in fields.iter().enumerate() {
+            assert_eq!(
+                (key.as_str(), value),
+                (format!("k{i}").as_str(), &JsonValue::Number(i as f64))
+            );
+        }
+    }
+
+    #[test]
+    fn strings_render_with_the_same_escapes() {
+        let value = JsonValue::String("a\"b\\c\n\r\t\u{1}\u{1f}é\u{1f600}\u{7f}/".to_owned());
+        let expected = format!(
+            "\"a\\\"b\\\\c\\n\\r\\t{}{}é\u{1f600}\u{7f}/\"",
+            esc("0001"),
+            esc("001f")
+        );
+        assert_eq!(value.render_compact(), expected);
+        assert_eq!(JsonValue::parse(&expected).unwrap(), value);
+        let plain = "x".repeat(10_000);
+        assert_eq!(
+            JsonValue::String(plain.clone()).render_compact(),
+            format!("\"{plain}\"")
+        );
     }
 
     #[test]
